@@ -34,8 +34,9 @@ Exit status: 0 when every command passes, 1 when some command fails
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Tuple
 
 from .booleanization import (
     Positivity,
@@ -59,7 +60,7 @@ from .formal_cover import (
     envelope_cover,
     frame_of_presentation,
 )
-from .reports import CheckReport
+from .reports import CheckReport, failed, passed
 from .semidecision import Confirmed
 from .sigma_frame import LatticeError, find_isomorphism, lattice_from_leq_pairs
 
@@ -195,8 +196,6 @@ class Document:
     items: Tuple
 
 
-_ASPECTS = ("overt", "overlap", "formalcover", "lattice")
-
 
 class _Parser:
     def __init__(self, tokens):
@@ -248,95 +247,72 @@ class _Parser:
                 break
             if t.kind != "word":
                 self.fail("expected a block or command")
-            if t.value == "lattice":
-                items.append(self.parse_lattice())
-            elif t.value == "cover":
-                items.append(self.parse_cover())
-            elif t.value == "check":
-                items.append(self.parse_check())
-            elif t.value == "booleanize":
-                self.advance()
-                name = self.expect_word("name")
-                items.append(BooleanizeCommand(name.value,
-                                               location=(t.line, t.col)))
-            elif t.value == "congruences":
-                self.advance()
-                name = self.expect_word("name")
-                items.append(CongruencesCommand(name.value,
-                                                location=(t.line, t.col)))
-            elif t.value == "derive":
-                items.append(self.parse_derive())
-            elif t.value == "envelope":
-                self.advance()
-                name = self.expect_word("name")
-                items.append(EnvelopeCommand(name.value,
-                                             location=(t.line, t.col)))
-            else:
+            if t.value not in _KEYWORDS:
                 self.fail("unknown keyword %r" % t.value)
+            head = self.advance()
+            item = _KEYWORDS[head.value].parse(self, head)
+            items.append(replace(item, location=(head.line, head.col)))
         return Document(tuple(items))
 
-    def parse_lattice(self):
-        head = self.advance()
-        name = self.expect_word("lattice name").value
+    def fields(self):
+        """The `field:` tokens of a block body, up to its closing '}'."""
         self.expect_sym("{")
-        elements = None
-        leq_pairs = ()
-        pos = None
         while True:
             t = self.advance()
             if t.kind == "sym" and t.value == "}":
-                break
+                return
             if t.kind != "word":
                 self.fail("expected a field or '}'", t)
             self.expect_sym(":")
+            yield t
+
+    def word_tuples(self, *syms):
+        """Tuples `w0 s1 w1 s2 w2 ...` for the symbols syms, separated by
+        ',' and ended by ';'; the list may be empty."""
+        if self.peek().kind == "sym" and self.peek().value == ";":
+            self.advance()
+            return ()
+        out = []
+        while True:
+            words = [self.expect_word().value]
+            for sym in syms:
+                self.expect_sym(sym)
+                words.append(self.expect_word().value)
+            out.append(tuple(words))
+            t = self.advance()
+            if t.kind == "sym" and t.value == ";":
+                return tuple(out)
+            if not (t.kind == "sym" and t.value == ","):
+                self.fail("expected ',' or ';'", t)
+
+    def parse_lattice(self, head):
+        name = self.expect_word("lattice name").value
+        elements = None
+        leq_pairs = ()
+        pos = None
+        for t in self.fields():
             if t.value == "elements":
                 elements = self.words_until_sym(";")
                 if not elements:
                     self.fail("elements list is empty", t)
             elif t.value == "leq":
-                leq_pairs = self.parse_leq_pairs()
+                leq_pairs = self.word_tuples("<=")
             elif t.value == "pos":
                 pos = self.words_until_sym(";")
             else:
                 self.fail("unknown lattice field %r" % t.value, t)
         if elements is None:
             self.fail("lattice %s has no elements field" % name, head)
-        return LatticeBlock(name, elements, leq_pairs, pos,
-                            location=(head.line, head.col))
+        return LatticeBlock(name, elements, leq_pairs, pos)
 
-    def parse_leq_pairs(self):
-        pairs = []
-        if self.peek().kind == "sym" and self.peek().value == ";":
-            self.advance()
-            return ()
-        while True:
-            x = self.expect_word().value
-            self.expect_sym("<=")
-            y = self.expect_word().value
-            pairs.append((x, y))
-            t = self.advance()
-            if t.kind == "sym" and t.value == ";":
-                break
-            if not (t.kind == "sym" and t.value == ","):
-                self.fail("expected ',' or ';'", t)
-        return tuple(pairs)
-
-    def parse_cover(self):
-        head = self.advance()
+    def parse_cover(self, head):
         name = self.expect_word("cover name").value
-        self.expect_sym("{")
         base = None
         top = None
         meet_entries = ()
         axioms = []
         pos = None
-        while True:
-            t = self.advance()
-            if t.kind == "sym" and t.value == "}":
-                break
-            if t.kind != "word":
-                self.fail("expected a field or '}'", t)
-            self.expect_sym(":")
+        for t in self.fields():
             if t.value == "base":
                 base = self.words_until_sym(";")
                 if not base:
@@ -345,7 +321,7 @@ class _Parser:
                 top = self.expect_word().value
                 self.expect_sym(";")
             elif t.value == "meet":
-                meet_entries = self.parse_meet_entries()
+                meet_entries = self.word_tuples("*", "=")
             elif t.value == "axiom":
                 axiom_head = self.expect_word().value
                 self.expect_sym("<|")
@@ -359,39 +335,22 @@ class _Parser:
             self.fail("cover %s has no base field" % name, head)
         if top is None:
             self.fail("cover %s has no top field" % name, head)
-        return CoverBlock(name, base, top, meet_entries, tuple(axioms), pos,
-                          location=(head.line, head.col))
+        return CoverBlock(name, base, top, meet_entries, tuple(axioms), pos)
 
-    def parse_meet_entries(self):
-        entries = []
-        if self.peek().kind == "sym" and self.peek().value == ";":
-            self.advance()
-            return ()
-        while True:
-            x = self.expect_word().value
-            self.expect_sym("*")
-            y = self.expect_word().value
-            self.expect_sym("=")
-            v = self.expect_word().value
-            entries.append((x, y, v))
-            t = self.advance()
-            if t.kind == "sym" and t.value == ";":
-                break
-            if not (t.kind == "sym" and t.value == ","):
-                self.fail("expected ',' or ';'", t)
-        return tuple(entries)
-
-    def parse_check(self):
-        head = self.advance()
+    def parse_check(self, _head):
         name = self.expect_word("name").value
         aspect = self.expect_word("aspect").value
         if aspect not in _ASPECTS:
             self.fail("unknown aspect %r (one of %s)"
                       % (aspect, ", ".join(_ASPECTS)))
-        return CheckCommand(name, aspect, location=(head.line, head.col))
+        return CheckCommand(name, aspect)
 
-    def parse_derive(self):
-        head = self.advance()
+    def parse_name(self, head):
+        """The shared `KEYWORD NAME` form of booleanize, congruences and
+        envelope."""
+        return _KEYWORDS[head.value].cls(self.expect_word("name").value)
+
+    def parse_derive(self, _head):
         name = self.expect_word("name").value
         element = self.expect_word().value
         self.expect_sym("<|")
@@ -402,13 +361,12 @@ class _Parser:
             self.pos += 1
             if w.value == "budget":
                 b = self.expect_word("budget value")
-                if not b.value.isdigit():
+                if not (b.value.isascii() and b.value.isdigit()):
                     self.fail("budget must be a natural number", b)
                 budget = int(b.value)
                 break
             cover.append(w.value)
-        return DeriveCommand(name, element, tuple(cover), budget,
-                             location=(head.line, head.col))
+        return DeriveCommand(name, element, tuple(cover), budget)
 
 
 def parse(text):
@@ -420,65 +378,89 @@ def pretty_print(document):
     """Canonical text for a document; parse(pretty_print(d)) == d."""
     chunks = []
     for item in document.items:
-        if isinstance(item, LatticeBlock):
-            lines = ["lattice %s {" % item.name,
-                     "  elements: %s;" % " ".join(item.elements)]
-            if item.leq_pairs:
-                lines.append("  leq: %s;" % ", ".join(
-                    "%s<=%s" % p for p in item.leq_pairs))
-            if item.pos is not None:
-                lines.append("  pos:%s;" % _word_list(item.pos))
-            lines.append("}")
-            chunks.append("\n".join(lines))
-        elif isinstance(item, CoverBlock):
-            lines = ["cover %s {" % item.name,
-                     "  base: %s;" % " ".join(item.base),
-                     "  top: %s;" % item.top]
-            if item.meet_entries:
-                lines.append("  meet: %s;" % ", ".join(
-                    "%s*%s=%s" % e for e in item.meet_entries))
-            for head, cover in item.axioms:
-                lines.append("  axiom: %s <|%s;" % (head, _word_list(cover)))
-            if item.pos is not None:
-                lines.append("  pos:%s;" % _word_list(item.pos))
-            lines.append("}")
-            chunks.append("\n".join(lines))
-        elif isinstance(item, CheckCommand):
-            chunks.append("check %s %s" % (item.target, item.aspect))
-        elif isinstance(item, BooleanizeCommand):
-            chunks.append("booleanize %s" % item.target)
-        elif isinstance(item, CongruencesCommand):
-            chunks.append("congruences %s" % item.target)
-        elif isinstance(item, DeriveCommand):
-            text = "derive %s %s <|%s" % (item.target, item.element,
-                                          _word_list(item.cover))
-            if item.budget is not None:
-                text += " budget %d" % item.budget
-            chunks.append(text)
-        elif isinstance(item, EnvelopeCommand):
-            chunks.append("envelope %s" % item.target)
-        else:
+        if type(item) not in _ENTRY_OF:
             raise TypeError("not a document item: %r" % (item,))
+        chunks.append(_ENTRY_OF[type(item)].show(item))
     return "\n\n".join(chunks) + "\n"
+
+
+def _show_lattice(block):
+    lines = ["lattice %s {" % block.name,
+             "  elements: %s;" % " ".join(block.elements)]
+    if block.leq_pairs:
+        lines.append("  leq: %s;" % ", ".join(
+            "%s<=%s" % p for p in block.leq_pairs))
+    if block.pos is not None:
+        lines.append("  pos:%s;" % _word_list(block.pos))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _show_cover(block):
+    lines = ["cover %s {" % block.name,
+             "  base: %s;" % " ".join(block.base),
+             "  top: %s;" % block.top]
+    if block.meet_entries:
+        lines.append("  meet: %s;" % ", ".join(
+            "%s*%s=%s" % e for e in block.meet_entries))
+    for head, cover in block.axioms:
+        lines.append("  axiom: %s <|%s;" % (head, _word_list(cover)))
+    if block.pos is not None:
+        lines.append("  pos:%s;" % _word_list(block.pos))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _show_check(cmd):
+    return "check %s %s" % (cmd.target, cmd.aspect)
+
+
+def _show_name(cmd):
+    return "%s %s" % (_ENTRY_OF[type(cmd)].keyword, cmd.target)
+
+
+def _show_derive(cmd):
+    text = "derive %s %s <|%s" % (cmd.target, cmd.element,
+                                  _word_list(cmd.cover))
+    if cmd.budget is not None:
+        text += " budget %d" % cmd.budget
+    return text
 
 
 def _word_list(words):
     return (" " + " ".join(words)) if words else ""
 
 
+def _declared(where, noun, names):
+    """The set of names a block declares; a repeat is an error."""
+    seen = set()
+    for x in names:
+        if x in seen:
+            raise DocumentError("%s: duplicate %s %r" % (where, noun, x))
+        seen.add(x)
+    return seen
+
+
+def _require_known(where, field_name, words, seen):
+    for w in words:
+        if w not in seen:
+            raise DocumentError("%s: %s mentions unknown element %r"
+                                % (where, field_name, w))
+
+
+def _positivity(where, pos, seen):
+    if pos is None:
+        return None
+    _require_known(where, "pos", pos, seen)
+    return Positivity.of(pos)
+
+
 def build_lattice(block):
     """Lattice and optional positivity from a lattice block."""
-    seen = set()
-    for x in block.elements:
-        if x in seen:
-            raise DocumentError("lattice %s: duplicate element %r"
-                                % (block.name, x))
-        seen.add(x)
-    for x, y in block.leq_pairs:
-        for v in (x, y):
-            if v not in seen:
-                raise DocumentError("lattice %s: leq mentions unknown "
-                                    "element %r" % (block.name, v))
+    where = "lattice %s" % block.name
+    seen = _declared(where, "element", block.elements)
+    for pair in block.leq_pairs:
+        _require_known(where, "leq", pair, seen)
     try:
         lattice = lattice_from_leq_pairs(list(block.elements),
                                          list(block.leq_pairs))
@@ -487,15 +469,8 @@ def build_lattice(block):
         if err.witnesses:
             detail += " (%s)" % ", ".join(
                 _fmt_value(w) for w in err.witnesses)
-        raise DocumentError("lattice %s: %s" % (block.name, detail))
-    pos = None
-    if block.pos is not None:
-        for v in block.pos:
-            if v not in seen:
-                raise DocumentError("lattice %s: pos mentions unknown "
-                                    "element %r" % (block.name, v))
-        pos = Positivity.of(block.pos)
-    return lattice, pos
+        raise DocumentError("%s: %s" % (where, detail))
+    return lattice, _positivity(where, block.pos, seen)
 
 
 def build_cover(block):
@@ -504,32 +479,25 @@ def build_cover(block):
     The meet table is completed with idempotence, the top as unit, and
     commutativity; a pair still missing after that is an error.
     """
+    where = "cover %s" % block.name
     base = block.base
-    seen = set()
-    for x in base:
-        if x in seen:
-            raise DocumentError("cover %s: duplicate base element %r"
-                                % (block.name, x))
-        seen.add(x)
+    seen = _declared(where, "base element", base)
     if block.top not in seen:
-        raise DocumentError("cover %s: top %r is not in the base"
-                            % (block.name, block.top))
+        raise DocumentError("%s: top %r is not in the base"
+                            % (where, block.top))
     table = {}
 
     def put(x, y, v, declared):
         old = table.get((x, y))
         if old is not None and old != v:
             if declared:
-                raise DocumentError("cover %s: meet table conflict at "
-                                    "%s*%s" % (block.name, x, y))
+                raise DocumentError("%s: meet table conflict at %s*%s"
+                                    % (where, x, y))
             return
         table[(x, y)] = v
 
     for x, y, v in block.meet_entries:
-        for w in (x, y, v):
-            if w not in seen:
-                raise DocumentError("cover %s: meet mentions unknown "
-                                    "element %r" % (block.name, w))
+        _require_known(where, "meet", (x, y, v), seen)
         put(x, y, v, True)
         put(y, x, v, True)
     for x in base:
@@ -539,13 +507,10 @@ def build_cover(block):
     for x in base:
         for y in base:
             if (x, y) not in table:
-                raise DocumentError("cover %s: meet table is missing "
-                                    "%s*%s" % (block.name, x, y))
+                raise DocumentError("%s: meet table is missing %s*%s"
+                                    % (where, x, y))
     for head, cover in block.axioms:
-        for w in (head,) + cover:
-            if w not in seen:
-                raise DocumentError("cover %s: axiom mentions unknown "
-                                    "element %r" % (block.name, w))
+        _require_known(where, "axiom", (head,) + cover, seen)
     try:
         p = CoverPresentation.finite(
             base=list(base),
@@ -554,15 +519,8 @@ def build_cover(block):
             axioms=[(h, tuple(c)) for h, c in block.axioms],
         )
     except CoverError as err:
-        raise DocumentError("cover %s: %s" % (block.name, err.args[0]))
-    pos = None
-    if block.pos is not None:
-        for v in block.pos:
-            if v not in seen:
-                raise DocumentError("cover %s: pos mentions unknown "
-                                    "element %r" % (block.name, v))
-        pos = Positivity.of(block.pos)
-    return p, pos
+        raise DocumentError("%s: %s" % (where, err.args[0]))
+    return p, _positivity(where, block.pos, seen)
 
 
 def _fmt_value(v):
@@ -587,15 +545,14 @@ def _json_safe(v):
     return str(v)
 
 
-def _report_result(report):
+def _report_text(report):
     if report.ok:
-        return "pass (%s)" % report.detail, report
+        return "pass (%s)" % report.detail
     if report.witnesses:
         return ("FAIL (%s; witness: %s)"
                 % (report.detail,
-                   ", ".join(_fmt_value(w) for w in report.witnesses)),
-                report)
-    return "FAIL (%s)" % report.detail, report
+                   ", ".join(_fmt_value(w) for w in report.witnesses)))
+    return "FAIL (%s)" % report.detail
 
 
 def _trace_lines(trace, depth, out):
@@ -636,136 +593,66 @@ class _Runner:
     def __init__(self, document, budget_default, max_base):
         self.budget_default = budget_default
         self.max_base = max_base
-        self.lattices = {}
-        self.covers = {}
-        names = set()
+        self.blocks = {}
+        self.commands = []
         for item in document.items:
-            if isinstance(item, (LatticeBlock, CoverBlock)):
-                if item.name in names:
-                    raise DocumentError("duplicate name %r" % item.name)
-                names.add(item.name)
-                if isinstance(item, LatticeBlock):
-                    self.lattices[item.name] = build_lattice(item)
-                else:
-                    self.covers[item.name] = build_cover(item)
-        self.commands = [item for item in document.items
-                         if not isinstance(item, (LatticeBlock, CoverBlock))]
+            entry = _ENTRY_OF[type(item)]
+            if entry.build is None:
+                self.commands.append(item)
+            elif item.name in self.blocks:
+                raise DocumentError("duplicate name %r" % item.name)
+            else:
+                self.blocks[item.name] = (entry.keyword,) + entry.build(item)
         for cmd in self.commands:
-            if cmd.target not in names:
-                raise DocumentError("command refers to unknown name %r"
-                                    % cmd.target)
-        for cmd in self.commands:
-            if isinstance(cmd, DeriveCommand):
-                if cmd.target not in self.covers:
-                    raise DocumentError("derive needs a cover, %r is a "
-                                        "lattice" % cmd.target)
-                p, _pos = self.covers[cmd.target]
-                base = set(p.base)
-                for w in (cmd.element,) + cmd.cover:
-                    if w not in base:
-                        raise DocumentError("derive mentions unknown base "
-                                            "element %r" % (w,))
-            if isinstance(cmd, (BooleanizeCommand, CongruencesCommand,
-                                EnvelopeCommand)):
-                if cmd.target not in self.lattices:
-                    raise DocumentError("%s needs a lattice, %r is a cover"
-                                        % (type(cmd).__name__.replace(
-                                            "Command", "").lower(),
-                                           cmd.target))
+            self.validate(cmd)
+
+    def validate(self, cmd):
+        """Every kind and pos error of a command, raised before any run."""
+        entry = _ENTRY_OF[type(cmd)]
+        if cmd.target not in self.blocks:
+            raise DocumentError("command refers to unknown name %r"
+                                % cmd.target)
+        kind, structure, pos = self.blocks[cmd.target]
+        if entry.kind not in ("either", kind):
+            raise DocumentError("%s needs a %s, %r is a %s"
+                                % (entry.keyword, entry.kind, cmd.target,
+                                   kind))
+        if entry.needs_pos:
+            _need_pos(entry.keyword, cmd.target, pos)
+        if entry.validate is not None:
+            entry.validate(cmd, kind, structure, pos)
 
     def run_all(self):
-        """Returns (lines, records, all_ok)."""
+        """Returns (lines, records, all_ok).
+
+        Each run method returns its text lines and the fields of its
+        record past `command` and `target`; a size guard tripped while
+        running is a document error.
+        """
         lines = []
         records = []
-        all_ok = True
         for cmd in self.commands:
-            if isinstance(cmd, CheckCommand):
-                ok = self.run_check(cmd, lines, records)
-            elif isinstance(cmd, BooleanizeCommand):
-                ok = self.run_booleanize(cmd, lines, records)
-            elif isinstance(cmd, CongruencesCommand):
-                ok = self.run_congruences(cmd, lines, records)
-            elif isinstance(cmd, DeriveCommand):
-                ok = self.run_derive(cmd, lines, records)
-            else:
-                ok = self.run_envelope(cmd, lines, records)
-            all_ok = all_ok and ok
-        return lines, records, all_ok
-
-    def need_pos(self, cmd, what):
-        if cmd.target in self.lattices:
-            pos = self.lattices[cmd.target][1]
-        else:
-            pos = self.covers[cmd.target][1]
-        if pos is None:
-            raise DocumentError("%s %s needs a pos field on %r"
-                                % (what, cmd.target, cmd.target))
-        return pos
-
-    def run_check(self, cmd, lines, records):
-        name, aspect = cmd.target, cmd.aspect
-        record = {"command": "check", "target": name, "aspect": aspect}
-        if aspect == "lattice":
-            if name not in self.lattices:
-                raise DocumentError("check %s lattice: %r is a cover"
-                                    % (name, name))
-            lattice, _pos = self.lattices[name]
-            text = "pass (%d elements)" % len(lattice)
-            record.update(ok=True, detail="%d elements" % len(lattice),
-                          witnesses=[])
-            lines.append("check %s lattice: %s" % (name, text))
-            records.append(record)
-            return True
-        if aspect == "overt":
-            pos = self.need_pos(cmd, "check")
-            if name in self.lattices:
-                report = check_overt(self.lattices[name][0], pos)
-            else:
-                report = check_overt_cover(self.covers[name][0], pos)
-            text, report = _report_result(report)
-            record.update(ok=report.ok, detail=report.detail,
-                          witnesses=_json_safe(report.witnesses))
-            lines.append("check %s overt: %s" % (name, text))
-            records.append(record)
-            return report.ok
-        if aspect == "formalcover":
-            if name not in self.covers:
-                raise DocumentError("check %s formalcover: %r is a lattice"
-                                    % (name, name))
-            report = check_formal_cover_axioms(self.covers[name][0])
-            text, report = _report_result(report)
-            record.update(ok=report.ok, detail=report.detail,
-                          witnesses=_json_safe(report.witnesses))
-            lines.append("check %s formalcover: %s" % (name, text))
-            records.append(record)
-            return report.ok
-        pos = self.need_pos(cmd, "check")
-        if name in self.lattices:
+            entry = _ENTRY_OF[type(cmd)]
             try:
-                ok, witness = is_sigma_overlap_algebra(
-                    self.lattices[name][0], pos)
-                detail = ("sigma-overlap algebra" if ok
-                          else "not a sigma-overlap algebra")
-            except ValueError as err:
-                ok, witness, detail = False, None, str(err)
-        else:
-            try:
-                ok, witness = is_overlap_cover(self.covers[name][0], pos)
-                detail = "overlap cover" if ok else "not an overlap cover"
-            except CoverError as err:
-                ok, witness, detail = False, None, str(err)
-        witnesses = (witness,) if witness is not None else ()
-        text, _ = _report_result(CheckReport(ok, detail, witnesses))
-        record.update(ok=ok, detail=detail, witnesses=_json_safe(witnesses))
-        lines.append("check %s overlap: %s" % (name, text))
-        records.append(record)
-        return ok
+                cmd_lines, fields = entry.run(
+                    self, cmd, *self.blocks[cmd.target])
+            except (SizeCapExceeded, BaseTooLarge) as err:
+                raise DocumentError("%s: %s" % (entry.show(cmd), err))
+            lines.extend(cmd_lines)
+            records.append(dict(fields, command=entry.keyword,
+                                target=cmd.target))
+        return lines, records, all(record["ok"] for record in records)
 
-    def run_booleanize(self, cmd, lines, records):
+    def run_check(self, cmd, kind, structure, pos):
+        report = getattr(_ASPECTS[cmd.aspect], kind)(structure, pos)
+        line = "check %s %s: %s" % (cmd.target, cmd.aspect,
+                                    _report_text(report))
+        return [line], {"aspect": cmd.aspect, "ok": report.ok,
+                        "detail": report.detail,
+                        "witnesses": _json_safe(report.witnesses)}
+
+    def run_booleanize(self, cmd, _kind, lattice, pos):
         name = cmd.target
-        lattice, _pos = self.lattices[name]
-        pos = self.need_pos(cmd, "booleanize")
-        record = {"command": "booleanize", "target": name}
         try:
             c = bool_congruence(lattice, pos)
             quotient_lattice, _projection, inherited = quotient(
@@ -773,11 +660,9 @@ class _Runner:
             overlap_after, _w = is_sigma_overlap_algebra(
                 quotient_lattice, inherited)
         except (ValueError, RepresentativeDependentPos) as err:
-            lines.append("booleanize %s: FAIL (%s)" % (name, err))
-            record.update(ok=False, detail=str(err), classes=[],
-                          identity=False, overlap_after=False)
-            records.append(record)
-            return False
+            return ["booleanize %s: FAIL (%s)" % (name, err)], {
+                "ok": False, "detail": str(err), "classes": [],
+                "identity": False, "overlap_after": False}
         identity = c.class_count() == len(lattice)
         if identity:
             head = ("identity congruence (%d classes)" % c.class_count())
@@ -788,76 +673,145 @@ class _Runner:
                     else "quotient is a sigma-overlap algebra")
         else:
             tail = "quotient is NOT a sigma-overlap algebra"
-        lines.append("booleanize %s: %s; %s" % (name, head, tail))
+        lines = ["booleanize %s: %s; %s" % (name, head, tail)]
         for i, cls in enumerate(c.classes()):
             lines.append("  class %d: %s" % (i, " ".join(cls)))
-        record.update(ok=overlap_after, detail=tail,
-                      classes=_json_safe(c.classes()), identity=identity,
-                      overlap_after=overlap_after)
-        records.append(record)
-        return overlap_after
+        return lines, {"ok": overlap_after, "detail": tail,
+                       "classes": _json_safe(c.classes()),
+                       "identity": identity, "overlap_after": overlap_after}
 
-    def run_congruences(self, cmd, lines, records):
-        name = cmd.target
-        lattice, _pos = self.lattices[name]
-        try:
-            family = enumerate_congruences(lattice)
-        except SizeCapExceeded as err:
-            raise DocumentError("congruences %s: %s" % (name, err))
-        lines.append("congruences %s: %d congruences" % (name, len(family)))
+    def run_congruences(self, cmd, _kind, lattice, _pos):
+        family = enumerate_congruences(lattice)
+        lines = ["congruences %s: %d congruences" % (cmd.target, len(family))]
         for c in family:
             lines.append("  %s" % " ".join(
                 "[%s]" % " ".join(cls) for cls in c.classes()))
-        records.append({
-            "command": "congruences", "target": name, "ok": True,
-            "count": len(family),
+        return lines, {
+            "ok": True, "count": len(family),
             "congruences": [_json_safe(c.classes()) for c in family],
-        })
-        return True
+        }
 
-    def run_derive(self, cmd, lines, records):
-        p, _pos = self.covers[cmd.target]
+    def run_derive(self, cmd, _kind, p, _pos):
         budget = cmd.budget if cmd.budget is not None else self.budget_default
         sd = derive(p, cmd.element, cmd.cover)
         res = sd.probe(budget)
-        header = "derive %s %s <|%s budget %d" % (
-            cmd.target, cmd.element, _word_list(cmd.cover), budget)
-        record = {"command": "derive", "target": cmd.target,
-                  "element": cmd.element, "cover": list(cmd.cover),
+        header = _show_derive(replace(cmd, budget=budget))
+        fields = {"element": cmd.element, "cover": list(cmd.cover),
                   "budget": budget}
         if isinstance(res, Confirmed):
-            lines.append("%s: confirmed at step %d" % (header, res.at_step))
+            lines = ["%s: confirmed at step %d" % (header, res.at_step)]
             trace = derive_with_trace(p, cmd.element, cmd.cover, res.at_step)
-            trace_lines = []
-            _trace_lines(trace, 1, trace_lines)
-            lines.extend(trace_lines)
-            record.update(ok=True, result="confirmed", at_step=res.at_step,
+            _trace_lines(trace, 1, lines)
+            fields.update(ok=True, result="confirmed", at_step=res.at_step,
                           trace=_json_safe(trace))
-            records.append(record)
-            return True
-        lines.append("%s: unknown (budget exhausted)" % header)
-        record.update(ok=False, result="unknown", at_step=None, trace=None)
-        records.append(record)
-        return False
+            return lines, fields
+        fields.update(ok=False, result="unknown", at_step=None, trace=None)
+        return ["%s: unknown (budget exhausted)" % header], fields
 
-    def run_envelope(self, cmd, lines, records):
-        name = cmd.target
-        lattice, _pos = self.lattices[name]
-        record = {"command": "envelope", "target": name}
-        try:
-            p, _embedding = envelope_cover(lattice)
-            frame = frame_of_presentation(p, max_base=self.max_base)
-        except BaseTooLarge as err:
-            raise DocumentError("envelope %s: %s" % (name, err))
+    def run_envelope(self, cmd, _kind, lattice, _pos):
+        p, _embedding = envelope_cover(lattice)
+        frame = frame_of_presentation(p, max_base=self.max_base)
         iso = find_isomorphism(frame, lattice) is not None
-        lines.append("envelope %s: %d axioms; frame has %d elements; "
-                     "isomorphic to source: %s"
-                     % (name, len(p.axioms), len(frame),
-                        "yes" if iso else "no"))
-        record.update(ok=iso, axioms=len(p.axioms), frame_size=len(frame),
-                      isomorphic=iso)
-        records.append(record)
-        return iso
+        line = ("envelope %s: %d axioms; frame has %d elements; "
+                "isomorphic to source: %s"
+                % (cmd.target, len(p.axioms), len(frame),
+                   "yes" if iso else "no"))
+        return [line], {"ok": iso, "axioms": len(p.axioms),
+                        "frame_size": len(frame), "isomorphic": iso}
+
+
+def _need_pos(keyword, target, pos):
+    if pos is None:
+        raise DocumentError("%s %s needs a pos field on %r"
+                            % (keyword, target, target))
+
+
+def _validate_check(cmd, kind, _structure, pos):
+    aspect = _ASPECTS[cmd.aspect]
+    if getattr(aspect, kind) is None:
+        raise DocumentError("check %s %s: %r is a %s"
+                            % (cmd.target, cmd.aspect, cmd.target, kind))
+    if aspect.needs_pos:
+        _need_pos("check", cmd.target, pos)
+
+
+def _validate_derive(cmd, _kind, p, _pos):
+    base = set(p.base)
+    for w in (cmd.element,) + cmd.cover:
+        if w not in base:
+            raise DocumentError("derive mentions unknown base element %r"
+                                % (w,))
+
+
+def _pair_report(check, errors, holds, fails):
+    """A CheckReport check from one that returns (ok, witness) and
+    raises errors when its preconditions fail."""
+    def report(structure, pos):
+        try:
+            ok, witness = check(structure, pos)
+        except errors as err:
+            return failed(str(err))
+        witnesses = (witness,) if witness is not None else ()
+        return CheckReport(ok, holds if ok else fails, witnesses)
+    return report
+
+
+# A check aspect gives its check on a lattice and on a cover (the
+# fields are named after the block kinds; None where the aspect does not
+# apply), each taking (structure, pos) and returning a CheckReport, and
+# whether it needs a pos field.  Insertion order is the order the parser
+# lists the aspects in.
+_Aspect = namedtuple("_Aspect", "lattice cover needs_pos")
+_ASPECTS = {
+    "overt": _Aspect(check_overt, check_overt_cover, True),
+    "overlap": _Aspect(
+        _pair_report(is_sigma_overlap_algebra, ValueError,
+                     "sigma-overlap algebra", "not a sigma-overlap algebra"),
+        _pair_report(is_overlap_cover, CoverError,
+                     "overlap cover", "not an overlap cover"),
+        True),
+    "formalcover": _Aspect(
+        None, lambda p, _pos: check_formal_cover_axioms(p), False),
+    "lattice": _Aspect(
+        lambda lattice, _pos: passed("%d elements" % len(lattice)), None,
+        False),
+}
+
+
+@dataclass(frozen=True)
+class _Keyword:
+    """How one keyword of the language is parsed, printed, and either
+    built (blocks) or checked and run (commands)."""
+    keyword: str
+    cls: type
+    parse: Callable                     # (parser, head token) -> item
+    show: Callable                      # item -> text
+    build: Optional[Callable] = None    # block -> (structure, pos)
+    kind: str = "either"                # block kind a command's target is
+    needs_pos: bool = False
+    validate: Optional[Callable] = None  # (cmd, kind, structure, pos)
+    run: Optional[Callable] = None      # -> (lines, record fields)
+
+
+_KEYWORDS = {entry.keyword: entry for entry in (
+    _Keyword("lattice", LatticeBlock, _Parser.parse_lattice, _show_lattice,
+             build=build_lattice),
+    _Keyword("cover", CoverBlock, _Parser.parse_cover, _show_cover,
+             build=build_cover),
+    _Keyword("check", CheckCommand, _Parser.parse_check, _show_check,
+             validate=_validate_check, run=_Runner.run_check),
+    _Keyword("booleanize", BooleanizeCommand, _Parser.parse_name,
+             _show_name, kind="lattice", needs_pos=True,
+             run=_Runner.run_booleanize),
+    _Keyword("congruences", CongruencesCommand, _Parser.parse_name,
+             _show_name, kind="lattice", run=_Runner.run_congruences),
+    _Keyword("derive", DeriveCommand, _Parser.parse_derive, _show_derive,
+             kind="cover", validate=_validate_derive,
+             run=_Runner.run_derive),
+    _Keyword("envelope", EnvelopeCommand, _Parser.parse_name, _show_name,
+             kind="lattice", run=_Runner.run_envelope),
+)}
+_ENTRY_OF = {entry.cls: entry for entry in _KEYWORDS.values()}
 
 
 def run_document(text, budget=1000, max_base=15):
@@ -884,6 +838,9 @@ def main(argv=None):
     parser.add_argument("--max-base", type=int, default=15,
                         help="largest base size for envelope frames")
     args = parser.parse_args(argv)
+    if args.budget < 0:
+        parser.error("argument --budget: must be a natural number, got %d"
+                     % args.budget)
     try:
         if args.input == "-":
             text = sys.stdin.read()

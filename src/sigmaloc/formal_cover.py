@@ -327,22 +327,25 @@ class _Search:
         self.proven[x] = trace if self.build_trace else True
         return self.proven[x]
 
+    def prove_all(self, xs, depth, path):
+        """Proofs of every element of xs in order, or None at the first
+        that fails; an empty xs is proved at any depth."""
+        if xs and depth < 0:
+            self.cutoff = True
+            return None
+        children = []
+        for c in xs:
+            child = self.prove(c, depth, path)
+            if child is None:
+                return None
+            children.append(child)
+        return tuple(children)
+
     def prove_finite(self, x, depth, path):
         for cover in self.p._by_head.get(x, ()):
-            if not cover:
-                return self.done(x, ("axiom", x, cover, ()))
-            if depth == 0:
-                self.cutoff = True
-                continue
-            children = []
-            for c in cover:
-                child = self.prove(c, depth - 1, path)
-                if child is None:
-                    children = None
-                    break
-                children.append(child)
+            children = self.prove_all(cover, depth - 1, path)
             if children is not None:
-                return self.done(x, ("axiom", x, cover, tuple(children)))
+                return self.done(x, ("axiom", x, cover, children))
         return None
 
     def prove_countable(self, x, depth, path):
@@ -353,20 +356,9 @@ class _Search:
             if not complete:
                 self.cutoff = True
                 continue
-            if not members:
-                return self.done(x, ("axiom", x, members, ()))
-            if depth == 0:
-                self.cutoff = True
-                continue
-            children = []
-            for c in members:
-                child = self.prove(c, depth - 1, path)
-                if child is None:
-                    children = None
-                    break
-                children.append(child)
+            children = self.prove_all(members, depth - 1, path)
             if children is not None:
-                return self.done(x, ("axiom", x, members, tuple(children)))
+                return self.done(x, ("axiom", x, members, children))
         for v in self.p.uppers_of(x):
             if depth == 0:
                 self.cutoff = True
@@ -380,16 +372,10 @@ class _Search:
                     self.cutoff = True
                     continue
                 localized = tuple(self.p.meet(c, x) for c in members)
-                children = []
-                for c in localized:
-                    sub = self.prove(c, depth - 1, path)
-                    if sub is None:
-                        children = None
-                        break
-                    children.append(sub)
+                children = self.prove_all(localized, depth - 1, path)
                 if children is not None:
                     return self.done(
-                        x, ("up-axiom", x, v, localized, tuple(children)))
+                        x, ("up-axiom", x, v, localized, children))
         if x != self.p.top and depth > 0:
             child = self.prove(self.p.top, depth - 1, path)
             if child is not None:

@@ -103,8 +103,22 @@ def test_parse_errors_carry_position():
 
 
 def test_budget_must_be_numeric():
-    with pytest.raises(ParseError):
-        parse("cover C { base: t; top: t; }\nderive C t <| t budget lots")
+    # "\u00b2" (superscript two) passes str.isdigit but not int().
+    for budget in ("lots", "\u00b2"):
+        with pytest.raises(ParseError, match="must be a natural number"):
+            parse("cover C { base: t; top: t; }\nderive C t <| t budget "
+                  + budget)
+
+
+def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "doc.cov"
+    doc.write_text("cover C { base: t; top: t; }\nderive C t <| t\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--input", str(doc), "--budget", "-5"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: must be a natural number" in captured.err
 
 
 def test_build_lattice_errors():
@@ -248,3 +262,33 @@ def test_golden_runs_are_deterministic():
     first = _cli(["--input", path, "--format", "records"])
     second = _cli(["--input", path, "--format", "records"])
     assert first.stdout == second.stdout
+
+
+LATTICE_L = "lattice L { elements: 0 1; leq: 0<=1; }\n"
+COVER_C = "cover C { base: t; top: t; }\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (COVER_C + "check C lattice", "check C lattice: 'C' is a cover"),
+    (LATTICE_L + "check L formalcover",
+     "check L formalcover: 'L' is a lattice"),
+    (LATTICE_L + "check L overt", "check L needs a pos field on 'L'"),
+    (COVER_C + "check C overt", "check C needs a pos field on 'C'"),
+    (LATTICE_L + "check L overlap", "check L needs a pos field on 'L'"),
+    (COVER_C + "check C overlap", "check C needs a pos field on 'C'"),
+    (LATTICE_L + "booleanize L", "booleanize L needs a pos field on 'L'"),
+    (COVER_C + "booleanize C", "booleanize needs a lattice, 'C' is a cover"),
+    (COVER_C + "congruences C",
+     "congruences needs a lattice, 'C' is a cover"),
+    (COVER_C + "envelope C", "envelope needs a lattice, 'C' is a cover"),
+    (LATTICE_L + "derive L 1 <| 0", "derive needs a cover, 'L' is a lattice"),
+    (COVER_C + "derive C t <| q", "derive mentions unknown base element 'q'"),
+])
+def test_command_and_kind_mismatches_are_usage_errors(tmp_path, capsys,
+                                                      text, message):
+    doc = tmp_path / "doc.cov"
+    doc.write_text(text)
+    assert main(["--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "%s: %s\n" % (doc, message)
