@@ -1,13 +1,16 @@
 """Overtness, positivity, congruences, and the Booleanization quotient.
 
 Everything here runs on validated finite lattices (or finite cover
-bases), where all three overt laws, the overlap laws, and congruence
-compatibility are decidable by exhaustive sweep.  The Booleanization
-congruence relates x and y when no test element z tells them apart
-through positivity of the meet; its quotient is the smallest strongly
-dense quotient, and smallest_strongly_dense_oracle re-derives that
-minimum by brute force over all congruences so the two can be compared
-on every instance.
+bases).  On a lattice the checks work on its index tables and on its
+Birkhoff down-set masks: a finite distributive lattice is the lattice
+of down-sets of its join-irreducibles J(L) (Birkhoff), so the overt
+laws, congruence compatibility and the list of all 2^|J(L)|
+congruences are direct computations, not subset or partition sweeps.
+The Booleanization congruence relates x and y when no test element z
+tells them apart through positivity of the meet; its quotient is the
+smallest strongly dense quotient, and smallest_strongly_dense_oracle
+re-derives that minimum over all congruences so the two can be
+compared on every instance.
 """
 
 from dataclasses import dataclass
@@ -54,29 +57,45 @@ class Positivity:
 
 
 def check_overt(lattice, pos):
-    """The overt sigma-locale laws, checked exhaustively.
+    """The overt sigma-locale laws on a finite lattice.
 
     In order: the bottom is not positive; positivity is upward closed;
-    a positive join splits (some joinand is positive; all subsets, so
-    countable joins at finite scale); the positivity axiom (every
-    nonzero element is positive).  First failure wins, with witnesses.
+    a positive join splits (some joinand is positive); the positivity
+    axiom (every nonzero element is positive).  First failure wins,
+    with witnesses.  Splitting is tested on pairs only: by induction a
+    positive finite join of several joinands splits once binary joins
+    do, and the empty join is the bottom, already found non-positive.
+    At finite scale countable joins are finite, so this is the whole
+    law; its witness is the first failing pair, in element order, as
+    one tuple of joinands.
+
+    On a finite lattice these laws leave one choice: the bottom is not
+    positive and the positivity axiom makes everything else positive,
+    so they hold iff Pos is Positivity.nonzero.
     """
     elements = lattice.elements
-    if pos.holds(lattice.bottom):
-        return failed("bottom is positive", (lattice.bottom,))
-    for a in elements:
-        for b in elements:
-            if lattice.leq(a, b) and pos.holds(a) and not pos.holds(b):
-                return failed("upward closure fails", (a, b))
     n = len(elements)
-    for mask in range(1 << n):
-        subset = [elements[i] for i in range(n) if mask >> i & 1]
-        if pos.holds(lattice.join_all(subset)):
-            if not any(pos.holds(w) for w in subset):
-                return failed("join-splitting fails", (tuple(subset),))
-    for a in elements:
-        if a != lattice.bottom and not pos.holds(a):
-            return failed("positivity axiom fails", (a,))
+    positive = [pos.holds(x) for x in elements]
+    if positive[lattice.bottom_index]:
+        return failed("bottom is positive", (lattice.bottom,))
+    leq = lattice.leq_table
+    for i in range(n):
+        if positive[i]:
+            for j in range(n):
+                if leq[i][j] and not positive[j]:
+                    return failed("upward closure fails",
+                                  (elements[i], elements[j]))
+    join = lattice.join_table
+    for i in range(n):
+        if positive[i]:
+            continue
+        for j in range(i + 1, n):
+            if not positive[j] and positive[join[i][j]]:
+                return failed("join-splitting fails",
+                              ((elements[i], elements[j]),))
+    for i in range(n):
+        if i != lattice.bottom_index and not positive[i]:
+            return failed("positivity axiom fails", (elements[i],))
     return passed("overt laws hold")
 
 
@@ -161,18 +180,23 @@ def is_congruence(lattice, c):
     elements = lattice.elements
     if tuple(c.elements) != tuple(elements):
         return failed("partition is over different elements", ())
-    cid = {x: i for x, i in zip(c.elements, c.class_of)}
+    cls = c.class_of
+    meet = lattice.meet_table
+    join = lattice.join_table
     n = len(elements)
     for i in range(n):
         for j in range(i + 1, n):
-            x, y = elements[i], elements[j]
-            if cid[x] != cid[y]:
+            if cls[i] != cls[j]:
                 continue
-            for z in elements:
-                if cid[lattice.meet(x, z)] != cid[lattice.meet(y, z)]:
-                    return failed("meet compatibility fails", (x, y, z))
-                if cid[lattice.join(x, z)] != cid[lattice.join(y, z)]:
-                    return failed("join compatibility fails", (x, y, z))
+            meet_i, meet_j = meet[i], meet[j]
+            join_i, join_j = join[i], join[j]
+            for k in range(n):
+                if cls[meet_i[k]] != cls[meet_j[k]]:
+                    return failed("meet compatibility fails",
+                                  (elements[i], elements[j], elements[k]))
+                if cls[join_i[k]] != cls[join_j[k]]:
+                    return failed("join compatibility fails",
+                                  (elements[i], elements[j], elements[k]))
     return passed("congruence laws hold")
 
 
@@ -186,9 +210,18 @@ def congruence_leq(c1, c2):
     return True
 
 
-def _signature(lattice, pos, x):
-    return frozenset(z for z in lattice.elements
-                     if pos.holds(lattice.meet(x, z)))
+def _signatures(lattice, pos):
+    """Per element index, the bitmask of the test elements z whose meet
+    with it is positive."""
+    positive = [pos.holds(x) for x in lattice.elements]
+    out = []
+    for row in lattice.meet_table:
+        sig = 0
+        for k, m in enumerate(row):
+            if positive[m]:
+                sig |= 1 << k
+        out.append(sig)
+    return out
 
 
 def bool_congruence(lattice, pos):
@@ -200,14 +233,8 @@ def bool_congruence(lattice, pos):
     report = check_overt(lattice, pos)
     if not report:
         raise ValueError("positivity is not overt: %s" % (report.detail,))
-    signatures = {}
-    ids = []
-    for x in lattice.elements:
-        sig = _signature(lattice, pos, x)
-        if sig not in signatures:
-            signatures[sig] = len(signatures)
-        ids.append(signatures[sig])
-    return Congruence.from_class_ids(lattice.elements, ids)
+    return Congruence.from_class_ids(lattice.elements,
+                                     _signatures(lattice, pos))
 
 
 def quotient(lattice, c, pos=None):
@@ -224,13 +251,10 @@ def quotient(lattice, c, pos=None):
         raise ValueError("not a congruence: %s" % (report.detail,))
     groups = c.classes()
     labels = [frozenset(g) for g in groups]
-    reps = [g[0] for g in groups]
-
-    def leq(g1, g2):
-        i, j = labels.index(g1), labels.index(g2)
-        x, y = reps[i], reps[j]
-        return c.relates(lattice.meet(x, y), x)
-
+    cls = c.class_of
+    reps = [cls.index(i) for i in range(len(groups))]
+    meet = lattice.meet_table
+    leq = [[cls[meet[x][y]] == cls[x] for y in reps] for x in reps]
     quotient_lattice = validate_lattice(labels, leq)
     mapping = {x: labels[i] for x, i in zip(c.elements, c.class_of)}
     projection = SigmaFrameHom(lattice, quotient_lattice, mapping)
@@ -260,10 +284,12 @@ def is_sigma_overlap_algebra(lattice, pos):
     report = check_overt(lattice, pos)
     if not report:
         raise ValueError("positivity is not overt: %s" % (report.detail,))
-    sigs = {x: _signature(lattice, pos, x) for x in lattice.elements}
-    for x in lattice.elements:
-        for y in lattice.elements:
-            if sigs[x] <= sigs[y] and not lattice.leq(x, y):
+    sigs = _signatures(lattice, pos)
+    elements = lattice.elements
+    leq = lattice.leq_table
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            if not sigs[i] & ~sigs[j] and not leq[i][j]:
                 return False, (x, y)
     return True, None
 
@@ -317,31 +343,50 @@ def is_strongly_dense(lattice, c, pos):
     return True
 
 
-def enumerate_congruences(lattice):
-    """All congruences, by filtering every partition of the carrier.
+def _join_irreducibles(lattice):
+    """Bitmask of the indices of the join-irreducible elements.
 
-    Partitions are generated as restricted growth strings in
-    lexicographic order, which fixes the output order.  Capped at 10
-    elements (Bell-number growth).
+    j is join-irreducible when it is not the bottom and the join of
+    everything strictly below it is not j.
+    """
+    join = lattice.join_table
+    mask = 0
+    for j, below in enumerate(lattice.down):
+        acc = lattice.bottom_index
+        below &= ~(1 << j)
+        while below:
+            low = below & -below
+            acc = join[acc][low.bit_length() - 1]
+            below ^= low
+        if j != lattice.bottom_index and acc != j:
+            mask |= 1 << j
+    return mask
+
+
+def enumerate_congruences(lattice):
+    """All congruences, one per set S of join-irreducibles.
+
+    A finite distributive lattice is the down-sets of J = J(L), and its
+    congruences are exactly x ~ y iff the join-irreducibles below x and
+    below y agree on S, one for each S, all distinct (Con L is the
+    Boolean lattice 2^|J|).  They are listed in the lexicographic order
+    of their class ids (restricted growth strings), as a sweep over all
+    partitions would list them.  Capped at 10 elements.
     """
     n = len(lattice.elements)
     if n > 10:
         raise SizeCapExceeded("congruence enumeration capped at 10 elements")
+    j_mask = _join_irreducibles(lattice)
+    j_below = [d & j_mask for d in lattice.down]
     out = []
-
-    def grow(prefix, used):
-        if len(prefix) == n:
-            c = Congruence.from_class_ids(lattice.elements, prefix)
-            if is_congruence(lattice, c):
-                out.append(c)
-            return
-        for i in range(used + 1):
-            grow(prefix + [i], max(used, i + 1))
-
-    if n:
-        grow([0], 1)
-    else:
-        out.append(Congruence((), ()))
+    s = 0
+    while True:
+        out.append(Congruence.from_class_ids(
+            lattice.elements, [b & s for b in j_below]))
+        if s == j_mask:
+            break
+        s = (s - j_mask) & j_mask
+    out.sort(key=lambda c: c.class_of)
     return out
 
 

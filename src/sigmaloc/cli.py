@@ -359,8 +359,10 @@ class _Parser:
         while self.peek_raw().kind == "word":
             w = self.peek_raw()
             self.pos += 1
-            if w.value == "budget":
-                b = self.expect_word("budget value")
+            # `budget` opens the budget clause only when a word follows
+            # on its line; last on the line, it is a cover member.
+            if w.value == "budget" and self.peek_raw().kind == "word":
+                b = self.advance()
                 if not (b.value.isascii() and b.value.isdigit()):
                     self.fail("budget must be a natural number", b)
                 budget = int(b.value)
@@ -644,7 +646,10 @@ class _Runner:
         return lines, records, all(record["ok"] for record in records)
 
     def run_check(self, cmd, kind, structure, pos):
-        report = getattr(_ASPECTS[cmd.aspect], kind)(structure, pos)
+        aspect = _ASPECTS[cmd.aspect]
+        if kind == "cover" and aspect.sweeps_base:
+            BaseTooLarge.guard(structure, self.max_base)
+        report = getattr(aspect, kind)(structure, pos)
         line = "check %s %s: %s" % (cmd.target, cmd.aspect,
                                     _report_text(report))
         return [line], {"aspect": cmd.aspect, "ok": report.ok,
@@ -758,23 +763,24 @@ def _pair_report(check, errors, holds, fails):
 
 # A check aspect gives its check on a lattice and on a cover (the
 # fields are named after the block kinds; None where the aspect does not
-# apply), each taking (structure, pos) and returning a CheckReport, and
-# whether it needs a pos field.  Insertion order is the order the parser
-# lists the aspects in.
-_Aspect = namedtuple("_Aspect", "lattice cover needs_pos")
+# apply), each taking (structure, pos) and returning a CheckReport,
+# whether it needs a pos field, and whether its cover check sweeps every
+# subset of the base (so --max-base caps it).  Insertion order is the
+# order the parser lists the aspects in.
+_Aspect = namedtuple("_Aspect", "lattice cover needs_pos sweeps_base")
 _ASPECTS = {
-    "overt": _Aspect(check_overt, check_overt_cover, True),
+    "overt": _Aspect(check_overt, check_overt_cover, True, True),
     "overlap": _Aspect(
         _pair_report(is_sigma_overlap_algebra, ValueError,
                      "sigma-overlap algebra", "not a sigma-overlap algebra"),
         _pair_report(is_overlap_cover, CoverError,
                      "overlap cover", "not an overlap cover"),
-        True),
+        True, True),
     "formalcover": _Aspect(
-        None, lambda p, _pos: check_formal_cover_axioms(p), False),
+        None, lambda p, _pos: check_formal_cover_axioms(p), False, False),
     "lattice": _Aspect(
         lambda lattice, _pos: passed("%d elements" % len(lattice)), None,
-        False),
+        False, False),
 }
 
 

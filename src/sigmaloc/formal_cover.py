@@ -32,7 +32,13 @@ class CoverError(Exception):
 
 
 class BaseTooLarge(CoverError):
-    pass
+    @staticmethod
+    def guard(p, max_base):
+        """Refuse a sweep over every subset of a base above max_base."""
+        n = len(p.base)
+        if n > max_base:
+            raise BaseTooLarge("base has %d elements, cap is %d"
+                               % (n, max_base))
 
 
 class CoverPresentation:
@@ -457,9 +463,8 @@ def frame_of_presentation(p, max_base=15):
     """
     if p.kind != "finite":
         raise CoverError("frame_of_presentation needs a finite base")
+    BaseTooLarge.guard(p, max_base)
     n = len(p.base)
-    if n > max_base:
-        raise BaseTooLarge("base has %d elements, cap is %d" % (n, max_base))
     seen = set()
     distinct = []
     for mask in range(1 << n):

@@ -45,16 +45,22 @@ class FiniteDistributiveLattice:
     """Finite distributive lattice with precomputed operation tables.
 
     Build one with validate_lattice or lattice_from_leq_pairs; the raw
-    constructor trusts its tables.
+    constructor trusts its tables.  Kernels that work on element
+    indices read the tables directly: leq_table[i][j] is a bool,
+    meet_table[i][j] and join_table[i][j] are indices, and down[i] is
+    the bitmask of the indices of the elements below element i (its
+    Birkhoff down-set).
     """
 
     def __init__(self, elements, leq_matrix, meet_table, join_table,
                  bottom_index, top_index):
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._leq = leq_matrix
-        self._meet = meet_table
-        self._join = join_table
+        self.leq_table = leq_matrix
+        self.meet_table = meet_table
+        self.join_table = join_table
+        self.down = _down_up_masks(leq_matrix)[0]
+        self.bottom_index = bottom_index
         self.bottom = self.elements[bottom_index]
         self.top = self.elements[top_index]
 
@@ -68,13 +74,13 @@ class FiniteDistributiveLattice:
             raise LatticeError("not a lattice element: %r" % (x,), (x,))
 
     def leq(self, x, y):
-        return self._leq[self.index(x)][self.index(y)]
+        return self.leq_table[self.index(x)][self.index(y)]
 
     def meet(self, x, y):
-        return self.elements[self._meet[self.index(x)][self.index(y)]]
+        return self.elements[self.meet_table[self.index(x)][self.index(y)]]
 
     def join(self, x, y):
-        return self.elements[self._join[self.index(x)][self.index(y)]]
+        return self.elements[self.join_table[self.index(x)][self.index(y)]]
 
     def meet_all(self, xs):
         acc = self.top
@@ -97,6 +103,21 @@ def _as_matrix(elements, leq):
     return [[bool(leq[i][j]) for j in range(n)] for i in range(n)]
 
 
+def _down_up_masks(m):
+    """Bitmasks of a leq matrix: bit k of down[i] is set iff k <= i, and
+    bit k of up[i] iff i <= k."""
+    n = len(m)
+    down = [0] * n
+    up = [0] * n
+    for i in range(n):
+        row = m[i]
+        for k in range(n):
+            if row[k]:
+                up[i] |= 1 << k
+                down[k] |= 1 << i
+    return down, up
+
+
 def validate_lattice(elements, leq):
     """Check order and lattice laws, returning the validated lattice.
 
@@ -104,6 +125,11 @@ def validate_lattice(elements, leq):
     order.  Raises NotAPartialOrder, MissingMeetOrJoin or
     NotDistributive with the first offending elements (element order)
     as witnesses.
+
+    Once the order laws hold, the meet of i and j exists iff some
+    element's down-set is the intersection of their down-sets, and it
+    is that element; joins likewise with up-sets.  So meets and joins
+    are mask lookups.
     """
     elements = list(elements)
     if not elements:
@@ -115,6 +141,7 @@ def validate_lattice(elements, leq):
         seen.add(e)
     n = len(elements)
     m = _as_matrix(elements, leq)
+    down, up = _down_up_masks(m)
 
     for i in range(n):
         if not m[i][i]:
@@ -126,30 +153,29 @@ def validate_lattice(elements, leq):
                     "leq is not antisymmetric", (elements[i], elements[j]))
     for i in range(n):
         for j in range(n):
-            if not m[i][j]:
-                continue
-            for k in range(n):
-                if m[j][k] and not m[i][k]:
-                    raise NotAPartialOrder(
-                        "leq is not transitive",
-                        (elements[i], elements[j], elements[k]))
+            missing = up[j] & ~up[i] if m[i][j] else 0
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                raise NotAPartialOrder(
+                    "leq is not transitive",
+                    (elements[i], elements[j], elements[k]))
 
+    by_down = {mask: i for i, mask in enumerate(down)}
+    by_up = {mask: i for i, mask in enumerate(up)}
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            lower = [k for k in range(n) if m[k][i] and m[k][j]]
-            greatest = [g for g in lower if all(m[k][g] for k in lower)]
-            if len(greatest) != 1:
+        for j in range(i, n):
+            glb = by_down.get(down[i] & down[j])
+            if glb is None:
                 raise MissingMeetOrJoin(
                     "no meet", (elements[i], elements[j]))
-            meet[i][j] = greatest[0]
-            upper = [k for k in range(n) if m[i][k] and m[j][k]]
-            least = [l for l in upper if all(m[l][k] for k in upper)]
-            if len(least) != 1:
+            meet[i][j] = meet[j][i] = glb
+            lub = by_up.get(up[i] & up[j])
+            if lub is None:
                 raise MissingMeetOrJoin(
                     "no join", (elements[i], elements[j]))
-            join[i][j] = least[0]
+            join[i][j] = join[j][i] = lub
 
     bottom = 0
     top = 0

@@ -59,7 +59,8 @@ def test_check_overt_join_splitting():
     diamond = boolean_lattice(2)
     rep = check_overt(diamond, Positivity.of(["11"]))
     assert not rep
-    assert rep.detail in ("join-splitting fails", "positivity axiom fails")
+    assert rep.detail == "join-splitting fails"
+    assert rep.witnesses == (("01", "10"),)
 
 
 def test_congruence_normal_form_and_relates():

@@ -110,6 +110,50 @@ def test_budget_must_be_numeric():
                   + budget)
 
 
+def test_budget_last_on_its_line_is_a_cover_member():
+    text = "cover C { base: t budget; top: t; }\nderive C t <| budget\n"
+    doc = parse(text)
+    assert doc.items[1] == DeriveCommand("C", "t", ("budget",), None)
+    assert parse(pretty_print(doc)) == doc
+    # a budget value on the next line is not read as the budget
+    doc = parse(text + "check C formalcover\n")
+    assert doc.items[1].cover == ("budget",)
+    assert isinstance(doc.items[2], CheckCommand)
+    lines, _records, code = run_document(text, budget=5)
+    assert code == 1
+    assert lines == ["derive C t <| budget budget 5: unknown "
+                     "(budget exhausted)"]
+    # followed by a word on its line, budget still opens the clause
+    doc = parse("cover C { base: t budget; top: t; }\n"
+                "derive C t <| t budget 7 check C formalcover\n")
+    assert doc.items[1] == DeriveCommand("C", "t", ("t",), 7)
+    assert isinstance(doc.items[2], CheckCommand)
+
+
+def test_cover_sweeps_honour_max_base(tmp_path, capsys):
+    atoms = ["a%d" % i for i in range(3)]
+    meets = ", ".join(["%s*%s=bot" % (x, y) for i, x in enumerate(atoms)
+                       for y in atoms[i + 1:]]
+                      + ["bot*%s=bot" % x for x in atoms + ["t"]])
+    text = ("cover C { base: bot t %s; top: t; meet: %s; pos: t %s;"
+            " axiom: bot <| ; }\n" % (" ".join(atoms), meets, " ".join(atoms)))
+    doc = tmp_path / "doc.cov"
+    for aspect, verdict, code in (("overt", "pass", 0), ("overlap", "FAIL", 1)):
+        doc.write_text(text + "check C %s\n" % aspect)
+        assert main(["--input", str(doc), "--max-base", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("%s: check C %s: base has 5 elements, "
+                                "cap is 4\n" % (doc, aspect))
+        assert main(["--input", str(doc), "--max-base", "5"]) == code
+        assert capsys.readouterr().out.startswith(
+            "check C %s: %s" % (aspect, verdict))
+    # formalcover samples above 12 elements, so the cap does not apply
+    doc.write_text(text + "check C formalcover\n")
+    assert main(["--input", str(doc), "--max-base", "4"]) == 0
+    capsys.readouterr()
+
+
 def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):
     doc = tmp_path / "doc.cov"
     doc.write_text("cover C { base: t; top: t; }\nderive C t <| t\n")
