@@ -16,7 +16,7 @@ compared on every instance.
 from dataclasses import dataclass
 from typing import Tuple
 
-from .formal_cover import CoverError, saturate
+from .formal_cover import CoverError
 from .reports import failed, passed
 from .sigma_frame import SigmaFrameHom, validate_lattice
 
@@ -99,31 +99,30 @@ def check_overt(lattice, pos):
     return passed("overt laws hold")
 
 
-def check_overt_cover(p, pos, subsets=None):
+def check_overt_cover(p, pos):
     """Overt laws for a finite cover presentation.
 
     Splitting: a derivably covered, positive element has a positive
     cover member.  Positivity axiom: a non-positive element is covered
-    by the empty set.  subsets defaults to every subset of the base.
+    by the empty set.  Every subset of the base is tried, in bitmask
+    order.  A splitting failure names the first positive covered
+    element in base order and the subset, so the witness does not
+    depend on hashing.
     """
     if p.kind != "finite":
         raise CoverError("check_overt_cover needs a finite base")
     base = p.base
-    if subsets is None:
-        n = len(base)
-        subsets = [tuple(base[i] for i in range(n) if mask >> i & 1)
-                   for mask in range(1 << n)]
-    for subset in subsets:
-        covered = saturate(p, subset)
-        if any(pos.holds(u) for u in subset):
+    positive = p.mask(x for x in base if pos.holds(x))
+    for mask in range(1 << len(base)):
+        if mask & positive:
             continue
-        for a in covered:
-            if pos.holds(a):
-                return failed("cover splitting fails", (a, tuple(subset)))
-    empty_covered = saturate(p, ())
-    for a in base:
-        if not pos.holds(a) and a not in empty_covered:
-            return failed("positivity axiom fails", (a,))
+        split = p.closure(mask) & positive
+        if split:
+            return failed("cover splitting fails",
+                          (p.first(split), p.members(mask)))
+    stuck = ((1 << len(base)) - 1) & ~(p.closure(0) | positive)
+    if stuck:
+        return failed("positivity axiom fails", (p.first(stuck),))
     return passed("overt cover laws hold")
 
 
@@ -294,35 +293,34 @@ def is_sigma_overlap_algebra(lattice, pos):
     return True, None
 
 
-def is_overlap_cover(p, pos, subsets=None):
+def is_overlap_cover(p, pos):
     """The overlap law for a finite cover presentation.
 
     For every element a and every subset U: if each positive meet of a
     is matched by some cover member's positive meet, then a must be
-    derivably covered by U.  Returns (True, None) or (False, (a, U)).
-    The overt cover laws are a precondition; their failure raises
-    CoverError.
+    derivably covered by U.  With sig[x] the set of b whose meet with
+    x is positive, the premise is sig[a] within the union of sig[u]
+    over U, the same signature test as is_sigma_overlap_algebra.
+    Returns (True, None) or (False, (a, U)) for the first subset in
+    bitmask order and the first element in base order.  The overt
+    cover laws are a precondition; their failure raises CoverError.
     """
-    report = check_overt_cover(p, pos, subsets)
+    report = check_overt_cover(p, pos)
     if not report:
         raise CoverError("positivity is not overt on the base: %s"
                          % (report.detail,))
     base = p.base
-    if subsets is None:
-        n = len(base)
-        subsets = [tuple(base[i] for i in range(n) if mask >> i & 1)
-                   for mask in range(1 << n)]
-    for subset in subsets:
-        covered = saturate(p, subset)
-        for a in base:
-            if a in covered:
-                continue
-            if all(
-                any(pos.holds(p.meet(u, b)) for u in subset)
-                for b in base
-                if pos.holds(p.meet(a, b))
-            ):
-                return False, (a, tuple(subset))
+    n = len(base)
+    sig = [p.mask(b for b in base if pos.holds(p.meet(a, b))) for a in base]
+    union = [0] * (1 << n)
+    for mask in range(1 << n):
+        if mask:
+            low = mask & -mask
+            union[mask] = union[mask ^ low] | sig[low.bit_length() - 1]
+        covered = p.closure(mask)
+        for a in range(n):
+            if not covered >> a & 1 and not sig[a] & ~union[mask]:
+                return False, (base[a], p.members(mask))
     return True, None
 
 

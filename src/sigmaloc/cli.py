@@ -354,21 +354,21 @@ class _Parser:
         name = self.expect_word("name").value
         element = self.expect_word().value
         self.expect_sym("<|")
-        cover = []
+        # The list runs to the end of the line or to a keyword; its last
+        # two words are the budget clause when the first is `budget`.
+        words = []
+        while (self.peek_raw().kind == "word"
+               and self.peek_raw().value not in _KEYWORDS):
+            words.append(self.advance())
         budget = None
-        while self.peek_raw().kind == "word":
-            w = self.peek_raw()
-            self.pos += 1
-            # `budget` opens the budget clause only when a word follows
-            # on its line; last on the line, it is a cover member.
-            if w.value == "budget" and self.peek_raw().kind == "word":
-                b = self.advance()
-                if not (b.value.isascii() and b.value.isdigit()):
-                    self.fail("budget must be a natural number", b)
-                budget = int(b.value)
-                break
-            cover.append(w.value)
-        return DeriveCommand(name, element, tuple(cover), budget)
+        if len(words) >= 2 and words[-2].value == "budget":
+            b = words.pop()
+            words.pop()
+            if not (b.value.isascii() and b.value.isdigit()):
+                self.fail("budget must be a natural number", b)
+            budget = int(b.value)
+        return DeriveCommand(name, element, tuple(w.value for w in words),
+                             budget)
 
 
 def parse(text):

@@ -199,12 +199,13 @@ def union_countable(index, members):
     return Enumeration(alpha, bound=bound)
 
 
-def intersect_binary(e1, e2, eq):
-    """Elements enumerated by both e1 and e2, up to eq.
+def dovetail(e1, e2, eq, pick):
+    """Dovetail over e1, e2 and the confirmation budgets of eq.
 
-    Code k decodes to (n, (m, b)): emit e1's value at n when it
-    eq-confirms against e2's value at m within budget b.  The bound
-    needs both input bounds plus eq's max_confirm_budget.
+    Code k decodes to (n, (m, b)) and emits pick(x, y, b) for e1's
+    value x at n and e2's value y at m, or BLANK when either is blank;
+    pick returns a value or BLANK.  The bound needs both input bounds
+    plus eq's max_confirm_budget.
     """
 
     def alpha(k):
@@ -214,7 +215,7 @@ def intersect_binary(e1, e2, eq):
         y = e2.alpha(m)
         if x is BLANK or y is BLANK:
             return BLANK
-        return x if eq.psi(x, y).confirmed(b) else BLANK
+        return pick(x, y, b)
 
     bound = None
     if (
@@ -224,6 +225,16 @@ def intersect_binary(e1, e2, eq):
     ):
         bound = pair_encode(e1.bound, pair_encode(e2.bound, eq.max_confirm_budget))
     return Enumeration(alpha, bound=bound)
+
+
+def intersect_binary(e1, e2, eq):
+    """Elements enumerated by both e1 and e2, up to eq.
+
+    Through dovetail: emit e1's value at n when it eq-confirms against
+    e2's value at m within budget b.
+    """
+    return dovetail(e1, e2, eq, lambda x, y, b:
+                    x if eq.psi(x, y).confirmed(b) else BLANK)
 
 
 def member_semidecide(x, e, eq):

@@ -7,6 +7,9 @@ the compilation adjoins the top law (a <| {top}), meet-below axioms
 (a∧b <| {a}) and meet-stable copies of the raw axioms, which is enough
 for the saturation to satisfy reflexivity, transitivity, meet-left and
 stability (check_formal_cover_axioms re-verifies at run time).
+Subsets of a finite base are int bitmasks over base indices, and
+CoverPresentation.closure is the one saturation: saturate, the frame,
+the cover laws and the overt and overlap cover checks all read it.
 
 Countable presentations (Cantor, Baire) carry the base as a membership
 predicate with axioms_of / uppers_of callbacks; they support derive but
@@ -111,11 +114,7 @@ class CoverPresentation:
                 raise CoverError("axiom head %r not in base" % (head,))
             normalized.append((head, p._norm_cover(cover)))
         p.axioms = tuple(normalized)
-
-        p._sat_cache = {}
-        p._compiled = None
-        p._machine = None
-        p._by_head = None
+        p._compile()
         return p
 
     @staticmethod
@@ -173,97 +172,94 @@ class CoverPresentation:
             self._uppers_cache[a] = tuple(self._uppers_of(a))
         return self._uppers_cache[a]
 
-    def compiled_axioms(self):
-        """Raw axioms plus top law, meet-below, and meet-stable copies.
+    def _compile(self):
+        """Index tables for saturation and derive, built once.
 
-        Deduplicated and ordered by (head index, cover length, cover
-        indices); saturating these with plain forward chaining yields
-        the full generated cover.
+        The compiled axioms are the raw axioms plus the top law
+        (a <| {top}), meet-below (a∧b <| {a}) and meet-stable copies
+        (a∧b <| {c∧b : c in U} for each raw a <| U), deduplicated and
+        ordered by (head index, cover length, cover indices).
+        Saturating them by plain forward chaining yields the full
+        generated cover.  Subsets of the base are int bitmasks, bit i
+        standing for base[i].
         """
-        if self.kind != "finite":
-            raise CoverError("compiled axioms need a finite base")
-        if self._compiled is None:
-            out = set(self.axioms)
-            for a in self.base:
-                out.add((a, (self.top,)))
-            for a in self.base:
-                for b in self.base:
-                    out.add((self._meet_table[(a, b)], self._norm_cover((a,))))
-            for head, cover in self.axioms:
-                for b in self.base:
-                    out.add((
-                        self._meet_table[(head, b)],
-                        self._norm_cover(
-                            tuple(self._meet_table[(c, b)] for c in cover)),
-                    ))
-            idx = self._base_index
-            self._compiled = tuple(sorted(
-                out,
-                key=lambda ax: (idx[ax[0]], len(ax[1]),
-                                tuple(idx[c] for c in ax[1])),
-            ))
-        return self._compiled
+        base, idx = self.base, self._base_index
+        n = len(base)
+        meet = [[idx[self._meet_table[(x, y)]] for y in base] for x in base]
+        out = {(a, (idx[self.top],)) for a in range(n)}
+        out.update((meet[a][b], (a,)) for a in range(n) for b in range(n))
+        for head, cover in self.axioms:
+            h, c = idx[head], [idx[x] for x in cover]
+            out.add((h, tuple(c)))
+            for b in range(n):
+                out.add((meet[h][b], tuple(sorted({meet[x][b] for x in c}))))
+        compiled = sorted(out, key=lambda ax: (ax[0], len(ax[1]), ax[1]))
 
-
-def _machine(p):
-    """Forward-chaining tables for saturate, cached per presentation."""
-    if p._machine is None:
-        axioms = p.compiled_axioms()
-        heads = [head for head, cover in axioms]
-        sizes = [len(cover) for head, cover in axioms]
-        watchers = {}
-        nullary = []
-        for i, (head, cover) in enumerate(axioms):
+        self._meet_index = meet
+        self._by_head = {}
+        for head, cover in compiled:
+            self._by_head.setdefault(base[head], []).append(
+                tuple(base[c] for c in cover))
+        watchers = [[] for _ in range(n)]
+        self._nullary = 0
+        for k, (head, cover) in enumerate(compiled):
             if not cover:
-                nullary.append(head)
+                self._nullary |= 1 << head
             for c in cover:
-                watchers.setdefault(c, []).append(i)
-        p._machine = (heads, sizes, watchers, tuple(nullary))
-    return p._machine
+                watchers[c].append(k)
+        self._heads = [head for head, _cover in compiled]
+        self._needs = [len(cover) for _head, cover in compiled]
+        self._watchers = watchers
+        self._closed = {}
+
+    def mask(self, members):
+        """The bitmask of a collection of base elements."""
+        bits = 0
+        for x in members:
+            i = self._base_index.get(x)
+            if i is None:
+                raise CoverError("not a base element: %r" % (x,))
+            bits |= 1 << i
+        return bits
+
+    def members(self, mask):
+        """The base elements of a bitmask, in base order."""
+        return tuple(x for i, x in enumerate(self.base) if mask >> i & 1)
+
+    def first(self, mask):
+        """The first base element of a nonzero bitmask, in base order."""
+        return self.base[(mask & -mask).bit_length() - 1]
+
+    def closure(self, mask):
+        """The saturation of a bitmask, as a bitmask.
+
+        Counter-based forward chaining over the compiled axioms: an
+        axiom fires once every member of its cover is in.  Results are
+        cached per presentation, keyed by the mask.
+        """
+        sat = self._closed.get(mask)
+        if sat is None:
+            heads, watchers = self._heads, self._watchers
+            need = list(self._needs)
+            sat = mask | self._nullary
+            stack = [i for i in range(len(self.base)) if sat >> i & 1]
+            while stack:
+                for k in watchers[stack.pop()]:
+                    need[k] -= 1
+                    if not need[k] and not sat >> heads[k] & 1:
+                        sat |= 1 << heads[k]
+                        stack.append(heads[k])
+            self._closed[mask] = sat
+        return sat
 
 
 def saturate(p, members):
-    """The saturation of a subset: everything derivably covered by it.
-
-    Counter-based forward chaining over the compiled axioms; results
-    are cached per presentation, keyed by the member set.
-    """
+    """The saturation of a subset: everything derivably covered by it,
+    as a frozenset of base elements (CoverPresentation.closure on its
+    bitmask)."""
     if p.kind != "finite":
         raise CoverError("saturate needs a finite base")
-    start = []
-    for x in members:
-        if x not in p._base_index:
-            raise CoverError("not a base element: %r" % (x,))
-        start.append(x)
-    key = frozenset(start)
-    cached = p._sat_cache.get(key)
-    if cached is not None:
-        return cached
-
-    heads, sizes, watchers, nullary = _machine(p)
-    need = list(sizes)
-    sat = set()
-    stack = []
-
-    def add(x):
-        if x not in sat:
-            sat.add(x)
-            stack.append(x)
-
-    for h in nullary:
-        add(h)
-    for x in key:
-        add(x)
-    while stack:
-        x = stack.pop()
-        for i in watchers.get(x, ()):
-            need[i] -= 1
-            if need[i] == 0:
-                add(heads[i])
-
-    result = frozenset(sat)
-    p._sat_cache[key] = result
-    return result
+    return frozenset(p.members(p.closure(p.mask(members))))
 
 
 def _cover_prefix(cover, horizon):
@@ -302,11 +298,6 @@ class _Search:
             for m in self.members:
                 if m not in p._base_index:
                     raise CoverError("cover member %r not in base" % (m,))
-            if p._by_head is None:
-                by_head = {}
-                for head, cover in p.compiled_axioms():
-                    by_head.setdefault(head, []).append(cover)
-                p._by_head = by_head
 
     def prove(self, x, depth, path):
         if x in self.proven:
@@ -456,7 +447,7 @@ def derive_with_trace(p, a, u, at_step):
 def frame_of_presentation(p, max_base=15):
     """The frame presented: all saturated subsets ordered by inclusion.
 
-    Sweeps every subset of the base (the accepted 2^n cost, capped), so
+    Closes every subset of the base (the accepted 2^n cost, capped), so
     elements of the result are frozensets of base elements, sorted by
     their base bitmask.  The result is validated as a distributive
     lattice.
@@ -464,22 +455,9 @@ def frame_of_presentation(p, max_base=15):
     if p.kind != "finite":
         raise CoverError("frame_of_presentation needs a finite base")
     BaseTooLarge.guard(p, max_base)
-    n = len(p.base)
-    seen = set()
-    distinct = []
-    for mask in range(1 << n):
-        subset = [p.base[i] for i in range(n) if mask >> i & 1]
-        s = saturate(p, subset)
-        if s not in seen:
-            seen.add(s)
-            distinct.append(s)
-    idx = p._base_index
-
-    def bitmask(s):
-        return sum(1 << idx[x] for x in s)
-
-    distinct.sort(key=bitmask)
-    return validate_lattice(distinct, lambda s1, s2: s1 <= s2)
+    closed = sorted({p.closure(mask) for mask in range(1 << len(p.base))})
+    return validate_lattice([frozenset(p.members(s)) for s in closed],
+                            [[not s & ~t for t in closed] for s in closed])
 
 
 def envelope_cover(lattice):
@@ -510,49 +488,54 @@ def envelope_cover(lattice):
     return p, embedding
 
 
-def _default_subsets(p, cap_exponent=12):
-    n = len(p.base)
-    if n <= cap_exponent:
-        return [tuple(p.base[i] for i in range(n) if mask >> i & 1)
-                for mask in range(1 << n)]
+def _sample_masks(n):
+    """Every subset of an n-element base when n <= 12; above that the
+    empty set, the whole base, each singleton and 512 seeded random
+    subsets."""
+    if n <= 12:
+        return range(1 << n)
     rng = random.Random(0)
-    subsets = [(), tuple(p.base)]
-    subsets.extend((x,) for x in p.base)
+    masks = [0, (1 << n) - 1]
+    masks.extend(1 << i for i in range(n))
     for _ in range(512):
-        subsets.append(tuple(x for x in p.base if rng.random() < 0.5))
-    return subsets
+        masks.append(sum(1 << i for i in range(n) if rng.random() < 0.5))
+    return masks
 
 
-def check_formal_cover_axioms(p, subsets=None):
+def check_formal_cover_axioms(p):
     """Verify the generated cover satisfies the formal cover laws.
 
     Reflexivity and transitivity (idempotent saturation) are checked on
-    every subset when the base is small, else on a deterministic
-    sample; pass subsets explicitly to control it.  Meet-left and
-    stability are checked exactly: the latter per raw axiom, which
-    propagates to the whole cover by induction on derivations.
+    every subset when the base has at most 12 elements, else on a fixed
+    seeded sample.  Meet-left and stability are checked exactly: the
+    latter per raw axiom, which propagates to the whole cover by
+    induction on derivations.
     """
     if p.kind != "finite":
         raise CoverError("check_formal_cover_axioms needs a finite base")
-    if subsets is None:
-        subsets = _default_subsets(p)
-    for subset in subsets:
-        s = saturate(p, subset)
-        for x in subset:
-            if x not in s:
-                return failed("reflexivity fails", (x, tuple(subset)))
-        if saturate(p, s) != s:
-            return failed("saturation not idempotent", (tuple(subset),))
-    for a in p.base:
-        for b in p.base:
-            if p.meet(a, b) == a and a not in saturate(p, (b,)):
-                return failed("meet-left fails", (a, b))
+    masks = _sample_masks(len(p.base))
+    for mask in masks:
+        s = p.closure(mask)
+        missing = mask & ~s
+        if missing:
+            return failed("reflexivity fails",
+                          (p.first(missing), p.members(mask)))
+        if p.closure(s) != s:
+            return failed("saturation not idempotent", (p.members(mask),))
+    n = len(p.base)
+    meet, idx = p._meet_index, p._base_index
+    for a in range(n):
+        for b in range(n):
+            if meet[a][b] == a and not p.closure(1 << b) >> a & 1:
+                return failed("meet-left fails", (p.base[a], p.base[b]))
     for head, cover in p.axioms:
-        for b in p.base:
-            localized = tuple(p.meet(c, b) for c in cover)
-            if p.meet(head, b) not in saturate(p, localized):
-                return failed("stability fails", (head, b, cover))
-    return passed("cover laws hold (%d subsets checked)" % (len(subsets),))
+        for b in range(n):
+            localized = 0
+            for x in cover:
+                localized |= 1 << meet[idx[x]][b]
+            if not p.closure(localized) >> meet[idx[head]][b] & 1:
+                return failed("stability fails", (head, p.base[b], cover))
+    return passed("cover laws hold (%d subsets checked)" % (len(masks),))
 
 
 def check_compactness(p, u):
@@ -564,11 +547,12 @@ def check_compactness(p, u):
     if p.kind != "finite":
         raise CoverError("check_compactness needs a finite base")
     members = _normalize_cover_argument(p, u)
-    if p.top not in saturate(p, members):
+    top = p.mask((p.top,))
+    if not p.closure(p.mask(members)) & top:
         return None
     for size in range(len(members) + 1):
         for candidate in combinations(members, size):
-            if p.top in saturate(p, candidate):
+            if p.closure(p.mask(candidate)) & top:
                 return candidate
     return None
 

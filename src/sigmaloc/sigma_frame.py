@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .enumeration import (
+    BLANK,
     Enumeration,
     SemiDecidableEquality,
+    dovetail,
     ext_equal_finite,
     union_countable,
 )
-from .pairing import pair_decode
 from .semidecision import SemiDecision, from_boolean
 
 
@@ -360,39 +361,22 @@ def free_join(family):
 def free_meet(e1, e2, eq):
     """Binary meet of free elements by dovetailing.
 
-    Index k decodes to (n, (m, b)).  TOP_GENERATOR is neutral: against
-    it the other side's generator goes straight through; otherwise a
-    generator survives only when it eq-confirms across both sides
-    within budget b.  Distinct generators meet to bottom, which is what
-    makes the realization free only over disjointness-respecting
-    assignments.
+    Index k decodes to (n, (m, b)), as in intersect_binary.
+    TOP_GENERATOR is neutral: against it the other side's generator
+    goes straight through; otherwise a generator survives only when it
+    eq-confirms across both sides within budget b.  Distinct generators
+    meet to bottom, which is what makes the realization free only over
+    disjointness-respecting assignments.
     """
 
-    def alpha(k):
-        from .enumeration import BLANK
-
-        n, rest = pair_decode(k)
-        m, b = pair_decode(rest)
-        x = e1.alpha(n)
-        y = e2.alpha(m)
-        if x is BLANK or y is BLANK:
-            return BLANK
+    def pick(x, y, b):
         if x is TOP_GENERATOR:
             return y
         if y is TOP_GENERATOR:
             return x
         return x if eq.psi(x, y).confirmed(b) else BLANK
 
-    bound = None
-    if (
-        e1.bound is not None
-        and e2.bound is not None
-        and eq.max_confirm_budget is not None
-    ):
-        from .pairing import pair_encode
-
-        bound = pair_encode(e1.bound, pair_encode(e2.bound, eq.max_confirm_budget))
-    return Enumeration(alpha, bound=bound)
+    return dovetail(e1, e2, eq, pick)
 
 
 def free_class_of(e):

@@ -1,14 +1,21 @@
-"""Exhaustive reference implementations for the lattice kernel.
+"""Exhaustive reference implementations for the lattice and cover
+kernels.
 
 These are the sweeps that booleanization.py no longer runs: join
 splitting over every subset (2^n), every partition of the carrier
 filtered by compatibility (Bell(n)), and the compatibility check keyed
-by element rather than by index.  They are kept here only to compare
-the direct computations with, on small lattices.
+by element rather than by index.  For covers they are the name-based
+forms of saturation, the frame, the cover laws and the overt and
+overlap cover checks, which pass frozensets and tuples of base
+elements where the kernel passes bitmasks.  They are kept here only to
+compare the direct computations with, on small instances.
 """
+
+import random
 
 from sigmaloc.booleanization import Congruence
 from sigmaloc.reports import failed, passed
+from sigmaloc.sigma_frame import validate_lattice
 
 
 def overt_sweep(lattice, pos):
@@ -90,3 +97,136 @@ def upward_closed_sets(lattice):
         if all(y in members for x in subset for y in lattice.elements
                if lattice.leq(x, y)):
             yield subset
+
+
+def compiled_by_name(p):
+    """The compiled axioms of a finite cover, built from its names."""
+    idx = {x: i for i, x in enumerate(p.base)}
+
+    def norm(cover):
+        return tuple(sorted(set(cover), key=idx.__getitem__))
+
+    out = set(p.axioms)
+    out.update((a, (p.top,)) for a in p.base)
+    out.update((p.meet(a, b), (a,)) for a in p.base for b in p.base)
+    for head, cover in p.axioms:
+        for b in p.base:
+            out.add((p.meet(head, b), norm(p.meet(c, b) for c in cover)))
+    return sorted(out, key=lambda ax: (idx[ax[0]], len(ax[1]),
+                                       [idx[c] for c in ax[1]]))
+
+
+def name_saturation(p):
+    """saturate by counter-based forward chaining on sets of names,
+    memoized by frozenset."""
+    axioms = compiled_by_name(p)
+    watchers = {}
+    for i, (head, cover) in enumerate(axioms):
+        for c in cover:
+            watchers.setdefault(c, []).append(i)
+    nullary = [head for head, cover in axioms if not cover]
+    cache = {}
+
+    def saturate(members):
+        key = frozenset(members)
+        if key not in cache:
+            need = [len(cover) for _head, cover in axioms]
+            sat = set()
+            stack = []
+            for x in nullary + list(key):
+                if x not in sat:
+                    sat.add(x)
+                    stack.append(x)
+            while stack:
+                for i in watchers.get(stack.pop(), ()):
+                    need[i] -= 1
+                    head = axioms[i][0]
+                    if need[i] == 0 and head not in sat:
+                        sat.add(head)
+                        stack.append(head)
+            cache[key] = frozenset(sat)
+        return cache[key]
+
+    return saturate
+
+
+def frame_sweep(p):
+    """frame_of_presentation: every saturated subset, sorted by base
+    bitmask, ordered by inclusion."""
+    saturate = name_saturation(p)
+    idx = {x: i for i, x in enumerate(p.base)}
+    distinct = {saturate(subset) for subset in subsets(p.base)}
+    ordered = sorted(distinct, key=lambda s: sum(1 << idx[x] for x in s))
+    return validate_lattice(ordered, lambda s, t: s <= t)
+
+
+def sample_subsets(p):
+    """The subsets check_formal_cover_axioms tries: all of them up to 12
+    base elements, else the empty set, the base, the singletons and 512
+    seeded random subsets."""
+    base = p.base
+    if len(base) <= 12:
+        return [tuple(s) for s in subsets(base)]
+    rng = random.Random(0)
+    out = [(), tuple(base)]
+    out.extend((x,) for x in base)
+    for _ in range(512):
+        out.append(tuple(x for x in base if rng.random() < 0.5))
+    return out
+
+
+def cover_laws_sweep(p):
+    """check_formal_cover_axioms on names."""
+    saturate = name_saturation(p)
+    checked = sample_subsets(p)
+    for subset in checked:
+        s = saturate(subset)
+        for x in subset:
+            if x not in s:
+                return failed("reflexivity fails", (x, subset))
+        if saturate(s) != s:
+            return failed("saturation not idempotent", (subset,))
+    for a in p.base:
+        for b in p.base:
+            if p.meet(a, b) == a and a not in saturate((b,)):
+                return failed("meet-left fails", (a, b))
+    for head, cover in p.axioms:
+        for b in p.base:
+            localized = [p.meet(c, b) for c in cover]
+            if p.meet(head, b) not in saturate(localized):
+                return failed("stability fails", (head, b, cover))
+    return passed("cover laws hold (%d subsets checked)" % (len(checked),))
+
+
+def overt_cover_sweep(p, pos):
+    """check_overt_cover on names.  The splitting witness is whichever
+    positive covered element the frozenset yields first."""
+    saturate = name_saturation(p)
+    for subset in subsets(p.base):
+        if any(pos.holds(u) for u in subset):
+            continue
+        for a in saturate(subset):
+            if pos.holds(a):
+                return failed("cover splitting fails", (a, tuple(subset)))
+    empty_covered = saturate(())
+    for a in p.base:
+        if not pos.holds(a) and a not in empty_covered:
+            return failed("positivity axiom fails", (a,))
+    return passed("overt cover laws hold")
+
+
+def overlap_cover_sweep(p, pos):
+    """is_overlap_cover on names, with the positive meets of a matched
+    member by member; None when the overt cover laws fail."""
+    if not overt_cover_sweep(p, pos):
+        return None
+    saturate = name_saturation(p)
+    for subset in subsets(p.base):
+        covered = saturate(subset)
+        for a in p.base:
+            if a in covered:
+                continue
+            if all(any(pos.holds(p.meet(u, b)) for u in subset)
+                   for b in p.base if pos.holds(p.meet(a, b))):
+                return False, (a, tuple(subset))
+    return True, None

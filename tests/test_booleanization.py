@@ -4,6 +4,7 @@ import pytest
 
 from sigmaloc import (
     Congruence,
+    CoverPresentation,
     NoMaximumFound,
     Positivity,
     RepresentativeDependentPos,
@@ -181,6 +182,19 @@ def test_check_overt_cover_discrete():
     rep = check_overt_cover(p, bad)
     assert not rep
     assert rep.detail == "cover splitting fails"
+
+
+def test_check_overt_cover_witness_is_first_in_base_order():
+    # top <| a covers both positive elements b and top; the witness used
+    # to be whichever a frozenset of them yielded first, which varied
+    # with the hash seed
+    base = ["bot", "a", "b", "top"]
+    p = CoverPresentation.finite(
+        base, lambda x, y: base[min(base.index(x), base.index(y))], "top",
+        [("top", ("a",)), ("bot", ())])
+    report = check_overt_cover(p, Positivity.of(["b", "top"]))
+    assert report.detail == "cover splitting fails"
+    assert report.witnesses == ("b", ("a",))
 
 
 def test_is_overlap_cover_frozen_cases():

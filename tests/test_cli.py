@@ -130,6 +130,33 @@ def test_budget_last_on_its_line_is_a_cover_member():
     assert isinstance(doc.items[2], CheckCommand)
 
 
+def test_derive_cover_list_ends_at_a_keyword():
+    text = ("cover C { base: t; top: t; }\n"
+            "derive C t <| t check C formalcover\n")
+    doc = parse(text)
+    assert doc.items[1] == DeriveCommand("C", "t", ("t",), None)
+    assert doc.items[2] == CheckCommand("C", "formalcover")
+    lines, _records, code = run_document(text, budget=5)
+    assert code == 0
+    assert lines[0] == "derive C t <| t budget 5: confirmed at step 0"
+    assert lines[-1].startswith("check C formalcover: pass")
+
+
+def test_derive_with_a_budget_member_round_trips():
+    doc = Document((DeriveCommand("C", "t", ("budget",), 7),))
+    assert pretty_print(doc) == "derive C t <| budget budget 7\n"
+    assert parse(pretty_print(doc)) == doc
+    # the run header names the budget used, and parses back as well
+    text = "cover C { base: t budget; top: t; }\nderive C t <| budget\n"
+    lines, _records, _code = run_document(text, budget=5)
+    header = lines[0].split(":")[0]
+    assert header == "derive C t <| budget budget 5"
+    assert parse(header).items[0] == DeriveCommand("C", "t", ("budget",), 5)
+    # `budget` before the last two words is a cover member
+    assert parse("derive C t <| budget t budget 3").items[0] == \
+        DeriveCommand("C", "t", ("budget", "t"), 3)
+
+
 def test_cover_sweeps_honour_max_base(tmp_path, capsys):
     atoms = ["a%d" % i for i in range(3)]
     meets = ", ".join(["%s*%s=bot" % (x, y) for i, x in enumerate(atoms)
@@ -284,21 +311,53 @@ def test_main_records_format(tmp_path, capsys):
     assert record["ok"] is True
 
 
-def _cli(args):
+def _cli(args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "sigmaloc.cli"] + args,
-        capture_output=True, timeout=60)
+        capture_output=True, timeout=60, env=env)
 
 
-def test_golden_files_are_byte_identical():
+# Splitting fails at U = {a}: top <| a covers b and top, both positive;
+# the witness is the first positive element in base order.
+SPLIT_FAILS_DOC = """
+cover C {
+  base: bot a b top;
+  top: top;
+  meet: bot*a=bot, bot*b=bot, a*b=a;
+  axiom: top <| a;
+  axiom: bot <| ;
+  pos: b top;
+}
+
+check C overt
+"""
+SPLIT_FAILS_OUT = {
+    "text": b"check C overt: FAIL (cover splitting fails; witness: b, (a))\n",
+    "records": b'{"aspect": "overt", "command": "check", "detail": '
+               b'"cover splitting fails", "ok": false, "target": "C", '
+               b'"witnesses": ["b", ["a"]]}\n',
+}
+
+
+def test_golden_files_are_byte_identical(tmp_path):
+    # each run under two hash seeds, so no output may depend on hashing
+    split = tmp_path / "split.cov"
+    split.write_text(SPLIT_FAILS_DOC)
+    runs = []
     for name, expected_code in (("chain", 1), ("diamond", 0), ("cantor", 0)):
         path = os.path.join(EXAMPLES, name + ".cov")
         for fmt, ext in (("text", "txt"), ("records", "jsonl")):
-            got = _cli(["--input", path, "--format", fmt])
-            assert got.returncode == expected_code, (name, fmt, got.stderr)
-            golden = os.path.join(GOLDEN, "%s.%s" % (name, ext))
-            with open(golden, "rb") as handle:
-                assert got.stdout == handle.read(), (name, fmt)
+            with open(os.path.join(GOLDEN, "%s.%s" % (name, ext)),
+                      "rb") as handle:
+                runs.append((path, fmt, expected_code, handle.read()))
+    for fmt, out in SPLIT_FAILS_OUT.items():
+        runs.append((str(split), fmt, 1, out))
+    for path, fmt, expected_code, expected in runs:
+        for seed in ("0", "1"):
+            got = _cli(["--input", path, "--format", fmt],
+                       env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert got.returncode == expected_code, (path, fmt, got.stderr)
+            assert got.stdout == expected, (path, fmt, seed)
 
 
 def test_golden_runs_are_deterministic():
