@@ -78,13 +78,12 @@ def check_overt(lattice, pos):
     positive = [pos.holds(x) for x in elements]
     if positive[lattice.bottom_index]:
         return failed("bottom is positive", (lattice.bottom,))
-    leq = lattice.leq_table
+    non_positive = sum(1 << j for j in range(n) if not positive[j])
     for i in range(n):
-        if positive[i]:
-            for j in range(n):
-                if leq[i][j] and not positive[j]:
-                    return failed("upward closure fails",
-                                  (elements[i], elements[j]))
+        above = lattice.up[i] & non_positive if positive[i] else 0
+        if above:
+            j = (above & -above).bit_length() - 1
+            return failed("upward closure fails", (elements[i], elements[j]))
     join = lattice.join_table
     for i in range(n):
         if positive[i]:
@@ -285,10 +284,10 @@ def is_sigma_overlap_algebra(lattice, pos):
         raise ValueError("positivity is not overt: %s" % (report.detail,))
     sigs = _signatures(lattice, pos)
     elements = lattice.elements
-    leq = lattice.leq_table
+    down = lattice.down
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
-            if not sigs[i] & ~sigs[j] and not leq[i][j]:
+            if not sigs[i] & ~sigs[j] and not down[j] >> i & 1:
                 return False, (x, y)
     return True, None
 
@@ -326,39 +325,13 @@ def is_overlap_cover(p, pos):
 
 def is_dense(lattice, c):
     """Only the bottom is congruent to the bottom."""
-    for x in lattice.elements:
-        if c.relates(x, lattice.bottom) and x != lattice.bottom:
-            return False
-    return True
+    return c.class_of.count(c.class_id(lattice.bottom)) == 1
 
 
 def is_strongly_dense(lattice, c, pos):
     """Positivity is constant on every congruence class."""
-    for x in lattice.elements:
-        for y in lattice.elements:
-            if c.relates(x, y) and pos.holds(x) and not pos.holds(y):
-                return False
-    return True
-
-
-def _join_irreducibles(lattice):
-    """Bitmask of the indices of the join-irreducible elements.
-
-    j is join-irreducible when it is not the bottom and the join of
-    everything strictly below it is not j.
-    """
-    join = lattice.join_table
-    mask = 0
-    for j, below in enumerate(lattice.down):
-        acc = lattice.bottom_index
-        below &= ~(1 << j)
-        while below:
-            low = below & -below
-            acc = join[acc][low.bit_length() - 1]
-            below ^= low
-        if j != lattice.bottom_index and acc != j:
-            mask |= 1 << j
-    return mask
+    signs = {(i, pos.holds(x)) for x, i in zip(c.elements, c.class_of)}
+    return len(signs) == c.class_count()
 
 
 def enumerate_congruences(lattice):
@@ -374,7 +347,7 @@ def enumerate_congruences(lattice):
     n = len(lattice.elements)
     if n > 10:
         raise SizeCapExceeded("congruence enumeration capped at 10 elements")
-    j_mask = _join_irreducibles(lattice)
+    j_mask = lattice.join_irreducibles
     j_below = [d & j_mask for d in lattice.down]
     out = []
     s = 0

@@ -377,7 +377,12 @@ def parse(text):
 
 
 def pretty_print(document):
-    """Canonical text for a document; parse(pretty_print(d)) == d."""
+    """Canonical text for a document; parse(pretty_print(d)) == d.
+
+    Raises ValueError for a derive that no text parses back to: a cover
+    member named like a keyword, or no budget and a cover whose
+    second-to-last member is `budget`.
+    """
     chunks = []
     for item in document.items:
         if type(item) not in _ENTRY_OF:
@@ -424,6 +429,12 @@ def _show_name(cmd):
 def _show_derive(cmd):
     text = "derive %s %s <|%s" % (cmd.target, cmd.element,
                                   _word_list(cmd.cover))
+    for w in cmd.cover:
+        if w in _KEYWORDS:
+            raise ValueError("%s: cover member %r is a keyword" % (text, w))
+    if cmd.budget is None and cmd.cover[-2:-1] == ("budget",):
+        raise ValueError("%s: the last two cover members read as a budget"
+                         % (text,))
     if cmd.budget is not None:
         text += " budget %d" % cmd.budget
     return text

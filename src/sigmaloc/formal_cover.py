@@ -58,10 +58,11 @@ class CoverPresentation:
     def finite(base, meet, top, axioms):
         """Validated finite presentation.
 
-        meet is a callable or a complete mapping on ordered pairs; the
-        meet-semilattice laws (closure, idempotence, commutativity,
-        associativity, top neutral) are checked exhaustively.  Covers
-        are normalized to deduplicated base-index-sorted tuples.
+        meet is a callable or a complete mapping on ordered pairs; it is
+        read once into an index table, on which the meet-semilattice
+        laws (closure, idempotence, commutativity, associativity, top
+        neutral) are checked exhaustively.  Covers are normalized to
+        deduplicated base-index-sorted tuples.
         """
         p = CoverPresentation._blank()
         p.kind = "finite"
@@ -78,9 +79,11 @@ class CoverPresentation:
             raise CoverError("top element %r not in base" % (top,))
         p.top = top
 
-        table = {}
-        for x in p.base:
-            for y in p.base:
+        base, n, t = p.base, len(p.base), index[top]
+        table = []
+        for x in base:
+            row = []
+            for y in base:
                 if callable(meet):
                     v = meet(x, y)
                 else:
@@ -91,22 +94,25 @@ class CoverPresentation:
                 if v not in index:
                     raise CoverError(
                         "meet(%r, %r) = %r is outside the base" % (x, y, v))
-                table[(x, y)] = v
-        for x in p.base:
-            if table[(x, x)] != x:
-                raise CoverError("meet not idempotent at %r" % (x,))
-            if table[(x, top)] != x or table[(top, x)] != x:
-                raise CoverError("top is not a meet unit at %r" % (x,))
-            for y in p.base:
-                if table[(x, y)] != table[(y, x)]:
-                    raise CoverError("meet not commutative at (%r, %r)" % (x, y))
-        for x in p.base:
-            for y in p.base:
-                for z in p.base:
-                    if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]:
+                row.append(index[v])
+            table.append(row)
+        for x in range(n):
+            if table[x][x] != x:
+                raise CoverError("meet not idempotent at %r" % (base[x],))
+            if table[x][t] != x or table[t][x] != x:
+                raise CoverError("top is not a meet unit at %r" % (base[x],))
+            for y in range(n):
+                if table[x][y] != table[y][x]:
+                    raise CoverError("meet not commutative at (%r, %r)"
+                                     % (base[x], base[y]))
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    if table[table[x][y]][z] != table[x][table[y][z]]:
                         raise CoverError(
-                            "meet not associative at (%r, %r, %r)" % (x, y, z))
-        p._meet_table = table
+                            "meet not associative at (%r, %r, %r)"
+                            % (base[x], base[y], base[z]))
+        p._meet_index = table
 
         normalized = []
         for head, cover in axioms:
@@ -151,9 +157,10 @@ class CoverPresentation:
     def meet(self, x, y):
         if self.kind == "finite":
             try:
-                return self._meet_table[(x, y)]
+                i, j = self._base_index[x], self._base_index[y]
             except KeyError:
                 raise CoverError("meet undefined at (%r, %r)" % (x, y))
+            return self.base[self._meet_index[i][j]]
         return self._meet(x, y)
 
     def axioms_of(self, a):
@@ -166,8 +173,9 @@ class CoverPresentation:
 
     def uppers_of(self, a):
         if self.kind == "finite":
-            return tuple(b for b in self.base
-                         if b != a and self._meet_table[(a, b)] == a)
+            i = self._base_index[a]
+            return tuple(b for j, b in enumerate(self.base)
+                         if j != i and self._meet_index[i][j] == i)
         if a not in self._uppers_cache:
             self._uppers_cache[a] = tuple(self._uppers_of(a))
         return self._uppers_cache[a]
@@ -183,9 +191,8 @@ class CoverPresentation:
         generated cover.  Subsets of the base are int bitmasks, bit i
         standing for base[i].
         """
-        base, idx = self.base, self._base_index
+        base, idx, meet = self.base, self._base_index, self._meet_index
         n = len(base)
-        meet = [[idx[self._meet_table[(x, y)]] for y in base] for x in base]
         out = {(a, (idx[self.top],)) for a in range(n)}
         out.update((meet[a][b], (a,)) for a in range(n) for b in range(n))
         for head, cover in self.axioms:
@@ -195,7 +202,6 @@ class CoverPresentation:
                 out.add((meet[h][b], tuple(sorted({meet[x][b] for x in c}))))
         compiled = sorted(out, key=lambda ax: (ax[0], len(ax[1]), ax[1]))
 
-        self._meet_index = meet
         self._by_head = {}
         for head, cover in compiled:
             self._by_head.setdefault(base[head], []).append(
@@ -403,7 +409,8 @@ def derive(p, a, u):
     Stage k runs (memoized) a bounded search at effort 2^ceil(log2(k+1)):
     depth = the exponent, node budget = 64 * effort, enumeration
     horizon = effort.  On finite presentations a failed search without
-    any cutoff is definitive, and later stages return Unknown without
+    any cutoff is definitive: its stage returns None, so the probe
+    stops there and answers Unknown for every budget without
     re-searching.
     """
     if p.kind == "finite" and a not in p._base_index:
@@ -411,22 +418,15 @@ def derive(p, a, u):
     if p.kind == "countable" and not p.contains(a):
         raise CoverError("not a base element: %r" % (a,))
     u = _normalize_cover_argument(p, u)
-    state = {"found": False, "never": False, "results": {}}
+    results = {}
 
     def stage(k):
-        if state["found"]:
-            return True
-        if state["never"]:
-            return False
         effort = 1 << k.bit_length()
-        if effort not in state["results"]:
+        if effort not in results:
             outcome, complete = _Search(p, u, effort).run(a)
-            state["results"][effort] = outcome is not None
-            if outcome is not None:
-                state["found"] = True
-            elif complete:
-                state["never"] = True
-        return state["results"][effort]
+            results[effort] = (True if outcome is not None
+                               else None if complete else False)
+        return results[effort]
 
     return SemiDecision(stage)
 

@@ -5,7 +5,9 @@ treated as the run of a search procedure: stage(k) says whether the
 search has succeeded at step k.  Probing with a budget scans stages
 0..budget and reports either Confirmed(at_step) for the earliest stage
 that fires, or Unknown.  Unknown is not a negative answer; a later,
-larger budget may still confirm.
+larger budget may still confirm, unless a stage has returned None:
+that says the search is refuted, no later stage fires, and every later
+probe answers Unknown without calling the stage again.
 
 Stages are scanned at most once per SemiDecision no matter how many
 times it is probed, so repeated probing with growing budgets costs the
@@ -37,12 +39,14 @@ class SemiDecision:
         self._stage = stage
         self._first = None
         self._scanned = -1
+        self._refuted = False
 
     def probe(self, budget):
         """Scan stages up to ``budget`` inclusive.
 
         Returns Confirmed(k) for the least k <= budget with stage(k)
-        true, else UNKNOWN.
+        true, else UNKNOWN.  Once a stage has returned None no stage
+        is called again.
         """
         if budget < 0:
             raise ValueError("budget must be a natural number")
@@ -50,12 +54,14 @@ class SemiDecision:
         if first is not None:
             return Confirmed(first) if first <= budget else UNKNOWN
         k = self._scanned
-        while k < budget:
+        while k < budget and not self._refuted:
             k += 1
-            if self._stage(k):
+            fired = self._stage(k)
+            if fired:
                 self._first = k
                 self._scanned = k
                 return Confirmed(k)
+            self._refuted = fired is None
         self._scanned = k
         return UNKNOWN
 
@@ -70,12 +76,13 @@ def run(p, budget):
 
 
 def from_boolean(value):
-    """Decidable truth as a semi-decision: confirms at step 0 or never."""
-    return SemiDecision(lambda k: bool(value))
+    """Decidable truth as a semi-decision: confirms at step 0 or is
+    refuted there."""
+    return SemiDecision(lambda k: True if value else None)
 
 
 def never():
-    return SemiDecision(lambda k: False)
+    return SemiDecision(lambda k: None)
 
 
 def and_binary(p, q):

@@ -2,9 +2,12 @@
 
 Two realizations live here.  FiniteDistributiveLattice is the oracle
 workhorse: a validated finite distributive lattice, where countable
-joins collapse to finite ones, so the sigma-frame laws are checkable by
-exhaustive sweep.  The free_* functions realize the free sigma-frame on
-a countable generator set as enumerations of generators together with a
+joins collapse to finite ones, so the sigma-frame laws are finite
+checks.  Its order is kept only as Birkhoff bitmasks (each element's
+down-set and up-set, and the join-irreducibles J(L)), on which valid
+input is checked in O(n^2) mask operations, distributivity included.
+The free_* functions realize the free sigma-frame on a countable
+generator set as enumerations of generators together with a
 distinguished TOP_GENERATOR that absorbs everything above it; the
 finite quotient of that realization (free_lattice) is what the tests
 compare against.
@@ -43,24 +46,27 @@ class NotDistributive(LatticeError):
 
 
 class FiniteDistributiveLattice:
-    """Finite distributive lattice with precomputed operation tables.
+    """Finite distributive lattice, its order kept as Birkhoff masks.
 
     Build one with validate_lattice or lattice_from_leq_pairs; the raw
     constructor trusts its tables.  Kernels that work on element
-    indices read the tables directly: leq_table[i][j] is a bool,
-    meet_table[i][j] and join_table[i][j] are indices, and down[i] is
-    the bitmask of the indices of the elements below element i (its
-    Birkhoff down-set).
+    indices read them directly: bit k of down[i] is set iff element k
+    is below element i (its down-set), bit k of up[i] iff element k is
+    above it, meet_table[i][j] and join_table[i][j] are indices, and
+    join_irreducibles is the bitmask of the join-irreducible elements.
+    By Birkhoff's theorem i is determined by down[i] & join_irreducibles,
+    and that map sends meets to intersections and joins to unions.
     """
 
-    def __init__(self, elements, leq_matrix, meet_table, join_table,
-                 bottom_index, top_index):
+    def __init__(self, elements, down, up, meet_table, join_table,
+                 bottom_index, top_index, join_irreducibles):
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self.leq_table = leq_matrix
+        self.down = down
+        self.up = up
         self.meet_table = meet_table
         self.join_table = join_table
-        self.down = _down_up_masks(leq_matrix)[0]
+        self.join_irreducibles = join_irreducibles
         self.bottom_index = bottom_index
         self.bottom = self.elements[bottom_index]
         self.top = self.elements[top_index]
@@ -75,7 +81,7 @@ class FiniteDistributiveLattice:
             raise LatticeError("not a lattice element: %r" % (x,), (x,))
 
     def leq(self, x, y):
-        return self.leq_table[self.index(x)][self.index(y)]
+        return bool(self.down[self.index(y)] >> self.index(x) & 1)
 
     def meet(self, x, y):
         return self.elements[self.meet_table[self.index(x)][self.index(y)]]
@@ -96,43 +102,7 @@ class FiniteDistributiveLattice:
         return acc
 
 
-def _as_matrix(elements, leq):
-    n = len(elements)
-    if callable(leq):
-        return [[bool(leq(elements[i], elements[j])) for j in range(n)]
-                for i in range(n)]
-    return [[bool(leq[i][j]) for j in range(n)] for i in range(n)]
-
-
-def _down_up_masks(m):
-    """Bitmasks of a leq matrix: bit k of down[i] is set iff k <= i, and
-    bit k of up[i] iff i <= k."""
-    n = len(m)
-    down = [0] * n
-    up = [0] * n
-    for i in range(n):
-        row = m[i]
-        for k in range(n):
-            if row[k]:
-                up[i] |= 1 << k
-                down[k] |= 1 << i
-    return down, up
-
-
-def validate_lattice(elements, leq):
-    """Check order and lattice laws, returning the validated lattice.
-
-    leq is a callable on elements or a square boolean matrix in element
-    order.  Raises NotAPartialOrder, MissingMeetOrJoin or
-    NotDistributive with the first offending elements (element order)
-    as witnesses.
-
-    Once the order laws hold, the meet of i and j exists iff some
-    element's down-set is the intersection of their down-sets, and it
-    is that element; joins likewise with up-sets.  So meets and joins
-    are mask lookups.
-    """
-    elements = list(elements)
+def _check_carrier(elements):
     if not elements:
         raise LatticeError("empty carrier")
     seen = set()
@@ -140,21 +110,55 @@ def validate_lattice(elements, leq):
         if e in seen:
             raise LatticeError("duplicate element", (e,))
         seen.add(e)
+
+
+def validate_lattice(elements, leq):
+    """Check order and lattice laws, returning the validated lattice.
+
+    leq is a callable on elements or a square boolean matrix in element
+    order; it is read once, into up-set masks.  Raises
+    NotAPartialOrder, MissingMeetOrJoin or NotDistributive with the
+    first offending elements (element order) as witnesses.
+    """
+    elements = list(elements)
+    _check_carrier(elements)
     n = len(elements)
-    m = _as_matrix(elements, leq)
-    down, up = _down_up_masks(m)
+    up = []
+    for i, x in enumerate(elements):
+        row = [leq(x, y) for y in elements] if callable(leq) else leq[i]
+        up.append(sum(1 << j for j in range(n) if row[j]))
+    return _lattice_of_up_masks(elements, up)
+
+
+def _lattice_of_up_masks(elements, up):
+    """The lattice whose order has up-set masks up.
+
+    Once the order laws hold, the meet of i and j exists iff some
+    element's down-set is the intersection of their down-sets, and it
+    is that element; joins likewise with up-sets.  So meets and joins
+    are mask lookups.  j is join-irreducible iff the elements strictly
+    below it have a greatest one, whose down-set is down[j] without j.
+    The lattice is distributive iff x -> J(x), the join-irreducibles
+    below x, sends binary joins to unions (Birkhoff), an O(n^2) test;
+    only when it fails does the O(n^3) loop run, to name the first
+    failing triple.
+    """
+    n = len(elements)
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1)
+            for j in range(n)]
 
     for i in range(n):
-        if not m[i][i]:
+        if not up[i] >> i & 1:
             raise NotAPartialOrder("leq is not reflexive", (elements[i],))
     for i in range(n):
-        for j in range(n):
-            if i != j and m[i][j] and m[j][i]:
-                raise NotAPartialOrder(
-                    "leq is not antisymmetric", (elements[i], elements[j]))
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise NotAPartialOrder(
+                "leq is not antisymmetric", (elements[i], elements[j]))
     for i in range(n):
         for j in range(n):
-            missing = up[j] & ~up[i] if m[i][j] else 0
+            missing = up[j] & ~up[i] if up[i] >> j & 1 else 0
             if missing:
                 k = (missing & -missing).bit_length() - 1
                 raise NotAPartialOrder(
@@ -184,60 +188,60 @@ def validate_lattice(elements, leq):
         bottom = meet[bottom][i]
         top = join[top][i]
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
-                    raise NotDistributive(
-                        "distributivity fails",
-                        (elements[i], elements[j], elements[k]))
+    irreducible = sum(1 << j for j in range(n)
+                      if down[j] ^ 1 << j in by_down)
+    if any((down[join[i][j]] ^ (down[i] | down[j])) & irreducible
+           for i in range(n) for j in range(i + 1, n)):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
+                        raise NotDistributive(
+                            "distributivity fails",
+                            (elements[i], elements[j], elements[k]))
 
-    return FiniteDistributiveLattice(elements, m, meet, join, bottom, top)
+    return FiniteDistributiveLattice(elements, down, up, meet, join,
+                                     bottom, top, irreducible)
 
 
 def lattice_from_leq_pairs(elements, pairs):
     """Lattice from generating order pairs (x below y).
 
-    Takes the reflexive-transitive closure of the pairs, then validates
-    lattice laws on the result.
+    Takes the reflexive-transitive closure of the pairs on up-set
+    masks, then validates lattice laws on the result.
     """
     elements = list(elements)
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    m = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(len(elements))]
     for x, y in pairs:
         if x not in index:
             raise LatticeError("unknown element in order pair: %r" % (x,), (x,))
         if y not in index:
             raise LatticeError("unknown element in order pair: %r" % (y,), (y,))
-        m[index[x]][index[y]] = True
-    for k in range(n):
-        for i in range(n):
-            if m[i][k]:
-                row_k = m[k]
-                row_i = m[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return validate_lattice(elements, m)
+        up[index[x]] |= 1 << index[y]
+    for k in range(len(up)):
+        for i in range(len(up)):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    _check_carrier(elements)
+    return _lattice_of_up_masks(elements, up)
 
 
 def find_isomorphism(first, second):
     """Order isomorphism between two finite lattices, or None.
 
-    Backtracking with a (strictly-below count, strictly-above count)
-    signature filter; returns a dict element-of-first -> element-of-second.
+    Backtracking with a (down-set size, up-set size) signature filter;
+    returns a dict element-of-first -> element-of-second.
     """
     if len(first) != len(second):
         return None
 
-    def signature(lat, x):
-        down = sum(1 for y in lat.elements if lat.leq(y, x))
-        up = sum(1 for y in lat.elements if lat.leq(x, y))
-        return down, up
+    def signatures(lat):
+        return {x: (lat.down[i].bit_count(), lat.up[i].bit_count())
+                for i, x in enumerate(lat.elements)}
 
-    sig1 = {x: signature(first, x) for x in first.elements}
-    sig2 = {y: signature(second, y) for y in second.elements}
+    sig1 = signatures(first)
+    sig2 = signatures(second)
     order = sorted(first.elements, key=lambda x: (sig1[x], str(x)))
     mapping = {}
     used = set()

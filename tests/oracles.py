@@ -4,18 +4,198 @@ kernels.
 These are the sweeps that booleanization.py no longer runs: join
 splitting over every subset (2^n), every partition of the carrier
 filtered by compatibility (Bell(n)), and the compatibility check keyed
-by element rather than by index.  For covers they are the name-based
-forms of saturation, the frame, the cover laws and the overt and
-overlap cover checks, which pass frozensets and tuples of base
-elements where the kernel passes bitmasks.  They are kept here only to
+by element rather than by index.  For lattices they are also the
+validation on an n x n bool matrix, with the Warshall closure of order
+pairs, distributivity as the O(n^3) triple loop and the
+join-irreducibles as a fold of joins.  For covers they are the
+name-based forms of saturation, the frame, the cover laws and the
+overt and overlap cover checks, which pass frozensets and tuples of
+base elements where the kernel passes bitmasks, and the meet-table
+validation on a dict keyed by name pairs.  They are kept here only to
 compare the direct computations with, on small instances.
 """
 
 import random
+from collections import namedtuple
 
 from sigmaloc.booleanization import Congruence
+from sigmaloc.formal_cover import CoverError
 from sigmaloc.reports import failed, passed
-from sigmaloc.sigma_frame import validate_lattice
+from sigmaloc.sigma_frame import (
+    LatticeError,
+    MissingMeetOrJoin,
+    NotAPartialOrder,
+    NotDistributive,
+    validate_lattice,
+)
+
+# What matrix_validation returns: the fields a validated lattice must
+# agree on, with bottom and top as elements.
+LatticeTables = namedtuple(
+    "LatticeTables", "elements down meet_table join_table bottom top")
+
+
+def matrix_validation(elements, leq):
+    """validate_lattice on a bool matrix: the same laws, in the same
+    order, with the same witnesses; returns LatticeTables."""
+    elements = list(elements)
+    if not elements:
+        raise LatticeError("empty carrier")
+    seen = set()
+    for e in elements:
+        if e in seen:
+            raise LatticeError("duplicate element", (e,))
+        seen.add(e)
+    n = len(elements)
+    if callable(leq):
+        m = [[bool(leq(elements[i], elements[j])) for j in range(n)]
+             for i in range(n)]
+    else:
+        m = [[bool(leq[i][j]) for j in range(n)] for i in range(n)]
+    down = [0] * n
+    up = [0] * n
+    for i in range(n):
+        for k in range(n):
+            if m[i][k]:
+                up[i] |= 1 << k
+                down[k] |= 1 << i
+
+    for i in range(n):
+        if not m[i][i]:
+            raise NotAPartialOrder("leq is not reflexive", (elements[i],))
+    for i in range(n):
+        for j in range(n):
+            if i != j and m[i][j] and m[j][i]:
+                raise NotAPartialOrder(
+                    "leq is not antisymmetric", (elements[i], elements[j]))
+    for i in range(n):
+        for j in range(n):
+            missing = up[j] & ~up[i] if m[i][j] else 0
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                raise NotAPartialOrder(
+                    "leq is not transitive",
+                    (elements[i], elements[j], elements[k]))
+
+    by_down = {mask: i for i, mask in enumerate(down)}
+    by_up = {mask: i for i, mask in enumerate(up)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            glb = by_down.get(down[i] & down[j])
+            if glb is None:
+                raise MissingMeetOrJoin(
+                    "no meet", (elements[i], elements[j]))
+            meet[i][j] = meet[j][i] = glb
+            lub = by_up.get(up[i] & up[j])
+            if lub is None:
+                raise MissingMeetOrJoin(
+                    "no join", (elements[i], elements[j]))
+            join[i][j] = join[j][i] = lub
+
+    bottom = 0
+    top = 0
+    for i in range(n):
+        bottom = meet[bottom][i]
+        top = join[top][i]
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
+                    raise NotDistributive(
+                        "distributivity fails",
+                        (elements[i], elements[j], elements[k]))
+
+    return LatticeTables(elements, down, meet, join, elements[bottom],
+                         elements[top])
+
+
+def warshall_validation(elements, pairs):
+    """lattice_from_leq_pairs: the Warshall closure of the pairs on a
+    bool matrix, then matrix_validation."""
+    elements = list(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    m = [[i == j for j in range(n)] for i in range(n)]
+    for x, y in pairs:
+        if x not in index:
+            raise LatticeError("unknown element in order pair: %r" % (x,), (x,))
+        if y not in index:
+            raise LatticeError("unknown element in order pair: %r" % (y,), (y,))
+        m[index[x]][index[y]] = True
+    for k in range(n):
+        for i in range(n):
+            if m[i][k]:
+                for j in range(n):
+                    if m[k][j]:
+                        m[i][j] = True
+    return matrix_validation(elements, m)
+
+
+def join_irreducible_fold(tables):
+    """Bitmask of the join-irreducible elements: j is one when it is not
+    the bottom and the join of everything strictly below it is not j."""
+    join = tables.join_table
+    bottom = tables.elements.index(tables.bottom)
+    mask = 0
+    for j, below in enumerate(tables.down):
+        acc = bottom
+        below &= ~(1 << j)
+        while below:
+            low = below & -below
+            acc = join[acc][low.bit_length() - 1]
+            below ^= low
+        if j != bottom and acc != j:
+            mask |= 1 << j
+    return mask
+
+
+def name_pair_meet(base, meet, top):
+    """The meet-table validation of CoverPresentation.finite on a dict
+    keyed by name pairs, with the same messages in the same order;
+    returns the dict."""
+    base = list(base)
+    if not base:
+        raise CoverError("empty base")
+    index = {}
+    for i, x in enumerate(base):
+        if x in index:
+            raise CoverError("duplicate base element: %r" % (x,))
+        index[x] = i
+    if top not in index:
+        raise CoverError("top element %r not in base" % (top,))
+    table = {}
+    for x in base:
+        for y in base:
+            if callable(meet):
+                v = meet(x, y)
+            else:
+                try:
+                    v = meet[(x, y)]
+                except KeyError:
+                    raise CoverError(
+                        "meet table missing pair (%r, %r)" % (x, y))
+            if v not in index:
+                raise CoverError(
+                    "meet(%r, %r) = %r is outside the base" % (x, y, v))
+            table[(x, y)] = v
+    for x in base:
+        if table[(x, x)] != x:
+            raise CoverError("meet not idempotent at %r" % (x,))
+        if table[(x, top)] != x or table[(top, x)] != x:
+            raise CoverError("top is not a meet unit at %r" % (x,))
+        for y in base:
+            if table[(x, y)] != table[(y, x)]:
+                raise CoverError("meet not commutative at (%r, %r)" % (x, y))
+    for x in base:
+        for y in base:
+            for z in base:
+                if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]:
+                    raise CoverError(
+                        "meet not associative at (%r, %r, %r)" % (x, y, z))
+    return table
 
 
 def overt_sweep(lattice, pos):
@@ -57,6 +237,16 @@ def is_congruence_by_element(lattice, c):
                 if cid[lattice.join(x, z)] != cid[lattice.join(y, z)]:
                     return failed("join compatibility fails", (x, y, z))
     return passed("congruence laws hold")
+
+
+def density_by_pairs(lattice, c, pos):
+    """(is_dense, is_strongly_dense) through Congruence.relates on
+    every pair of elements."""
+    dense = not any(c.relates(x, lattice.bottom) and x != lattice.bottom
+                    for x in lattice.elements)
+    strongly = not any(c.relates(x, y) and pos.holds(x) and not pos.holds(y)
+                       for x in lattice.elements for y in lattice.elements)
+    return dense, strongly
 
 
 def partitions(elements):

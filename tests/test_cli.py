@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -155,6 +157,65 @@ def test_derive_with_a_budget_member_round_trips():
     # `budget` before the last two words is a cover member
     assert parse("derive C t <| budget t budget 3").items[0] == \
         DeriveCommand("C", "t", ("budget", "t"), 3)
+
+
+def test_pretty_print_refuses_derives_that_do_not_parse_back():
+    for cmd in (DeriveCommand("C", "t", ("budget", "t"), None),
+                DeriveCommand("C", "t", ("check",), None),
+                DeriveCommand("C", "t", ("x", "derive"), 4)):
+        with pytest.raises(ValueError, match=re.escape("derive C t <|")):
+            pretty_print(Document((cmd,)))
+
+
+def test_pretty_print_round_trips_or_refuses_random_derives():
+    rng = random.Random(7)
+    pool = ["t", "x", "budget", "0", "7", "12", "check", "derive", "cover"]
+    for _ in range(2000):
+        cover = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        budget = rng.choice((None, 0, 7, 120))
+        doc = Document((DeriveCommand(rng.choice(pool), rng.choice(pool),
+                                      cover, budget),))
+        try:
+            text = pretty_print(doc)
+        except ValueError:
+            continue
+        assert parse(text) == doc, text
+
+
+def mutations(rng, count):
+    """count documents, each an example with one token deleted,
+    duplicated, swapped with its neighbour or replaced by another token
+    of the same example."""
+    examples = []
+    for name in sorted(os.listdir(EXAMPLES)):
+        with open(os.path.join(EXAMPLES, name)) as handle:
+            text = re.sub(r"#[^\n]*", "", handle.read())
+        examples.append(re.findall(r"<=|<\||\n|[{}:;,*=]|\w+", text))
+    for _ in range(count):
+        tokens = list(rng.choice(examples))
+        k = rng.randrange(len(tokens))
+        op = rng.randrange(4)
+        if op == 0:
+            del tokens[k]
+        elif op == 1:
+            tokens.insert(k, tokens[k])
+        elif op == 2:
+            tokens[k:k + 2] = tokens[k:k + 2][::-1]
+        else:
+            tokens[k] = rng.choice(tokens)
+        yield " ".join(tokens)
+
+
+def test_main_survives_mutated_examples(tmp_path, capsys):
+    rng = random.Random(1)
+    path = tmp_path / "mutant.cov"
+    for text in mutations(rng, 300):
+        path.write_text(text)
+        code = main(["--input", str(path), "--budget", "50",
+                     "--format", rng.choice(("text", "records"))])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), text
+        assert "Traceback" not in err, text
 
 
 def test_cover_sweeps_honour_max_base(tmp_path, capsys):

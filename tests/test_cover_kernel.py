@@ -4,10 +4,13 @@ saturate, frame_of_presentation, check_formal_cover_axioms,
 check_overt_cover and is_overlap_cover all read
 CoverPresentation.closure; each is compared with its name-based
 oracle from oracles.py on corpus envelopes, discrete covers and seeded
-random axiom sets, under several seeded positivities each.
+random axiom sets, under several seeded positivities each.  The index
+meet table of CoverPresentation.finite is compared with the name-pair
+validation on seeded, mutated meet tables.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +32,7 @@ from corpus import corpus
 from oracles import (
     cover_laws_sweep,
     frame_sweep,
+    name_pair_meet,
     name_saturation,
     overlap_cover_sweep,
     overt_cover_sweep,
@@ -98,7 +102,7 @@ def test_frame_matches_the_name_sweep():
         fast = frame_of_presentation(p)
         slow = frame_sweep(p)
         assert fast.elements == slow.elements, name
-        assert fast.leq_table == slow.leq_table, name
+        assert fast.down == slow.down, name
 
 
 def test_cover_laws_match_the_name_sweep():
@@ -155,3 +159,61 @@ def test_overlap_cover_matches_the_name_sweep():
                     is_overlap_cover(p, pos)
             else:
                 assert is_overlap_cover(p, pos) == expected, name
+
+
+def mutated_meet(lattice, rng):
+    """The lattice's meet table as a dict on name pairs over its
+    shuffled elements, with 0-2 of the faults the validation names: a
+    missing pair, a value outside the base, a broken diagonal, a broken
+    top row, one side of a pair changed, or both sides of some pairs
+    of distinct elements below the top changed (which can only break
+    associativity)."""
+    base = list(lattice.elements)
+    rng.shuffle(base)
+    table = {(x, y): lattice.meet(x, y) for x in base for y in base}
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        x, y, v = rng.choice(base), rng.choice(base), rng.choice(base)
+        fault = rng.randrange(6)
+        if fault == 0:
+            table.pop((x, y), None)
+        elif fault == 1:
+            table[(x, y)] = "outside"
+        elif fault == 2:
+            table[(x, x)] = v
+        elif fault == 3:
+            table[rng.choice(((x, lattice.top), (lattice.top, x)))] = v
+        elif fault == 4:
+            table[(x, y)] = v
+        else:
+            for x, y in combinations(base, 2):
+                if lattice.top not in (x, y) and rng.random() < 0.3:
+                    table[(x, y)] = table[(y, x)] = rng.choice(base)
+    return base, table
+
+
+FAULTS = ("missing pair", "outside the base", "not idempotent",
+          "not a meet unit", "not commutative", "not associative")
+
+
+def test_meet_validation_matches_the_name_pair_oracle():
+    rng = random.Random(11)
+    seen = set()
+    for _round in range(30):
+        for _name, lattice in CORPUS:
+            base, table = mutated_meet(lattice, rng)
+            meet = table if rng.random() < 0.5 else (
+                lambda x, y, table=table: table[(x, y)])
+            try:
+                expected = name_pair_meet(base, meet, lattice.top)
+            except (CoverError, KeyError) as err:
+                with pytest.raises(type(err)) as raised:
+                    CoverPresentation.finite(base, meet, lattice.top, [])
+                assert raised.value.args == err.args
+                seen.add(next((kind for kind in FAULTS if kind in str(err)),
+                              type(err).__name__))
+                continue
+            p = CoverPresentation.finite(base, meet, lattice.top, [])
+            assert {(x, y): p.meet(x, y) for x in base for y in base} == \
+                expected
+            seen.add("valid")
+    assert seen == {"valid", "KeyError"} | set(FAULTS)

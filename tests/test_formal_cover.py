@@ -107,6 +107,25 @@ def test_derive_unknown_is_stable_on_finite_failure():
     assert not sd.confirmed(50000)
 
 
+def test_a_refuted_derive_stops_probing():
+    # top is not below the bottom: the search at effort 8 is complete
+    # and fails, so no budget probes past it
+    lattice = chain_lattice(3)
+    p, _embedding = envelope_cover(lattice)
+    sd = derive(p, lattice.top, (lattice.bottom,))
+    stage = sd._stage
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        assert len(calls) <= 8, "probed past the refutation"
+        return stage(k)
+
+    sd._stage = counted
+    assert run(sd, 10 ** 9) is UNKNOWN
+    assert run(sd, 10 ** 12) is UNKNOWN
+
+
 def test_derive_rejects_unknown_elements():
     p = two_cover()
     with pytest.raises(CoverError):

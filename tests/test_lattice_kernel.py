@@ -1,13 +1,18 @@
 """The Birkhoff lattice kernel against the exhaustive sweeps it replaces.
 
 Every fast path in booleanization.py is compared with its reference
-sweep from oracles.py over the whole corpus, and a wall-clock guard
-fails if an exponential sweep returns to a production path.
+sweep from oracles.py over the whole corpus, validate_lattice and
+lattice_from_leq_pairs with the bool-matrix validation on the corpus
+and on seeded random relations, and a wall-clock guard fails if an
+exponential sweep returns to a production path.
 """
 
+import random
 import time
+from itertools import combinations
 
 from sigmaloc import (
+    LatticeError,
     Positivity,
     bool_congruence,
     boolean_lattice,
@@ -15,19 +20,27 @@ from sigmaloc import (
     check_overt,
     enumerate_congruences,
     is_congruence,
+    is_dense,
+    is_strongly_dense,
     is_sigma_overlap_algebra,
+    lattice_from_leq_pairs,
     quotient,
+    validate_lattice,
     with_nonzero_pos,
 )
 
 from corpus import corpus
 from oracles import (
+    density_by_pairs,
     is_congruence_by_element,
+    join_irreducible_fold,
+    matrix_validation,
     overt_sweep,
     partition_sweep,
     partitions,
     subsets,
     upward_closed_sets,
+    warshall_validation,
 )
 
 CORPUS = corpus()
@@ -78,6 +91,19 @@ def test_is_congruence_matches_the_element_keyed_loop():
                 is_congruence_by_element(lattice, c), (name, c.class_of)
 
 
+def test_density_matches_the_pairwise_definitions():
+    rng = random.Random(3)
+    for name, lattice in CORPUS:
+        positivities = [Positivity.nonzero(lattice)] + [
+            Positivity.of(x for x in lattice.elements if rng.random() < 0.5)
+            for _ in range(3)]
+        for c in enumerate_congruences(lattice):
+            for pos in positivities:
+                assert (is_dense(lattice, c), is_strongly_dense(
+                    lattice, c, pos)) == density_by_pairs(lattice, c, pos), \
+                    (name, c.class_of)
+
+
 def test_lattice_pipeline_stays_polynomial():
     t0 = time.monotonic()
     for lattice in (chain_lattice(30), boolean_lattice(5)):
@@ -90,3 +116,161 @@ def test_lattice_pipeline_stays_polynomial():
     assert len(enumerate_congruences(chain_lattice(9))) == 2 ** 9
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
+
+
+M3 = (["0", "a", "b", "c", "1"],
+      [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"),
+       ("c", "1")])
+N5 = (["0", "a", "b", "c", "1"],
+      [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+
+
+def order_matrix(elements, pairs):
+    """The reflexive-transitive closure of order pairs, as a matrix."""
+    index = {x: i for i, x in enumerate(elements)}
+    m = [[i == j for j in range(len(elements))] for i in range(len(elements))]
+    for x, y in pairs:
+        m[index[x]][index[y]] = True
+    for k in range(len(m)):
+        for i in range(len(m)):
+            if m[i][k]:
+                m[i] = [a or b for a, b in zip(m[i], m[k])]
+    return m
+
+
+def random_closure_lattice(rng):
+    """The sets of a random family on a ground set of 2-4 points, closed
+    under intersection, with the whole ground set: a lattice under
+    inclusion, often not distributive (M3 and N5 are of this form)."""
+    ground = frozenset(range(rng.randint(2, 4)))
+    family = {ground}
+    for _ in range(rng.randint(1, 5)):
+        family.add(frozenset(x for x in ground if rng.random() < 0.5))
+    changed = True
+    while changed:
+        changed = False
+        for s, t in combinations(list(family), 2):
+            if s & t not in family:
+                family.add(s & t)
+                changed = True
+    return sorted(family, key=sorted), lambda s, t: s <= t
+
+
+def random_downset_lattice(rng):
+    """The down-sets of a random order on 1-3 points: distributive."""
+    n = rng.randint(1, 3)
+    below = [{i} | {j for j in range(i) if rng.random() < 0.5}
+             for i in range(n)]
+    for i in range(n):
+        for j in sorted(below[i]):
+            below[i] |= below[j]
+    downsets = {frozenset().union(*(below[i] for i in range(n)
+                                    if mask >> i & 1))
+                for mask in range(1 << n)}
+    return sorted(downsets, key=sorted), lambda s, t: s <= t
+
+
+def random_order(rng):
+    """The transitive closure of random pairs along a hidden linear
+    order: a partial order, often with missing meets or joins."""
+    elements = list(range(rng.randint(1, 8)))
+    m = order_matrix(elements, [(i, j) for i in elements for j in elements
+                                if i < j and rng.random() < 0.3])
+    return elements, lambda x, y: m[x][y]
+
+
+def random_relation(rng):
+    """Any relation, reflexive or not."""
+    n = rng.randint(1, 8)
+    density = rng.random()
+    m = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        for i in range(n):
+            m[i][i] = True
+    return list(range(n)), lambda x, y: m[x][y]
+
+
+def random_cases(rng, count):
+    """(elements, matrix) pairs on 1-8 elements, each shuffled and
+    relabelled: relations, orders, distributive and closure lattices,
+    M3 and N5, and lattices with one entry of the matrix flipped."""
+    def fixed(elements, pairs):
+        m = order_matrix(elements, pairs)
+        index = {x: i for i, x in enumerate(elements)}
+        return lambda rng: (elements,
+                            lambda x, y: m[index[x]][index[y]])
+
+    makers = [random_relation, random_order, random_downset_lattice,
+              random_closure_lattice, fixed(*M3), fixed(*N5)]
+    out = []
+    while len(out) < count:
+        elements, leq = rng.choice(makers)(rng)
+        if len(elements) > 8:
+            continue
+        order = list(elements)
+        rng.shuffle(order)
+        m = [[bool(leq(x, y)) for y in order] for x in order]
+        if rng.random() < 0.15:
+            i, j = rng.randrange(len(m)), rng.randrange(len(m))
+            m[i][j] = not m[i][j]
+        labels = ["e%d" % i for i in range(len(order))]
+        rng.shuffle(labels)
+        out.append((labels, m))
+    return out
+
+
+def outcome(build, *args):
+    """The error class, message and witnesses, or the compared tables."""
+    try:
+        lattice = build(*args)
+    except LatticeError as err:
+        return type(err), err.args[0], err.witnesses
+    if isinstance(lattice, tuple):
+        return lattice
+    return (lattice.elements, lattice.down, lattice.meet_table,
+            lattice.join_table, lattice.bottom, lattice.top)
+
+
+def check_against_the_matrix_validation(elements, m, rng):
+    """Both entry points against their oracles; returns the outcome."""
+    expected = outcome(matrix_validation, elements, m)
+    assert outcome(validate_lattice, elements, m) == expected
+    index = {x: i for i, x in enumerate(elements)}
+    assert outcome(validate_lattice, elements,
+                   lambda x, y: m[index[x]][index[y]]) == expected
+    if not isinstance(expected[0], type):
+        tables = matrix_validation(elements, m)
+        lattice = validate_lattice(elements, m)
+        assert lattice.join_irreducibles == join_irreducible_fold(tables)
+        assert all(lattice.leq(x, y) is bool(m[index[x]][index[y]])
+                   for x in elements for y in elements)
+    pairs = [(x, y) for x in elements for y in elements
+             if m[index[x]][index[y]] and rng.random() < 0.7]
+    if rng.random() < 0.05:
+        pairs.append((rng.choice(elements), "stray"))
+    assert outcome(lattice_from_leq_pairs, elements, pairs) == \
+        outcome(warshall_validation, elements, pairs)
+    return expected
+
+
+def test_validation_matches_the_matrix_oracle_on_the_corpus():
+    rng = random.Random(5)
+    for _name, lattice in CORPUS:
+        elements = lattice.elements
+        m = [[lattice.leq(x, y) for y in elements] for x in elements]
+        check_against_the_matrix_validation(elements, m, rng)
+    for elements, pairs in (M3, N5):
+        check_against_the_matrix_validation(
+            elements, order_matrix(elements, pairs), rng)
+
+
+def test_validation_matches_the_matrix_oracle_on_random_relations():
+    rng = random.Random(2024)
+    seen = set()
+    for elements, m in random_cases(rng, 5000):
+        expected = check_against_the_matrix_validation(elements, m, rng)
+        seen.add(expected[1] if isinstance(expected[0], type) else "ok")
+    # every verdict of the validation is exercised
+    assert seen == {"leq is not reflexive", "leq is not antisymmetric",
+                    "leq is not transitive", "no meet", "no join",
+                    "distributivity fails", "ok"}

@@ -37,6 +37,21 @@ def test_each_stage_evaluated_once():
     assert calls == [0, 1, 2, 3, 4, 5]
 
 
+def test_a_refuted_stage_ends_the_scan():
+    calls = []
+
+    def stage(k):
+        calls.append(k)
+        assert k <= 3, "scanned past the refutation"
+        return None if k == 3 else False
+
+    p = SemiDecision(stage)
+    assert p.probe(1) is UNKNOWN
+    assert p.probe(10 ** 9) is UNKNOWN
+    assert not p.confirmed(10 ** 12)
+    assert calls == [0, 1, 2, 3]
+
+
 def test_run_and_confirmed():
     p = SemiDecision(lambda k: k >= 2)
     assert run(p, 1) is UNKNOWN
