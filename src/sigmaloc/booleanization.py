@@ -103,23 +103,28 @@ def check_overt_cover(p, pos):
 
     Splitting: a derivably covered, positive element has a positive
     cover member.  Positivity axiom: a non-positive element is covered
-    by the empty set.  Every subset of the base is tried, in bitmask
-    order.  A splitting failure names the first positive covered
-    element in base order and the subset, so the witness does not
-    depend on hashing.
+    by the empty set.  A splitting failure names the first failing
+    subset in bitmask order and its first positive covered element in
+    base order, so the witness does not depend on hashing.
+
+    The failing subsets are the sets of non-positive elements whose
+    closure meets Pos; they are upward closed.  So the first one keeps
+    a bit only when the largest candidate without it does not fail,
+    decided from the top bit down: at most n + 1 closures.
     """
     if p.kind != "finite":
         raise CoverError("check_overt_cover needs a finite base")
     base = p.base
+    full = (1 << len(base)) - 1
     positive = p.mask(x for x in base if pos.holds(x))
-    for mask in range(1 << len(base)):
-        if mask & positive:
-            continue
-        split = p.closure(mask) & positive
-        if split:
-            return failed("cover splitting fails",
-                          (p.first(split), p.members(mask)))
-    stuck = ((1 << len(base)) - 1) & ~(p.closure(0) | positive)
+    mask = full & ~positive
+    if p.closure(mask) & positive:
+        for i in reversed(range(len(base))):
+            if mask >> i & 1 and p.closure(mask & ~(1 << i)) & positive:
+                mask &= ~(1 << i)
+        return failed("cover splitting fails",
+                      (p.first(p.closure(mask) & positive), p.members(mask)))
+    stuck = full & ~(p.closure(0) | positive)
     if stuck:
         return failed("positivity axiom fails", (p.first(stuck),))
     return passed("overt cover laws hold")
@@ -303,6 +308,11 @@ def is_overlap_cover(p, pos):
     Returns (True, None) or (False, (a, U)) for the first subset in
     bitmask order and the first element in base order.  The overt
     cover laws are a precondition; their failure raises CoverError.
+
+    The premise only grows with U, so a failing U can be replaced by
+    its closure: the law holds iff it holds on every closed set, which
+    NextClosure lists.  Only after a closed set fails are the subsets
+    up to it swept, in bitmask order, to name the first witness.
     """
     report = check_overt_cover(p, pos)
     if not report:
@@ -311,16 +321,30 @@ def is_overlap_cover(p, pos):
     base = p.base
     n = len(base)
     sig = [p.mask(b for b in base if pos.holds(p.meet(a, b))) for a in base]
-    union = [0] * (1 << n)
-    for mask in range(1 << n):
+
+    def premise(union):
+        """The elements whose sig lies within union."""
+        return sum(1 << a for a in range(n) if not sig[a] & ~union)
+
+    for closed in p.closed_sets():
+        union = 0
+        for a in range(n):
+            if closed >> a & 1:
+                union |= sig[a]
+        if premise(union) & ~closed:
+            break
+    else:
+        return True, None
+    # closed itself fails, so the sweep returns by then
+    union = [0]
+    for mask in range(closed + 1):
         if mask:
             low = mask & -mask
-            union[mask] = union[mask ^ low] | sig[low.bit_length() - 1]
-        covered = p.closure(mask)
-        for a in range(n):
-            if not covered >> a & 1 and not sig[a] & ~union[mask]:
-                return False, (base[a], p.members(mask))
-    return True, None
+            union.append(union[mask ^ low] | sig[low.bit_length() - 1])
+        candidates = premise(union[mask]) & ~mask
+        missed = candidates & ~p.closure(mask) if candidates else 0
+        if missed:
+            return False, (p.first(missed), p.members(mask))
 
 
 def is_dense(lattice, c):

@@ -379,9 +379,10 @@ def parse(text):
 def pretty_print(document):
     """Canonical text for a document; parse(pretty_print(d)) == d.
 
-    Raises ValueError for a derive that no text parses back to: a cover
-    member named like a keyword, or no budget and a cover whose
-    second-to-last member is `budget`.
+    Raises ValueError for an item that no text parses back to: a
+    lattice with no elements, a cover with an empty base, and a derive
+    with a cover member named like a keyword, or with no budget and a
+    cover whose second-to-last member is `budget`.
     """
     chunks = []
     for item in document.items:
@@ -392,6 +393,8 @@ def pretty_print(document):
 
 
 def _show_lattice(block):
+    if not block.elements:
+        raise ValueError("lattice %s: elements list is empty" % block.name)
     lines = ["lattice %s {" % block.name,
              "  elements: %s;" % " ".join(block.elements)]
     if block.leq_pairs:
@@ -404,6 +407,8 @@ def _show_lattice(block):
 
 
 def _show_cover(block):
+    if not block.base:
+        raise ValueError("cover %s: base list is empty" % block.name)
     lines = ["cover %s {" % block.name,
              "  base: %s;" % " ".join(block.base),
              "  top: %s;" % block.top]
@@ -658,7 +663,7 @@ class _Runner:
 
     def run_check(self, cmd, kind, structure, pos):
         aspect = _ASPECTS[cmd.aspect]
-        if kind == "cover" and aspect.sweeps_base:
+        if kind == "cover" and aspect.caps_base:
             BaseTooLarge.guard(structure, self.max_base)
         report = getattr(aspect, kind)(structure, pos)
         line = "check %s %s: %s" % (cmd.target, cmd.aspect,
@@ -775,10 +780,13 @@ def _pair_report(check, errors, holds, fails):
 # A check aspect gives its check on a lattice and on a cover (the
 # fields are named after the block kinds; None where the aspect does not
 # apply), each taking (structure, pos) and returning a CheckReport,
-# whether it needs a pos field, and whether its cover check sweeps every
-# subset of the base (so --max-base caps it).  Insertion order is the
-# order the parser lists the aspects in.
-_Aspect = namedtuple("_Aspect", "lattice cover needs_pos sweeps_base")
+# whether it needs a pos field, and whether --max-base caps the base of
+# its cover check.  overt and overlap keep that cap on the base, though
+# neither visits every subset: overt takes at most n + 1 closures and
+# overlap lists the closed sets, sweeping subsets only to name the
+# witness of a failure.  Insertion order is the order the parser lists
+# the aspects in.
+_Aspect = namedtuple("_Aspect", "lattice cover needs_pos caps_base")
 _ASPECTS = {
     "overt": _Aspect(check_overt, check_overt_cover, True, True),
     "overlap": _Aspect(

@@ -10,6 +10,9 @@ stability (check_formal_cover_axioms re-verifies at run time).
 Subsets of a finite base are int bitmasks over base indices, and
 CoverPresentation.closure is the one saturation: saturate, the frame,
 the cover laws and the overt and overlap cover checks all read it.
+Being a closure operator, it lists its closed sets by Ganter's
+NextClosure (CoverPresentation.closed_sets), with at most n closures
+per closed set, so the frame is built without visiting every subset.
 
 Countable presentations (Cantor, Baire) carry the base as a membership
 predicate with axioms_of / uppers_of callbacks; they support derive but
@@ -37,7 +40,13 @@ class CoverError(Exception):
 class BaseTooLarge(CoverError):
     @staticmethod
     def guard(p, max_base):
-        """Refuse a sweep over every subset of a base above max_base."""
+        """Refuse a base of more than max_base elements.
+
+        The cap the frame and the overt and overlap cover checks
+        honour.  It is a cap on the base, though none of them visits
+        every subset: the frame lists closed sets, and overlap sweeps
+        subsets only to name the witness of a failure it has found.
+        """
         n = len(p.base)
         if n > max_base:
             raise BaseTooLarge("base has %d elements, cap is %d"
@@ -173,7 +182,9 @@ class CoverPresentation:
 
     def uppers_of(self, a):
         if self.kind == "finite":
-            i = self._base_index[a]
+            i = self._base_index.get(a)
+            if i is None:
+                raise CoverError("not a base element: %r" % (a,))
             return tuple(b for j, b in enumerate(self.base)
                          if j != i and self._meet_index[i][j] == i)
         if a not in self._uppers_cache:
@@ -190,6 +201,12 @@ class CoverPresentation:
         Saturating them by plain forward chaining yields the full
         generated cover.  Subsets of the base are int bitmasks, bit i
         standing for base[i].
+
+        derive searches every compiled axiom (_by_head).  The chaining
+        tables skip two kinds, neither of which can change the least
+        fixpoint: an axiom whose head is in its own cover, and one whose
+        cover strictly contains another cover of the same head.  Each
+        head's covers come by size, so no kept cover is dropped later.
         """
         base, idx, meet = self.base, self._base_index, self._meet_index
         n = len(base)
@@ -206,15 +223,24 @@ class CoverPresentation:
         for head, cover in compiled:
             self._by_head.setdefault(base[head], []).append(
                 tuple(base[c] for c in cover))
-        watchers = [[] for _ in range(n)]
+        heads, needs, watchers = [], [], [[] for _ in range(n)]
+        kept = [[] for _ in range(n)]
         self._nullary = 0
-        for k, (head, cover) in enumerate(compiled):
+        for head, cover in compiled:
+            bits = 0
+            for c in cover:
+                bits |= 1 << c
+            if bits >> head & 1 or any(not k & ~bits for k in kept[head]):
+                continue
+            kept[head].append(bits)
             if not cover:
                 self._nullary |= 1 << head
             for c in cover:
-                watchers[c].append(k)
-        self._heads = [head for head, _cover in compiled]
-        self._needs = [len(cover) for _head, cover in compiled]
+                watchers[c].append(len(heads))
+            heads.append(head)
+            needs.append(len(cover))
+        self._heads = heads
+        self._needs = needs
         self._watchers = watchers
         self._closed = {}
 
@@ -239,9 +265,9 @@ class CoverPresentation:
     def closure(self, mask):
         """The saturation of a bitmask, as a bitmask.
 
-        Counter-based forward chaining over the compiled axioms: an
-        axiom fires once every member of its cover is in.  Results are
-        cached per presentation, keyed by the mask.
+        Counter-based forward chaining over the chaining tables of
+        _compile: an axiom fires once every member of its cover is in.
+        Results are cached per presentation, keyed by the mask.
         """
         sat = self._closed.get(mask)
         if sat is None:
@@ -257,6 +283,28 @@ class CoverPresentation:
                         stack.append(heads[k])
             self._closed[mask] = sat
         return sat
+
+    def closed_sets(self):
+        """Every closed bitmask, in increasing order (Ganter's
+        NextClosure; for masks, lectic order is numeric order).
+
+        The closed set after A is the closure of bit i together with the
+        bits of A above i, for the lowest i outside A whose closure adds
+        no bit above i: at most n closures per closed set.
+        """
+        n = len(self.base)
+        a = self.closure(0)
+        out = [a]
+        while a != (1 << n) - 1:
+            for i in range(n):
+                above = -(2 << i)
+                if not a >> i & 1:
+                    b = self.closure((a & above) | 1 << i)
+                    if (b & above) == (a & above):
+                        break
+            a = b
+            out.append(a)
+        return out
 
 
 def saturate(p, members):
@@ -447,15 +495,16 @@ def derive_with_trace(p, a, u, at_step):
 def frame_of_presentation(p, max_base=15):
     """The frame presented: all saturated subsets ordered by inclusion.
 
-    Closes every subset of the base (the accepted 2^n cost, capped), so
-    elements of the result are frozensets of base elements, sorted by
-    their base bitmask.  The result is validated as a distributive
+    The saturated subsets are the closed sets NextClosure lists, at
+    most n closures each, in base bitmask order; elements of the result
+    are frozensets of base elements in that order.  A base above
+    max_base is refused.  The result is validated as a distributive
     lattice.
     """
     if p.kind != "finite":
         raise CoverError("frame_of_presentation needs a finite base")
     BaseTooLarge.guard(p, max_base)
-    closed = sorted({p.closure(mask) for mask in range(1 << len(p.base))})
+    closed = p.closed_sets()
     return validate_lattice([frozenset(p.members(s)) for s in closed],
                             [[not s & ~t for t in closed] for s in closed])
 

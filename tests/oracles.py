@@ -388,10 +388,11 @@ def cover_laws_sweep(p):
     return passed("cover laws hold (%d subsets checked)" % (len(checked),))
 
 
-def overt_cover_sweep(p, pos):
+def overt_cover_sweep(p, pos, saturate=None):
     """check_overt_cover on names.  The splitting witness is whichever
-    positive covered element the frozenset yields first."""
-    saturate = name_saturation(p)
+    positive covered element the frozenset yields first.  saturate, if
+    given, is name_saturation(p), shared across calls on one p."""
+    saturate = saturate or name_saturation(p)
     for subset in subsets(p.base):
         if any(pos.holds(u) for u in subset):
             continue

@@ -10,11 +10,14 @@ import sys
 import pytest
 
 from sigmaloc.cli import (
+    BooleanizeCommand,
     CheckCommand,
+    CongruencesCommand,
     CoverBlock,
     DeriveCommand,
     Document,
     DocumentError,
+    EnvelopeCommand,
     LatticeBlock,
     ParseError,
     build_cover,
@@ -180,6 +183,61 @@ def test_pretty_print_round_trips_or_refuses_random_derives():
         except ValueError:
             continue
         assert parse(text) == doc, text
+
+
+def test_pretty_print_refuses_empty_blocks():
+    for block, message in ((LatticeBlock("L", (), (), None),
+                            "lattice L: elements list is empty"),
+                           (CoverBlock("C", (), "t", (), (), None),
+                            "cover C: base list is empty")):
+        with pytest.raises(ValueError, match=message):
+            pretty_print(Document((block,)))
+
+
+def random_item(rng, pool):
+    """A block or command over words from pool; blocks may be empty."""
+    def words(low, high):
+        return tuple(rng.choice(pool) for _ in range(rng.randint(low, high)))
+
+    kind = rng.randrange(7)
+    if kind == 0:
+        return LatticeBlock(
+            rng.choice(pool), words(0, 3),
+            tuple((rng.choice(pool), rng.choice(pool))
+                  for _ in range(rng.randint(0, 2))),
+            rng.choice((None, words(0, 2))))
+    if kind == 1:
+        return CoverBlock(
+            rng.choice(pool), words(0, 3), rng.choice(pool),
+            tuple(words(3, 3) for _ in range(rng.randint(0, 2))),
+            tuple((rng.choice(pool), words(0, 2))
+                  for _ in range(rng.randint(0, 2))),
+            rng.choice((None, words(0, 2))))
+    if kind == 2:
+        return CheckCommand(rng.choice(pool), rng.choice(
+            ("overt", "overlap", "formalcover", "lattice")))
+    if kind == 3:
+        return DeriveCommand(rng.choice(pool), rng.choice(pool),
+                             words(0, 4), rng.choice((None, 0, 7, 120)))
+    cls = (BooleanizeCommand, CongruencesCommand, EnvelopeCommand)[kind - 4]
+    return cls(rng.choice(pool))
+
+
+def test_pretty_print_round_trips_or_refuses_random_documents():
+    rng = random.Random(5)
+    pool = ["t", "x", "budget", "0", "7", "check", "derive", "cover",
+            "lattice", "elements", "base", "top", "pos", "axiom"]
+    refused = 0
+    for _ in range(1500):
+        doc = Document(tuple(random_item(rng, pool)
+                             for _ in range(rng.randint(1, 4))))
+        try:
+            text = pretty_print(doc)
+        except ValueError:
+            refused += 1
+            continue
+        assert parse(text) == doc, text
+    assert 0 < refused < 1500
 
 
 def mutations(rng, count):

@@ -6,10 +6,15 @@ CoverPresentation.closure; each is compared with its name-based
 oracle from oracles.py on corpus envelopes, discrete covers and seeded
 random axiom sets, under several seeded positivities each.  The index
 meet table of CoverPresentation.finite is compared with the name-pair
-validation on seeded, mutated meet tables.
+validation on seeded, mutated meet tables.  The chaining table, which
+leaves out self-headed and subsumed axioms, is compared with the
+oracle's saturation over the full compiled list, on random axiom sets
+rich in both; the closed-set kernel (NextClosure frames, the greedy
+overt check and the closed-set overlap test) gets a time bound.
 """
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -18,6 +23,7 @@ from sigmaloc import (
     CoverError,
     CoverPresentation,
     Positivity,
+    boolean_lattice,
     chain_lattice,
     check_formal_cover_axioms,
     check_overt_cover,
@@ -28,8 +34,11 @@ from sigmaloc import (
     saturate,
 )
 
+from sigmaloc.reports import failed
+
 from corpus import corpus
 from oracles import (
+    compiled_by_name,
     cover_laws_sweep,
     frame_sweep,
     name_pair_meet,
@@ -217,3 +226,136 @@ def test_meet_validation_matches_the_name_pair_oracle():
                 expected
             seen.add("valid")
     assert seen == {"valid", "KeyError"} | set(FAULTS)
+
+
+def redundant_cover(lattice, rng):
+    """random_cover's axioms plus, for some of them, an axiom whose head
+    is in its own cover, a superset cover of the same head, and an
+    empty cover of a random element."""
+    base = list(lattice.elements)
+    axioms = []
+    for _ in range(rng.randint(1, 6)):
+        size = rng.randint(0, min(3, len(base)))
+        head, cover = rng.choice(base), tuple(rng.sample(base, size))
+        axioms.append((head, cover))
+        extra = [x for x in base if x not in cover]
+        if extra and rng.random() < 0.7:
+            axioms.append((head, cover + (rng.choice(extra),)))
+        if rng.random() < 0.5:
+            axioms.append((head, (head,) + tuple(rng.sample(base, 1))))
+    if rng.random() < 0.5:
+        axioms.append((rng.choice(base), ()))
+    return CoverPresentation.finite(base, lattice.meet, lattice.top, axioms)
+
+
+REDUNDANT = [("redundant-%s-%d" % (name, seed),
+              redundant_cover(lattice, random.Random("red-%s-%d"
+                                                     % (name, seed))))
+             for name, lattice in CORPUS for seed in range(3)]
+
+
+def chaining_table(p):
+    """The chaining table's axioms as (head, cover mask) pairs."""
+    covers = {}
+    for c, watched in enumerate(p._watchers):
+        for k in watched:
+            covers[k] = covers.get(k, 0) | 1 << c
+    return [(head, covers.get(k, 0)) for k, head in enumerate(p._heads)]
+
+
+def test_chaining_table_has_no_self_headed_or_subsumed_axiom():
+    dropped = 0
+    for name, p in REDUNDANT + [(name, p) for name, p, _ in CASES]:
+        table = chaining_table(p)
+        assert len(table) == len(p._needs), name
+        for k, (head, cover) in enumerate(table):
+            assert p._needs[k] == bin(cover).count("1"), name
+            assert not cover >> head & 1, name
+            assert not any(h == head and c != cover and not c & ~cover
+                           for h, c in table), name
+        assert p._nullary == sum({1 << head for head, cover in table
+                                  if not cover}), name
+        # derive still searches the full compiled list
+        full = compiled_by_name(p)
+        assert sum(map(len, p._by_head.values())) == len(full), name
+        dropped += len(full) - len(table)
+    assert dropped > 0
+
+
+def test_reduced_chaining_table_keeps_the_least_fixpoint():
+    # saturation, the frame and the laws against the oracles, which
+    # chain over the full compiled list
+    for name, p in REDUNDANT:
+        oracle = name_saturation(p)
+        for subset in subsets(p.base):
+            assert saturate(p, subset) == oracle(subset), (name, subset)
+        fast = frame_of_presentation(p)
+        slow = frame_sweep(p)
+        assert fast.elements == slow.elements, name
+        assert fast.down == slow.down, name
+        assert check_formal_cover_axioms(p) == cover_laws_sweep(p), name
+
+
+def overt_in_base_order(p, pos, saturate):
+    """overt_cover_sweep with its splitting element replaced by the
+    first positive covered one in base order."""
+    report = overt_cover_sweep(p, pos, saturate)
+    if report.detail != "cover splitting fails":
+        return report
+    subset = report.witnesses[1]
+    covered = saturate(subset)
+    a = next(x for x in p.base if x in covered and pos.holds(x))
+    return failed(report.detail, (a, subset))
+
+
+def test_overt_cover_matches_the_sweep_on_every_positivity():
+    instances = [("envelope-" + name, envelope_cover(lattice)[0])
+                 for name, lattice in CORPUS]
+    instances += [("discrete%d" % k,
+                   discrete_cover(["v%d" % i for i in range(k)])[0])
+                  for k in range(1, 4)]
+    verdicts = set()
+    for name, p in instances:
+        saturate = name_saturation(p)
+        for subset in subsets(p.base):
+            pos = Positivity.of(subset)
+            fast = check_overt_cover(p, pos)
+            assert fast == overt_in_base_order(p, pos, saturate), (
+                name, subset)
+            verdicts.add(fast.detail)
+    assert verdicts == {"overt cover laws hold", "cover splitting fails",
+                        "positivity axiom fails"}
+
+
+def test_overlap_cover_names_the_sweep_witness_on_failing_covers():
+    # CASES are compared by test_overlap_cover_matches_the_name_sweep;
+    # on a finite base the only overt positivity is the first of
+    # positivities(), the complement of the closure of the empty set
+    chain, _embedding = envelope_cover(chain_lattice(2))
+    instances = [("c07-chain", chain, Positivity.of(["a", "1"]))]
+    for name, p in REDUNDANT:
+        instances.extend((name, p, pos)
+                         for pos in positivities(p, random.Random(name)))
+    failures = 0
+    for name, p, pos in instances:
+        expected = overlap_cover_sweep(p, pos)
+        if expected is None:
+            with pytest.raises(CoverError):
+                is_overlap_cover(p, pos)
+            continue
+        assert is_overlap_cover(p, pos) == expected, name
+        failures += not expected[0]
+    assert is_overlap_cover(chain, Positivity.of(["a", "1"])) == (
+        False, ("1", ("a",)))
+    assert failures >= 20
+
+
+def test_closed_set_kernel_time_bound():
+    t0 = time.monotonic()
+    bool4 = boolean_lattice(4)
+    p, _embedding = envelope_cover(bool4)
+    assert len(frame_of_presentation(p, max_base=16)) == 16
+    assert is_overlap_cover(p, Positivity.nonzero(bool4)) == (True, None)
+    p, _embedding = envelope_cover(chain_lattice(14))
+    assert len(frame_of_presentation(p)) == 15
+    assert time.monotonic() - t0 < 5.0

@@ -16,6 +16,7 @@ from sigmaloc import (
     boolean_lattice,
     cantor_cover,
     chain_lattice,
+    discrete_cover,
     check_compactness,
     check_formal_cover_axioms,
     check_sigma_coherent,
@@ -192,6 +193,12 @@ class _FakeFinite:
 
     def __init__(self, base):
         self.base = base
+
+
+def test_uppers_of_outside_a_finite_base_is_a_cover_error():
+    p, _pos = discrete_cover(["a", "b"])
+    with pytest.raises(CoverError, match="not a base element: 'zz'"):
+        p.uppers_of("zz")
 
 
 def test_frame_cap_fires_before_any_sweep():
