@@ -861,7 +861,8 @@ def main(argv=None):
     parser.add_argument("--budget", type=int, default=1000,
                         help="default probe budget for derive commands")
     parser.add_argument("--max-base", type=int, default=15,
-                        help="largest base size for envelope frames")
+                        help="largest base size for envelope frames and for "
+                             "overt and overlap cover checks")
     args = parser.parse_args(argv)
     if args.budget < 0:
         parser.error("argument --budget: must be a natural number, got %d"

@@ -1,12 +1,13 @@
 """Formal covers: presentations, saturation, derivation search, frames.
 
 A cover presentation is a meet-semilattice base together with axioms
-``head <| cover``.  Finite presentations are compiled to a Horn system
-whose least-fixpoint saturation realizes the generated cover relation;
-the compilation adjoins the top law (a <| {top}), meet-below axioms
-(a∧b <| {a}) and meet-stable copies of the raw axioms, which is enough
-for the saturation to satisfy reflexivity, transitivity, meet-left and
-stability (check_formal_cover_axioms re-verifies at run time).
+``head <| cover``.  A finite presentation is compiled to one rule
+table: meet-below (a∧b <| {a}, the top law among them) and each raw
+axiom localized below its head, reduced per head to the covers that
+contain no other.  Forward chaining on it realizes the generated cover
+relation, and derive searches it; the saturation satisfies
+reflexivity, transitivity, meet-left and stability
+(check_formal_cover_axioms re-verifies at run time).
 Subsets of a finite base are int bitmasks over base indices, and
 CoverPresentation.closure is the one saturation: saturate, the frame,
 the cover laws and the overt and overlap cover checks all read it.
@@ -192,53 +193,48 @@ class CoverPresentation:
         return self._uppers_cache[a]
 
     def _compile(self):
-        """Index tables for saturation and derive, built once.
+        """The rule table, built once: per head, cover bitmasks.
 
-        The compiled axioms are the raw axioms plus the top law
-        (a <| {top}), meet-below (a∧b <| {a}) and meet-stable copies
-        (a∧b <| {c∧b : c in U} for each raw a <| U), deduplicated and
-        ordered by (head index, cover length, cover indices).
-        Saturating them by plain forward chaining yields the full
-        generated cover.  Subsets of the base are int bitmasks, bit i
-        standing for base[i].
-
-        derive searches every compiled axiom (_by_head).  The chaining
-        tables skip two kinds, neither of which can change the least
-        fixpoint: an axiom whose head is in its own cover, and one whose
-        cover strictly contains another cover of the same head.  Each
-        head's covers come by size, so no kept cover is dropped later.
+        Subsets of the base are int bitmasks, bit i standing for base[i].
+        The rules are meet-below (y <| {a} for y <= a, the top law among
+        them) and, for each raw axiom a <| U, its localized copy
+        y <| {c∧y : c in U} for y <= a only: the copy at any other b
+        follows from the one at a∧b and meet-below, and the raw axiom
+        from the one at a (Coquand, Sambin, Smith and Valentini,
+        "Inductively generated formal topologies", 2003).  Each head
+        keeps, by (size, indices), only the covers that leave out the
+        head and contain no kept cover, so the least fixpoint does not
+        change.  _rules[h] lists them for head index h; derive searches
+        it, and forward chaining reads it as _heads, _needs, _watchers
+        and _nullary.
         """
-        base, idx, meet = self.base, self._base_index, self._meet_index
-        n = len(base)
-        out = {(a, (idx[self.top],)) for a in range(n)}
-        out.update((meet[a][b], (a,)) for a in range(n) for b in range(n))
+        idx, meet, n = self._base_index, self._meet_index, len(self.base)
+        below = [[y for y in range(n) if meet[a][y] == y] for a in range(n)]
+        covers = [{1 << a for a in range(n) if meet[a][y] == y}
+                  for y in range(n)]
         for head, cover in self.axioms:
-            h, c = idx[head], [idx[x] for x in cover]
-            out.add((h, tuple(c)))
-            for b in range(n):
-                out.add((meet[h][b], tuple(sorted({meet[x][b] for x in c}))))
-        compiled = sorted(out, key=lambda ax: (ax[0], len(ax[1]), ax[1]))
+            for y in below[idx[head]]:
+                covers[y].add(sum({1 << meet[idx[c]][y] for c in cover}))
 
-        self._by_head = {}
-        for head, cover in compiled:
-            self._by_head.setdefault(base[head], []).append(
-                tuple(base[c] for c in cover))
+        def order(bits):
+            members = [i for i in range(n) if bits >> i & 1]
+            return len(members), members
+
+        self._rules = [[] for _ in range(n)]
         heads, needs, watchers = [], [], [[] for _ in range(n)]
-        kept = [[] for _ in range(n)]
         self._nullary = 0
-        for head, cover in compiled:
-            bits = 0
-            for c in cover:
-                bits |= 1 << c
-            if bits >> head & 1 or any(not k & ~bits for k in kept[head]):
-                continue
-            kept[head].append(bits)
-            if not cover:
-                self._nullary |= 1 << head
-            for c in cover:
-                watchers[c].append(len(heads))
-            heads.append(head)
-            needs.append(len(cover))
+        for h, kept in enumerate(self._rules):
+            for bits in sorted(covers[h], key=order):
+                if bits >> h & 1 or any(not k & ~bits for k in kept):
+                    continue
+                kept.append(bits)
+                members = order(bits)[1]
+                if not members:
+                    self._nullary |= 1 << h
+                for c in members:
+                    watchers[c].append(len(heads))
+                heads.append(h)
+                needs.append(len(members))
         self._heads = heads
         self._needs = needs
         self._watchers = watchers
@@ -393,7 +389,9 @@ class _Search:
         return tuple(children)
 
     def prove_finite(self, x, depth, path):
-        for cover in self.p._by_head.get(x, ()):
+        p = self.p
+        for bits in p._rules[p._base_index[x]]:
+            cover = p.members(bits)
             children = self.prove_all(cover, depth - 1, path)
             if children is not None:
                 return self.done(x, ("axiom", x, cover, children))
@@ -513,26 +511,19 @@ def envelope_cover(lattice):
     """The cover presenting a finite lattice's frame envelope.
 
     Base is the lattice itself; one axiom bottom <| {} plus a <| {b,c}
-    for every a below b join c.  Returns the presentation together with
+    for every a below b join c, each unordered pair b, c once, so no
+    axiom repeats.  Returns the presentation together with
     the embedding a -> saturate({a}).
     """
-    base = list(lattice.elements)
+    base, n = lattice.elements, len(lattice)
+    join, down = lattice.join_table, lattice.down
     axioms = [(lattice.bottom, ())]
-    for i, b in enumerate(base):
-        for c in base[i:]:
-            w = lattice.join(b, c)
-            cover = (b,) if b == c else (b, c)
-            for a in base:
-                if lattice.leq(a, w):
-                    axioms.append((a, cover))
-    seen = set()
-    deduped = []
-    for head, cover in axioms:
-        key = (head, frozenset(cover))
-        if key not in seen:
-            seen.add(key)
-            deduped.append((head, cover))
-    p = CoverPresentation.finite(base, lattice.meet, lattice.top, deduped)
+    for i in range(n):
+        for j in range(i, n):
+            cover = (base[i],) if i == j else (base[i], base[j])
+            axioms.extend((base[a], cover) for a in range(n)
+                          if down[join[i][j]] >> a & 1)
+    p = CoverPresentation.finite(base, lattice.meet, lattice.top, axioms)
     embedding = {a: saturate(p, (a,)) for a in base}
     return p, embedding
 

@@ -24,6 +24,7 @@ from .enumeration import (
     ext_equal_finite,
     union_countable,
 )
+from .reports import failed, passed
 from .semidecision import SemiDecision, from_boolean
 
 
@@ -294,8 +295,6 @@ def check_sigma_hom(hom):
     CheckReport whose witnesses name the first failure in element
     order.
     """
-    from .reports import failed, passed
-
     src, tgt, f = hom.source, hom.target, hom.mapping
     for x in src.elements:
         if x not in f:

@@ -10,8 +10,10 @@ pairs, distributivity as the O(n^3) triple loop and the
 join-irreducibles as a fold of joins.  For covers they are the
 name-based forms of saturation, the frame, the cover laws and the
 overt and overlap cover checks, which pass frozensets and tuples of
-base elements where the kernel passes bitmasks, and the meet-table
-validation on a dict keyed by name pairs.  They are kept here only to
+base elements where the kernel passes bitmasks, the meet-table
+validation on a dict keyed by name pairs, the envelope's axioms built
+through lattice.join and lattice.leq, and derive over the full
+compiled axiom list.  They are kept here only to
 compare the direct computations with, on small instances.
 """
 
@@ -19,8 +21,9 @@ import random
 from collections import namedtuple
 
 from sigmaloc.booleanization import Congruence
-from sigmaloc.formal_cover import CoverError
+from sigmaloc.formal_cover import CoverError, _Search
 from sigmaloc.reports import failed, passed
+from sigmaloc.semidecision import SemiDecision
 from sigmaloc.sigma_frame import (
     LatticeError,
     MissingMeetOrJoin,
@@ -290,7 +293,10 @@ def upward_closed_sets(lattice):
 
 
 def compiled_by_name(p):
-    """The compiled axioms of a finite cover, built from its names."""
+    """The full compiled axiom list of a finite cover, built from its
+    names: the raw axioms, the top law, meet-below and every raw axiom
+    localized at every base element, by (head, cover size, cover).  The
+    kernel's rule table is a reduced form with the same least fixpoint."""
     idx = {x: i for i, x in enumerate(p.base)}
 
     def norm(cover):
@@ -304,6 +310,46 @@ def compiled_by_name(p):
             out.add((p.meet(head, b), norm(p.meet(c, b) for c in cover)))
     return sorted(out, key=lambda ax: (idx[ax[0]], len(ax[1]),
                                        [idx[c] for c in ax[1]]))
+
+
+class _FullListSearch(_Search):
+    """_Search whose axiom step tries every compiled axiom of x, in the
+    order of compiled_by_name."""
+
+    def __init__(self, p, u, effort, by_head):
+        super().__init__(p, u, effort)
+        self.by_head = by_head
+
+    def prove_finite(self, x, depth, path):
+        for cover in self.by_head.get(x, ()):
+            children = self.prove_all(cover, depth - 1, path)
+            if children is not None:
+                return self.done(x, ("axiom", x, cover, children))
+        return None
+
+
+def full_list_derive(p):
+    """derive on a finite cover, searching compiled_by_name grouped by
+    head; returns derive(a, u) for a normalized cover tuple u."""
+    by_head = {}
+    for head, cover in compiled_by_name(p):
+        by_head.setdefault(head, []).append(cover)
+
+    def derive(a, u):
+        results = {}
+
+        def stage(k):
+            effort = 1 << k.bit_length()
+            if effort not in results:
+                search = _FullListSearch(p, u, effort, by_head)
+                outcome, complete = search.run(a)
+                results[effort] = (True if outcome is not None
+                                   else None if complete else False)
+            return results[effort]
+
+        return SemiDecision(stage)
+
+    return derive
 
 
 def name_saturation(p):
@@ -338,6 +384,28 @@ def name_saturation(p):
         return cache[key]
 
     return saturate
+
+
+def envelope_axioms_by_name(lattice):
+    """envelope_cover's raw axioms through lattice.join and lattice.leq,
+    with repeated (head, cover set) pairs dropped."""
+    base = list(lattice.elements)
+    axioms = [(lattice.bottom, ())]
+    for i, b in enumerate(base):
+        for c in base[i:]:
+            w = lattice.join(b, c)
+            cover = (b,) if b == c else (b, c)
+            for a in base:
+                if lattice.leq(a, w):
+                    axioms.append((a, cover))
+    seen = set()
+    deduped = []
+    for head, cover in axioms:
+        key = (head, frozenset(cover))
+        if key not in seen:
+            seen.add(key)
+            deduped.append((head, cover))
+    return deduped
 
 
 def frame_sweep(p):

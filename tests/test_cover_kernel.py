@@ -6,11 +6,14 @@ CoverPresentation.closure; each is compared with its name-based
 oracle from oracles.py on corpus envelopes, discrete covers and seeded
 random axiom sets, under several seeded positivities each.  The index
 meet table of CoverPresentation.finite is compared with the name-pair
-validation on seeded, mutated meet tables.  The chaining table, which
-leaves out self-headed and subsumed axioms, is compared with the
-oracle's saturation over the full compiled list, on random axiom sets
-rich in both; the closed-set kernel (NextClosure frames, the greedy
-overt check and the closed-set overlap test) gets a time bound.
+validation on seeded, mutated meet tables.  The rule table, which
+keeps meet-below and axioms localized below their heads, less
+self-headed and subsumed covers, is compared with the oracle's
+saturation over the full compiled list, on random axiom sets rich in
+both, and derive on it with derive over the full list.  The
+envelope's axioms are compared with their name-based construction,
+and the closed-set kernel (NextClosure frames, the greedy overt check
+and the closed-set overlap test) gets a time bound.
 """
 
 import random
@@ -27,20 +30,26 @@ from sigmaloc import (
     chain_lattice,
     check_formal_cover_axioms,
     check_overt_cover,
+    derive,
+    derive_with_trace,
     discrete_cover,
     envelope_cover,
     frame_of_presentation,
     is_overlap_cover,
     saturate,
+    validate_lattice,
 )
 
 from sigmaloc.reports import failed
+from sigmaloc.semidecision import Confirmed
 
 from corpus import corpus
 from oracles import (
     compiled_by_name,
     cover_laws_sweep,
+    envelope_axioms_by_name,
     frame_sweep,
+    full_list_derive,
     name_pair_meet,
     name_saturation,
     overlap_cover_sweep,
@@ -50,6 +59,10 @@ from oracles import (
 )
 
 CORPUS = corpus()
+# The derive probe budget.  No question of the derive comparison
+# confirms later than step 2 (budget 64 gives the same answers), so 4
+# also compares one deeper effort bucket.
+BUDGET = 4
 
 
 def random_cover(lattice, rng):
@@ -275,10 +288,17 @@ def test_chaining_table_has_no_self_headed_or_subsumed_axiom():
                            for h, c in table), name
         assert p._nullary == sum({1 << head for head, cover in table
                                   if not cover}), name
-        # derive still searches the full compiled list
-        full = compiled_by_name(p)
-        assert sum(map(len, p._by_head.values())) == len(full), name
-        dropped += len(full) - len(table)
+        # each rule is meet-below (one member, above its head) or a copy
+        # localized below its head
+        meet = p._meet_index
+        for head, cover in table:
+            members = [c for c in range(len(p.base)) if cover >> c & 1]
+            assert (len(members) == 1 and meet[head][members[0]] == head
+                    or all(meet[c][head] == c for c in members)), name
+        # derive searches exactly these covers, head by head, in order
+        assert [(head, cover) for head, covers in enumerate(p._rules)
+                for cover in covers] == table, name
+        dropped += len(compiled_by_name(p)) - len(table)
     assert dropped > 0
 
 
@@ -294,6 +314,69 @@ def test_reduced_chaining_table_keeps_the_least_fixpoint():
         assert fast.elements == slow.elements, name
         assert fast.down == slow.down, name
         assert check_formal_cover_axioms(p) == cover_laws_sweep(p), name
+
+
+def shuffled(lattice, rng):
+    """The lattice on a shuffled element order."""
+    elements = list(lattice.elements)
+    rng.shuffle(elements)
+    return validate_lattice(elements, lattice.leq)
+
+
+def valid_proof(p, u, trace, saturate):
+    """Is the derive trace a proof of its element from u?  refl and
+    below are checked against u, and each axiom step's head must be in
+    the oracle saturation of its cover."""
+    kind, x = trace[0], trace[1]
+    if kind == "refl":
+        return x in u
+    if kind == "below":
+        return trace[2] in u and p.meet(x, trace[2]) == x
+    cover, children = trace[2], trace[3]
+    return (kind == "axiom" and x in saturate(cover)
+            and len(children) == len(cover)
+            and all(child[1] == c and valid_proof(p, u, child, saturate)
+                    for c, child in zip(cover, children)))
+
+
+def test_derive_matches_the_full_list_search():
+    # every (a, U) with |U| <= 2; the rule table may name a localized
+    # cover where the full list names the raw one, so traces are checked
+    # for validity, not compared
+    instances = []
+    for name, lattice in CORPUS:
+        rng = random.Random("order-" + name)
+        instances.append(("envelope-" + name, envelope_cover(lattice)[0]))
+        instances.extend(("envelope-%s-shuffled%d" % (name, k),
+                          envelope_cover(shuffled(lattice, rng))[0])
+                         for k in range(2))
+    instances += REDUNDANT
+    instances += [("discrete%d" % k,
+                   discrete_cover(["v%d" % i for i in range(k)])[0])
+                  for k in range(1, 4)]
+    outcomes = set()
+    for name, p in instances:
+        oracle = full_list_derive(p)
+        saturate = name_saturation(p)
+        for size in range(3):
+            for u in combinations(p.base, size):
+                for a in p.base:
+                    got = derive(p, a, u).probe(BUDGET)
+                    assert got == oracle(a, u).probe(BUDGET), (name, a, u)
+                    outcomes.add(isinstance(got, Confirmed))
+                    if isinstance(got, Confirmed):
+                        trace = derive_with_trace(p, a, u, got.at_step)
+                        assert valid_proof(p, u, trace, saturate), (
+                            name, a, u)
+    assert outcomes == {True, False}
+
+
+def test_envelope_axioms_match_the_name_construction():
+    lattices = CORPUS + [("bool5", boolean_lattice(5)),
+                         ("chain31", chain_lattice(30))]
+    for name, lattice in lattices:
+        p, _embedding = envelope_cover(lattice)
+        assert list(p.axioms) == envelope_axioms_by_name(lattice), name
 
 
 def overt_in_base_order(p, pos, saturate):
@@ -358,4 +441,6 @@ def test_closed_set_kernel_time_bound():
     assert is_overlap_cover(p, Positivity.nonzero(bool4)) == (True, None)
     p, _embedding = envelope_cover(chain_lattice(14))
     assert len(frame_of_presentation(p)) == 15
+    p, _embedding = envelope_cover(boolean_lattice(5))
+    assert check_formal_cover_axioms(p)
     assert time.monotonic() - t0 < 5.0
