@@ -242,10 +242,18 @@ def member_semidecide(x, e, eq):
 
     Stage k decodes to (n, b): index n is probed for equality with x
     inside budget b, so every (index, equality budget) pair is
-    eventually tried.
+    eventually tried.  When e's bound and eq's max_confirm_budget are
+    both known, every pair that could confirm has been tried by stage
+    pair_encode(bound, max_confirm_budget), and the stages past it
+    refute.
     """
+    last = None
+    if e.bound is not None and eq.max_confirm_budget is not None:
+        last = pair_encode(e.bound, eq.max_confirm_budget)
 
     def stage(k):
+        if last is not None and k > last:
+            return None
         n, b = pair_decode(k)
         v = e.alpha(n)
         if v is BLANK:

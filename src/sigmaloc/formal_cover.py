@@ -201,7 +201,9 @@ class CoverPresentation:
         y <| {c∧y : c in U} for y <= a only: the copy at any other b
         follows from the one at a∧b and meet-below, and the raw axiom
         from the one at a (Coquand, Sambin, Smith and Valentini,
-        "Inductively generated formal topologies", 2003).  Each head
+        "Inductively generated formal topologies", 2003).  Only the y
+        below a and below no member of U are visited: at any other y
+        the copy contains y itself and would be dropped.  Each head
         keeps, by (size, indices), only the covers that leave out the
         head and contain no kept cover, so the least fixpoint does not
         change.  _rules[h] lists them for head index h; derive searches
@@ -209,11 +211,17 @@ class CoverPresentation:
         and _nullary.
         """
         idx, meet, n = self._base_index, self._meet_index, len(self.base)
-        below = [[y for y in range(n) if meet[a][y] == y] for a in range(n)]
-        covers = [{1 << a for a in range(n) if meet[a][y] == y}
+        below = [sum(1 << y for y in range(n) if meet[a][y] == y)
+                 for a in range(n)]
+        covers = [{1 << a for a in range(n) if below[a] >> y & 1}
                   for y in range(n)]
         for head, cover in self.axioms:
-            for y in below[idx[head]]:
+            ys = below[idx[head]]
+            for c in cover:
+                ys &= ~below[idx[c]]
+            while ys:
+                y = (ys & -ys).bit_length() - 1
+                ys ^= 1 << y
                 covers[y].add(sum({1 << meet[idx[c]][y] for c in cover}))
 
         def order(bits):
@@ -312,33 +320,66 @@ def saturate(p, members):
     return frozenset(p.members(p.closure(p.mask(members))))
 
 
-def _cover_prefix(cover, horizon):
-    """Members of a cover visible within the horizon.
+class _CoverPrefixes:
+    """The members of covers visible within a horizon, for one derive.
 
-    Returns (members, complete): tuples are always complete; an
-    Enumeration is scanned up to max(horizon, bound) when bounded, and
-    is complete only then.
+    Called as (cover, horizon), it returns (members, complete): a tuple
+    is always complete; for an Enumeration the members are its distinct
+    values at indices up to min(horizon, bound), in first-occurrence
+    order, complete only when the bound is known and within the
+    horizon.  Each Enumeration is listed once, by a _Listing extended
+    when a later effort bucket looks further, so the nodes and buckets
+    of one derive share it.
     """
-    if isinstance(cover, Enumeration):
-        if cover.bound is not None and cover.bound <= horizon:
-            return tuple(cover.elements()), True
-        members = []
-        for n in range(horizon + 1):
-            v = cover.alpha(n)
-            if v is not BLANK and v not in members:
-                members.append(v)
-        return tuple(members), False
-    return tuple(cover), True
+
+    def __init__(self):
+        self._listings = {}
+
+    def __call__(self, cover, horizon):
+        if not isinstance(cover, Enumeration):
+            return tuple(cover), True
+        complete = cover.bound is not None and cover.bound <= horizon
+        listing = self._listings.get(id(cover))
+        if listing is None:
+            listing = self._listings[id(cover)] = _Listing(cover)
+        return listing.upto(cover.bound if complete else horizon), complete
+
+
+class _Listing:
+    """An Enumeration's distinct values in first-occurrence order,
+    deduplicated with a set."""
+
+    def __init__(self, cover):
+        self.cover = cover
+        self.last = -1
+        self.seen = set()
+        self.members = ()
+
+    def upto(self, last):
+        """The distinct values at indices 0..last, extending the listing
+        to there.  last never shrinks: a derive runs its effort buckets
+        in increasing order, each with a fresh search."""
+        if last > self.last:
+            fresh = []
+            for n in range(self.last + 1, last + 1):
+                v = self.cover.alpha(n)
+                if v is not BLANK and v not in self.seen:
+                    self.seen.add(v)
+                    fresh.append(v)
+            self.members += tuple(fresh)
+            self.last = last
+        return self.members
 
 
 class _Search:
     """One depth/node-bounded proof search at a fixed effort."""
 
-    def __init__(self, p, u, effort, build_trace=False):
+    def __init__(self, p, u, effort, prefixes, build_trace=False):
         self.p = p
         self.u = u
         self.horizon = effort
-        self.members, self.members_complete = _cover_prefix(u, effort)
+        self.prefixes = prefixes
+        self.members, self.members_complete = prefixes(u, effort)
         self.depth_limit = max(effort.bit_length() - 1, 0)
         self.nodes = 64 * effort
         self.cutoff = False
@@ -401,7 +442,7 @@ class _Search:
         for cover in self.p.axioms_of(x):
             if cover is self.u:
                 return self.done(x, ("axiom-in-cover", x))
-            members, complete = _cover_prefix(cover, self.horizon)
+            members, complete = self.prefixes(cover, self.horizon)
             if not complete:
                 self.cutoff = True
                 continue
@@ -416,7 +457,7 @@ class _Search:
             if child is not None:
                 return self.done(x, ("up", x, v, child))
             for cover in self.p.axioms_of(v):
-                members, complete = _cover_prefix(cover, self.horizon)
+                members, complete = self.prefixes(cover, self.horizon)
                 if not complete:
                     self.cutoff = True
                     continue
@@ -452,29 +493,31 @@ def _normalize_cover_argument(p, u):
 def derive(p, a, u):
     """Semi-decide whether the cover axioms force a <| u.
 
-    Stage k runs (memoized) a bounded search at effort 2^ceil(log2(k+1)):
-    depth = the exponent, node budget = 64 * effort, enumeration
-    horizon = effort.  On finite presentations a failed search without
-    any cutoff is definitive: its stage returns None, so the probe
-    stops there and answers Unknown for every budget without
-    re-searching.
+    Stage k runs a bounded search at effort 2^ceil(log2(k+1)): depth =
+    the exponent, node budget = 64 * effort, enumeration horizon =
+    effort.  The stage is constant on each effort bucket, so a probe
+    runs one search per bucket, at most budget.bit_length() + 1 in
+    all, and confirms at the first step of its bucket.  The searches of one derive share
+    the prefixes of Enumeration covers, each extended as the horizon
+    grows; a search on an unbounded cover still lists effort values of
+    it, so its cost is linear in the horizon.  On finite presentations
+    a failed search without any cutoff is definitive: its stage returns
+    None, so the probe stops there and answers Unknown for every budget
+    without re-searching.
     """
     if p.kind == "finite" and a not in p._base_index:
         raise CoverError("not a base element: %r" % (a,))
     if p.kind == "countable" and not p.contains(a):
         raise CoverError("not a base element: %r" % (a,))
     u = _normalize_cover_argument(p, u)
-    results = {}
+    prefixes = _CoverPrefixes()
 
     def stage(k):
-        effort = 1 << k.bit_length()
-        if effort not in results:
-            outcome, complete = _Search(p, u, effort).run(a)
-            results[effort] = (True if outcome is not None
-                               else None if complete else False)
-        return results[effort]
+        outcome, complete = _Search(p, u, 1 << k.bit_length(),
+                                    prefixes).run(a)
+        return True if outcome is not None else None if complete else False
 
-    return SemiDecision(stage)
+    return SemiDecision(stage, lambda k: 1 << k.bit_length())
 
 
 def derive_with_trace(p, a, u, at_step):
@@ -486,7 +529,8 @@ def derive_with_trace(p, a, u, at_step):
     """
     u = _normalize_cover_argument(p, u)
     effort = 1 << at_step.bit_length()
-    outcome, _complete = _Search(p, u, effort, build_trace=True).run(a)
+    search = _Search(p, u, effort, _CoverPrefixes(), build_trace=True)
+    outcome, _complete = search.run(a)
     return outcome
 
 

@@ -2,16 +2,21 @@
 
 A SemiDecision wraps a stage predicate ``stage: int -> bool`` that is
 treated as the run of a search procedure: stage(k) says whether the
-search has succeeded at step k.  Probing with a budget scans stages
-0..budget and reports either Confirmed(at_step) for the earliest stage
-that fires, or Unknown.  Unknown is not a negative answer; a later,
-larger budget may still confirm, unless a stage has returned None:
-that says the search is refuted, no later stage fires, and every later
-probe answers Unknown without calling the stage again.
+search has succeeded at step k.  Probing with a budget reports either
+Confirmed(at_step) for the earliest stage up to the budget that fires,
+or Unknown.  Unknown is not a negative answer; a later, larger budget
+may still confirm, unless a stage has returned None: that says the
+search is refuted, no later stage fires, and every later probe answers
+Unknown without calling the stage again.
 
-Stages are scanned at most once per SemiDecision no matter how many
-times it is probed, so repeated probing with growing budgets costs the
-same as one probe with the largest budget.
+A stage may be constant on runs of steps.  The optional
+``next_step(k)`` names the next step at which the stage can change
+(k + 1 by default); the probe calls the stage only at k and then
+skips to next_step(k), so a stage that is constant on power-of-two
+buckets costs one call per bucket, about log2(budget) in all.  Each
+stage is called at most once per SemiDecision no matter how many times
+it is probed, so repeated probing with growing budgets costs the same
+as one probe with the largest budget.
 """
 
 from dataclasses import dataclass
@@ -35,18 +40,20 @@ UNKNOWN = _Unknown()
 
 
 class SemiDecision:
-    def __init__(self, stage):
+    def __init__(self, stage, next_step=None):
         self._stage = stage
+        self._next_step = next_step or (lambda k: k + 1)
         self._first = None
         self._scanned = -1
         self._refuted = False
 
     def probe(self, budget):
-        """Scan stages up to ``budget`` inclusive.
+        """Answer for the stages up to ``budget`` inclusive.
 
         Returns Confirmed(k) for the least k <= budget with stage(k)
-        true, else UNKNOWN.  Once a stage has returned None no stage
-        is called again.
+        true, else UNKNOWN.  _scanned is the last step whose answer is
+        known: the end of the last run of steps the stage was called
+        for.  Once a stage has returned None no stage is called again.
         """
         if budget < 0:
             raise ValueError("budget must be a natural number")
@@ -62,6 +69,7 @@ class SemiDecision:
                 self._scanned = k
                 return Confirmed(k)
             self._refuted = fired is None
+            k = self._next_step(k) - 1
         self._scanned = k
         return UNKNOWN
 

@@ -12,18 +12,24 @@ name-based forms of saturation, the frame, the cover laws and the
 overt and overlap cover checks, which pass frozensets and tuples of
 base elements where the kernel passes bitmasks, the meet-table
 validation on a dict keyed by name pairs, the envelope's axioms built
-through lattice.join and lattice.leq, and derive over the full
-compiled axiom list.  They are kept here only to
-compare the direct computations with, on small instances.
+through lattice.join and lattice.leq, the rule table built from a
+localized copy of every axiom at every element below its head, and
+derive over the full compiled axiom list.  For the countable searches
+they are the probe that calls its stage at every step and the cover
+prefix listed anew, with a list membership test, at every request.
+They are kept here only to compare the direct computations with, on
+small instances.
 """
 
 import random
 from collections import namedtuple
 
 from sigmaloc.booleanization import Congruence
-from sigmaloc.formal_cover import CoverError, _Search
+from sigmaloc.enumeration import BLANK, Enumeration
+from sigmaloc.formal_cover import CoverError, _normalize_cover_argument, \
+    _Search
 from sigmaloc.reports import failed, passed
-from sigmaloc.semidecision import SemiDecision
+from sigmaloc.semidecision import UNKNOWN, Confirmed, SemiDecision
 from sigmaloc.sigma_frame import (
     LatticeError,
     MissingMeetOrJoin,
@@ -317,7 +323,7 @@ class _FullListSearch(_Search):
     order of compiled_by_name."""
 
     def __init__(self, p, u, effort, by_head):
-        super().__init__(p, u, effort)
+        super().__init__(p, u, effort, cover_prefix)
         self.by_head = by_head
 
     def prove_finite(self, x, depth, path):
@@ -489,3 +495,83 @@ def overlap_cover_sweep(p, pos):
                    for b in p.base if pos.holds(p.meet(a, b))):
                 return False, (a, tuple(subset))
     return True, None
+
+
+# The five tables of CoverPresentation._compile, in that order.
+RuleTables = namedtuple("RuleTables", "rules heads needs watchers nullary")
+
+
+def compile_rules(p):
+    """CoverPresentation._compile's tables with every raw axiom localized
+    at every element below its head, the copies that contain their own
+    head dropped only when the covers are reduced."""
+    idx, meet, n = p._base_index, p._meet_index, len(p.base)
+    below = [[y for y in range(n) if meet[a][y] == y] for a in range(n)]
+    covers = [{1 << a for a in range(n) if meet[a][y] == y}
+              for y in range(n)]
+    for head, cover in p.axioms:
+        for y in below[idx[head]]:
+            covers[y].add(sum({1 << meet[idx[c]][y] for c in cover}))
+
+    def order(bits):
+        members = [i for i in range(n) if bits >> i & 1]
+        return len(members), members
+
+    rules = [[] for _ in range(n)]
+    heads, needs, watchers = [], [], [[] for _ in range(n)]
+    nullary = 0
+    for h, kept in enumerate(rules):
+        for bits in sorted(covers[h], key=order):
+            if bits >> h & 1 or any(not k & ~bits for k in kept):
+                continue
+            kept.append(bits)
+            members = order(bits)[1]
+            if not members:
+                nullary |= 1 << h
+            for c in members:
+                watchers[c].append(len(heads))
+            heads.append(h)
+            needs.append(len(members))
+    return RuleTables(rules, heads, needs, watchers, nullary)
+
+
+def linear_probe(stage, budget):
+    """The probe that calls the stage at every step 0..budget: Confirmed
+    at the first that fires, UNKNOWN if none does or one refutes
+    first."""
+    for k in range(budget + 1):
+        fired = stage(k)
+        if fired:
+            return Confirmed(k)
+        if fired is None:
+            break
+    return UNKNOWN
+
+
+def cover_prefix(cover, horizon):
+    """Members of a cover visible within the horizon, listed anew.
+
+    Returns (members, complete): tuples are always complete; an
+    Enumeration is scanned up to max(horizon, bound) when bounded, and
+    is complete only then.
+    """
+    if isinstance(cover, Enumeration):
+        if cover.bound is not None and cover.bound <= horizon:
+            return tuple(cover.elements()), True
+        members = []
+        for n in range(horizon + 1):
+            v = cover.alpha(n)
+            if v is not BLANK and v not in members:
+                members.append(v)
+        return tuple(members), False
+    return tuple(cover), True
+
+
+def relisting_trace(p, a, u, at_step):
+    """derive_with_trace on a search that lists each cover prefix anew
+    with cover_prefix."""
+    u = _normalize_cover_argument(p, u)
+    effort = 1 << at_step.bit_length()
+    outcome, _complete = _Search(p, u, effort, cover_prefix,
+                                 build_trace=True).run(a)
+    return outcome

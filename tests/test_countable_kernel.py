@@ -1,0 +1,275 @@
+"""The countable semi-decisions against the linear oracles they replace.
+
+derive calls its stage once per power-of-two effort bucket, and
+member_semidecide refutes once a bounded, decidable search has tried
+every pair.  Both are compared with linear_probe, which calls the
+stage at every step.  The comparison runs on Cantor slices and proper
+subcovers, on Baire questions, on corpus envelopes and on seeded
+enumerations, over every budget up to 300 and over growing, shrinking
+and repeated probe sequences.  The cover prefixes that the searches of
+one derive share are compared with cover_prefix, which lists each
+prefix anew.  The traces of confirmed derives are compared with the
+traces of a search that reads cover_prefix.
+"""
+
+import os
+import random
+
+from sigmaloc import (
+    BLANK,
+    UNKNOWN,
+    Confirmed,
+    Enumeration,
+    SemiDecidableEquality,
+    baire_cover,
+    cantor_cover,
+    derive,
+    derive_with_trace,
+    envelope_cover,
+    member_semidecide,
+)
+from sigmaloc import formal_cover
+from sigmaloc.cli import CoverBlock, DeriveCommand, build_cover, parse
+from sigmaloc.pairing import pair_encode
+
+from corpus import corpus
+from oracles import cover_prefix, linear_probe, relisting_trace
+
+BUDGETS = range(301)
+EQ = SemiDecidableEquality.from_decidable()
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
+
+
+def words(prefix, depth):
+    return [prefix + format(i, "0%db" % depth) if depth else prefix
+            for i in range(1 << depth)]
+
+
+def derive_instances():
+    """(name, make) pairs; make() builds a fresh derive."""
+    cantor = cantor_cover()
+    out = [("cantor-slice%d" % depth,
+            lambda depth=depth: derive(cantor, "", words("", depth)))
+           for depth in range(1, 7)]
+    rng = random.Random("proper")
+    for depth in (1, 2, 3):
+        for word in ("", "1"):
+            cover = words(word, depth)
+            cover.remove(rng.choice(cover))
+            out.append(("cantor-proper-%r-%d" % (word, depth),
+                        lambda word=word, cover=cover:
+                        derive(cantor, word, cover)))
+    baire = baire_cover()
+    rng = random.Random("baire")
+    for i in range(3):
+        node = tuple(rng.randrange(10) for _ in range(rng.randint(0, 2)))
+        extra = tuple(rng.randrange(10) for _ in range(rng.randint(0, 2)))
+        out.append(("baire-covered%d" % i,
+                    lambda a=node + extra, node=node:
+                    derive(baire, a, baire.axioms_of(node)[0])))
+    for i in range(2):
+        node = (rng.randrange(10),)
+        stranger = ((node[0] + 1 + rng.randrange(9)) % 10, rng.randrange(10))
+        out.append(("baire-stranger%d" % i,
+                    lambda a=stranger, node=node:
+                    derive(baire, a, baire.axioms_of(node)[0])))
+    for name, lattice in corpus():
+        p, _embedding = envelope_cover(lattice)
+        rng = random.Random("envelope-" + name)
+        for i in range(2):
+            a = rng.choice(p.base)
+            u = tuple(rng.sample(p.base, rng.randint(0, min(2, len(p.base)))))
+            out.append(("envelope-%s-%d" % (name, i),
+                        lambda p=p, a=a, u=u: derive(p, a, u)))
+    return out
+
+
+def linear_outcomes(stage, budgets):
+    """linear_probe at every budget.  One scan to the largest budget
+    gives them all: the scan to a smaller budget is its prefix."""
+    top = linear_probe(stage, max(budgets))
+    return {b: top if isinstance(top, Confirmed) and top.at_step <= b
+            else UNKNOWN for b in budgets}
+
+
+def probe_sequences(rng):
+    """Growing, shrinking and seeded repeated budget sequences."""
+    repeated = [rng.choice(BUDGETS) for _ in range(40)]
+    repeated += repeated[::-1]
+    return [list(BUDGETS), list(BUDGETS)[::-1], repeated]
+
+
+# Budgets probed on a fresh derive: every budget to 16, then each
+# effort bucket's first step and its neighbours, to 300.
+FRESH = sorted(set(range(17)) | {300} | {edge + d for edge in (32, 64, 128, 256)
+                                         for d in (-1, 0, 1)})
+
+
+def test_bucketed_probe_matches_the_linear_scan(monkeypatch):
+    runs = []
+
+    class Counted(formal_cover._Search):
+        def run(self, goal):
+            runs.append(self.horizon)
+            return super().run(goal)
+
+    monkeypatch.setattr(formal_cover, "_Search", Counted)
+    outcomes = set()
+    for name, make in derive_instances():
+        expected = linear_outcomes(make()._stage, BUDGETS)
+        outcomes.add(expected[300] is UNKNOWN)
+        for budget in FRESH + [10 ** 4]:
+            del runs[:]
+            got = make().probe(budget)
+            assert got == expected.get(budget, got), (name, budget)
+            assert len(runs) <= budget.bit_length() + 1, (name, budget)
+        for sequence in probe_sequences(random.Random(name)):
+            sd = make()
+            del runs[:]
+            for budget in sequence:
+                assert sd.probe(budget) == expected[budget], (name, budget)
+            # one search per bucket however the budgets come
+            assert len(runs) == len(set(runs)), name
+            assert len(runs) <= max(sequence).bit_length() + 1, name
+    assert outcomes == {True, False}
+
+
+def seeded_enumeration(rng):
+    """Values from a small range with repeats and BLANKs; bounded
+    (blank past the bound, or repeating the listed values) or
+    unbounded."""
+    size = rng.randint(0, 30)
+    items = [BLANK if rng.random() < 0.3 else rng.randrange(12)
+             for _ in range(size)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Enumeration.from_iterable(items)
+    if kind == 1 and items:
+        return Enumeration(lambda n: items[n % len(items)],
+                           bound=len(items) - 1)
+    stride, offset = rng.randrange(1, 12), rng.randrange(12)
+    return Enumeration(lambda n: BLANK if (n * stride + offset) % 4 == 0
+                       else (n * stride + offset) % 16)
+
+
+def test_cover_prefixes_match_the_relisting():
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(200):
+        e = seeded_enumeration(rng)
+        kinds.add(e.bound is None)
+        horizons = sorted(rng.randrange(60) for _ in range(8))
+        prefixes = formal_cover._CoverPrefixes()
+        for horizon in horizons:
+            assert prefixes(e, horizon) == cover_prefix(e, horizon), horizon
+    assert kinds == {True, False}
+    prefixes = formal_cover._CoverPrefixes()
+    assert prefixes(("a", "b"), 3) == cover_prefix(("a", "b"), 3)
+
+
+def test_a_derive_lists_each_cover_value_once():
+    calls = []
+
+    def alpha(n):
+        calls.append(n)
+        return n % 5
+
+    u = Enumeration(alpha)
+    prefixes = formal_cover._CoverPrefixes()
+    for horizon in (1, 2, 4, 8, 8, 16):
+        prefixes(u, horizon)
+    assert calls == list(range(17))
+
+
+def cantor_example_derives():
+    """(presentation, element, cover, budget) for the derives of the
+    shipped Cantor example."""
+    with open(os.path.join(EXAMPLES, "cantor.cov")) as fh:
+        items = parse(fh.read()).items
+    covers = {block.name: build_cover(block)[0] for block in items
+              if isinstance(block, CoverBlock)}
+    return [(covers[cmd.target], cmd.element, cmd.cover, cmd.budget)
+            for cmd in items if isinstance(cmd, DeriveCommand)]
+
+
+def confirmed_questions():
+    """100 seeded Cantor and 100 seeded Baire questions that hold."""
+    cantor, baire = cantor_cover(), baire_cover()
+    rng = random.Random(17)
+    out = []
+    for _ in range(100):
+        word = "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+        depth = rng.randint(0, 3)
+        if rng.random() < 0.5:
+            out.append((cantor, word, words(word, depth), 100))
+        else:
+            # a slice of a prefix of the word, at or below the word
+            top = word[:rng.randint(0, len(word))]
+            out.append((cantor, word,
+                        words(top, len(word) - len(top) + depth), 100))
+    for _ in range(100):
+        node = tuple(rng.randrange(10) for _ in range(rng.randint(0, 2)))
+        extra = tuple(rng.randrange(10) for _ in range(rng.randint(0, 2)))
+        out.append((baire, node + extra, baire.axioms_of(node)[0], 1000))
+    return out
+
+
+def test_traces_match_the_relisting_search():
+    questions = cantor_example_derives()
+    assert len(questions) == 2
+    questions += confirmed_questions()
+    for p, a, u, budget in questions:
+        res = derive(p, a, u).probe(budget)
+        assert isinstance(res, Confirmed), (a, u)
+        assert derive_with_trace(p, a, u, res.at_step) == \
+            relisting_trace(p, a, u, res.at_step), (a, u)
+
+
+class CountedAlpha:
+    def __init__(self, values):
+        self.values = values
+        self.calls = 0
+
+    def __call__(self, n):
+        self.calls += 1
+        return self.values[n] if n < len(self.values) else BLANK
+
+
+def test_a_bounded_decidable_non_member_is_refuted():
+    for values in ([], [3], [1, 2, 3, 2], [BLANK, 4, BLANK, 4, 6]):
+        bound = max(len(values) - 1, 0)
+        alpha = CountedAlpha(values)
+        sd = member_semidecide(99, Enumeration(alpha, bound=bound), EQ)
+        assert sd.probe(10 ** 9) is UNKNOWN
+        assert alpha.calls <= pair_encode(bound, 0) + 1, values
+        assert sd._refuted
+
+
+def test_member_steps_match_the_linear_scan():
+    rng = random.Random(23)
+    confirmed = 0
+    for _ in range(60):
+        e = seeded_enumeration(rng)
+        # the same search with no bound, which never refutes
+        unbounded = Enumeration(e.alpha)
+        for x in (rng.randrange(12), rng.randrange(16), 99):
+            expected = linear_outcomes(
+                member_semidecide(x, unbounded, EQ)._stage, BUDGETS)
+            confirmed += isinstance(expected[300], Confirmed)
+            for sequence in probe_sequences(rng):
+                sd = member_semidecide(x, e, EQ)
+                for budget in sequence:
+                    assert sd.probe(budget) == expected[budget], (x, budget)
+    assert confirmed > 20
+
+
+def test_member_search_without_both_bounds_is_not_refuted():
+    values = [1, 2, 3]
+    no_bound = Enumeration(lambda n: values[n] if n < 3 else BLANK)
+    no_budget = SemiDecidableEquality(EQ.psi)
+    bounded = Enumeration.from_iterable(values)
+    for e, eq in ((no_bound, EQ), (bounded, no_budget)):
+        sd = member_semidecide(99, e, eq)
+        assert sd.probe(5000) is UNKNOWN
+        assert not sd._refuted
+        assert all(sd._stage(k) is False for k in range(5000, 5100))

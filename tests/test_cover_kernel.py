@@ -10,7 +10,9 @@ validation on seeded, mutated meet tables.  The rule table, which
 keeps meet-below and axioms localized below their heads, less
 self-headed and subsumed covers, is compared with the oracle's
 saturation over the full compiled list, on random axiom sets rich in
-both, and derive on it with derive over the full list.  The
+both, and derive on it with derive over the full list; its five
+tables are compared with the construction that localizes every axiom
+at every element below its head.  The
 envelope's axioms are compared with their name-based construction,
 and the closed-set kernel (NextClosure frames, the greedy overt check
 and the closed-set overlap test) gets a time bound.
@@ -45,6 +47,7 @@ from sigmaloc.semidecision import Confirmed
 
 from corpus import corpus
 from oracles import (
+    compile_rules,
     compiled_by_name,
     cover_laws_sweep,
     envelope_axioms_by_name,
@@ -300,6 +303,16 @@ def test_chaining_table_has_no_self_headed_or_subsumed_axiom():
                 for cover in covers] == table, name
         dropped += len(compiled_by_name(p)) - len(table)
     assert dropped > 0
+
+
+def test_rule_tables_match_the_compile_oracle():
+    # the oracle localizes every axiom at every element below its head
+    instances = [("bool5", envelope_cover(boolean_lattice(5))[0]),
+                 ("chain31", envelope_cover(chain_lattice(30))[0])]
+    instances += REDUNDANT + [(name, p) for name, p, _ in CASES]
+    for name, p in instances:
+        assert compile_rules(p) == (p._rules, p._heads, p._needs,
+                                    p._watchers, p._nullary), name
 
 
 def test_reduced_chaining_table_keeps_the_least_fixpoint():

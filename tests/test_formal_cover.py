@@ -156,6 +156,13 @@ def test_cantor_proper_subcover_stays_unknown():
     assert run(derive(p, "0", ["00"]), 10 ** 5) is UNKNOWN
     assert not derive(p, "0", ["00"]).confirmed(10 ** 5)
     assert time.time() - t0 < 30.0
+    # one search per effort bucket: a large budget is not a linear scan
+    t0 = time.time()
+    assert run(derive(p, "", ["00", "01", "10"]), 10 ** 9) is UNKNOWN
+    baire = baire_cover()
+    stranger = derive(baire, (5, 2), baire.axioms_of((3,))[0])
+    assert run(stranger, 10 ** 4) is UNKNOWN
+    assert time.time() - t0 < 5.0
 
 
 def test_cantor_absurd_and_refl():
