@@ -16,7 +16,7 @@ compared on every instance.
 from dataclasses import dataclass
 from typing import Tuple
 
-from .formal_cover import CoverError
+from .formal_cover import CoverError, _needs_finite
 from .reports import failed, passed
 from .sigma_frame import SigmaFrameHom, validate_lattice
 
@@ -112,8 +112,7 @@ def check_overt_cover(p, pos):
     a bit only when the largest candidate without it does not fail,
     decided from the top bit down: at most n + 1 closures.
     """
-    if p.kind != "finite":
-        raise CoverError("check_overt_cover needs a finite base")
+    _needs_finite(p, "check_overt_cover")
     base = p.base
     full = (1 << len(base)) - 1
     positive = p.mask(x for x in base if pos.holds(x))

@@ -580,29 +580,12 @@ def _trace_lines(trace, depth, out):
         out.append("%s%s [refl]" % (pad, trace[1]))
     elif rule == "below":
         out.append("%s%s <= %s [below]" % (pad, trace[1], trace[2]))
-    elif rule == "axiom":
+    else:
         cover = trace[2]
         out.append("%s%s <| {%s} [axiom]"
                    % (pad, trace[1], " ".join(str(c) for c in cover)))
         for child in trace[3]:
             _trace_lines(child, depth + 1, out)
-    elif rule == "axiom-in-cover":
-        out.append("%s%s [axiom within cover]" % (pad, trace[1]))
-    elif rule == "up":
-        out.append("%s%s <= %s [up]" % (pad, trace[1], trace[2]))
-        _trace_lines(trace[3], depth + 1, out)
-    elif rule == "up-axiom":
-        cover = trace[3]
-        out.append("%s%s <| {%s} [axiom at %s]"
-                   % (pad, trace[1], " ".join(str(c) for c in cover),
-                      trace[2]))
-        for child in trace[4]:
-            _trace_lines(child, depth + 1, out)
-    elif rule == "top":
-        out.append("%s%s <= top [top]" % (pad, trace[1]))
-        _trace_lines(trace[2], depth + 1, out)
-    else:
-        out.append("%s%s" % (pad, _fmt_value(trace)))
 
 
 class _Runner:

@@ -15,17 +15,18 @@ Being a closure operator, it lists its closed sets by Ganter's
 NextClosure (CoverPresentation.closed_sets), with at most n closures
 per closed set, so the frame is built without visiting every subset.
 
-Countable presentations (Cantor, Baire) carry the base as a membership
-predicate with axioms_of / uppers_of callbacks; they support derive but
-not saturate.  derive is a SemiDecision running a depth- and node-
-bounded goal-directed search per power-of-two effort bucket.  For
-covers given by unbounded enumerations the axiom step is discharged
-only when the axiom's cover is the goal cover itself; the engine is
-sound but deliberately incomplete there, and budget exhaustion reports
-Unknown, never false.
+Countable presentations (Cantor, Baire) are CountablePresentations:
+the base is a membership predicate, with axioms_of / uppers_of
+callbacks; they support derive but not saturate.  derive is a
+SemiDecision running a depth- and node-bounded goal-directed search
+per power-of-two effort bucket.  For covers given by unbounded
+enumerations the axiom step is discharged only when the axiom's cover
+is the goal cover itself; the engine is sound but deliberately
+incomplete there, and budget exhaustion reports Unknown, never false.
 """
 
 import random
+from functools import cache
 from itertools import combinations
 
 from .enumeration import BLANK, Enumeration
@@ -54,15 +55,40 @@ class BaseTooLarge(CoverError):
                                % (n, max_base))
 
 
+class CountablePresentation:
+    """A presentation with a countable base given by callbacks.
+
+    contains decides base membership and meet is the base meet, both
+    the caller's.  axioms_of(a) lists the covers of a (tuples, or
+    Enumerations for genuinely countable covers), uppers_of(a) lists
+    the elements strictly above a; both are memoized, so the cover
+    objects stay stable across calls, which derive's identity discharge
+    relies on.
+    """
+
+    def __init__(self, contains, meet, top, axioms_of, uppers_of):
+        self.contains = contains
+        self.meet = meet
+        self.top = top
+        self.axioms_of = cache(lambda a: tuple(axioms_of(a)))
+        self.uppers_of = cache(lambda a: tuple(uppers_of(a)))
+
+    # a cover argument is taken as given: there is no base index to
+    # normalize it on
+    _norm_cover = staticmethod(tuple)
+
+
+def _needs_finite(p, what):
+    """Refuse a countable presentation where a finite base is needed."""
+    if isinstance(p, CountablePresentation):
+        raise CoverError("%s needs a finite base" % (what,))
+
+
 class CoverPresentation:
-    """Use the finite() or countable() constructors, not __init__."""
+    """A finite presentation, built by finite().  countable() builds a
+    CountablePresentation."""
 
-    def __init__(self):
-        raise TypeError("use CoverPresentation.finite or .countable")
-
-    @classmethod
-    def _blank(cls):
-        return object.__new__(cls)
+    countable = CountablePresentation
 
     @staticmethod
     def finite(base, meet, top, axioms):
@@ -74,8 +100,7 @@ class CoverPresentation:
         neutral) are checked exhaustively.  Covers are normalized to
         deduplicated base-index-sorted tuples.
         """
-        p = CoverPresentation._blank()
-        p.kind = "finite"
+        p = CoverPresentation()
         p.base = list(base)
         if not p.base:
             raise CoverError("empty base")
@@ -133,27 +158,6 @@ class CoverPresentation:
         p._compile()
         return p
 
-    @staticmethod
-    def countable(contains, meet, top, axioms_of, uppers_of):
-        """Presentation with a countable base given by callbacks.
-
-        contains decides base membership, axioms_of(a) lists the covers
-        of a (tuples, or Enumerations for genuinely countable covers),
-        uppers_of(a) lists the elements strictly above a.  Callback
-        results are memoized so the cover objects stay stable across
-        calls; derive's identity discharge relies on that.
-        """
-        p = CoverPresentation._blank()
-        p.kind = "countable"
-        p.contains = contains
-        p._meet = meet
-        p.top = top
-        p._axioms_of = axioms_of
-        p._uppers_of = uppers_of
-        p._axioms_cache = {}
-        p._uppers_cache = {}
-        return p
-
     def _norm_cover(self, cover):
         members = []
         for c in cover:
@@ -164,33 +168,26 @@ class CoverPresentation:
         members.sort(key=self._base_index.__getitem__)
         return tuple(members)
 
+    def contains(self, x):
+        return x in self._base_index
+
     def meet(self, x, y):
-        if self.kind == "finite":
-            try:
-                i, j = self._base_index[x], self._base_index[y]
-            except KeyError:
-                raise CoverError("meet undefined at (%r, %r)" % (x, y))
-            return self.base[self._meet_index[i][j]]
-        return self._meet(x, y)
+        try:
+            i, j = self._base_index[x], self._base_index[y]
+        except KeyError:
+            raise CoverError("meet undefined at (%r, %r)" % (x, y))
+        return self.base[self._meet_index[i][j]]
 
     def axioms_of(self, a):
-        """Covers of a.  Finite: from the raw axiom list.  Memoized."""
-        if self.kind == "finite":
-            return tuple(cover for head, cover in self.axioms if head == a)
-        if a not in self._axioms_cache:
-            self._axioms_cache[a] = tuple(self._axioms_of(a))
-        return self._axioms_cache[a]
+        """Covers of a, from the raw axiom list."""
+        return tuple(cover for head, cover in self.axioms if head == a)
 
     def uppers_of(self, a):
-        if self.kind == "finite":
-            i = self._base_index.get(a)
-            if i is None:
-                raise CoverError("not a base element: %r" % (a,))
-            return tuple(b for j, b in enumerate(self.base)
-                         if j != i and self._meet_index[i][j] == i)
-        if a not in self._uppers_cache:
-            self._uppers_cache[a] = tuple(self._uppers_of(a))
-        return self._uppers_cache[a]
+        i = self._base_index.get(a)
+        if i is None:
+            raise CoverError("not a base element: %r" % (a,))
+        return tuple(b for j, b in enumerate(self.base)
+                     if j != i and self._meet_index[i][j] == i)
 
     def _compile(self):
         """The rule table, built once: per head, cover bitmasks.
@@ -315,8 +312,7 @@ def saturate(p, members):
     """The saturation of a subset: everything derivably covered by it,
     as a frozenset of base elements (CoverPresentation.closure on its
     bitmask)."""
-    if p.kind != "finite":
-        raise CoverError("saturate needs a finite base")
+    _needs_finite(p, "saturate")
     return frozenset(p.members(p.closure(p.mask(members))))
 
 
@@ -385,10 +381,6 @@ class _Search:
         self.cutoff = False
         self.build_trace = build_trace
         self.proven = {}
-        if p.kind == "finite":
-            for m in self.members:
-                if m not in p._base_index:
-                    raise CoverError("cover member %r not in base" % (m,))
 
     def prove(self, x, depth, path):
         if x in self.proven:
@@ -407,9 +399,9 @@ class _Search:
         if x in path:
             return None
         path = path | {x}
-        if self.p.kind == "finite":
-            return self.prove_finite(x, depth, path)
-        return self.prove_countable(x, depth, path)
+        if isinstance(self.p, CountablePresentation):
+            return self.prove_countable(x, depth, path)
+        return self.prove_finite(x, depth, path)
 
     def done(self, x, trace):
         self.proven[x] = trace if self.build_trace else True
@@ -484,10 +476,7 @@ def _normalize_cover_argument(p, u):
         return u
     if isinstance(u, (set, frozenset)):
         u = sorted(u, key=str)
-    members = tuple(u)
-    if p.kind == "finite":
-        return p._norm_cover(members)
-    return members
+    return p._norm_cover(tuple(u))
 
 
 def derive(p, a, u):
@@ -505,9 +494,7 @@ def derive(p, a, u):
     None, so the probe stops there and answers Unknown for every budget
     without re-searching.
     """
-    if p.kind == "finite" and a not in p._base_index:
-        raise CoverError("not a base element: %r" % (a,))
-    if p.kind == "countable" and not p.contains(a):
+    if not p.contains(a):
         raise CoverError("not a base element: %r" % (a,))
     u = _normalize_cover_argument(p, u)
     prefixes = _CoverPrefixes()
@@ -543,8 +530,7 @@ def frame_of_presentation(p, max_base=15):
     max_base is refused.  The result is validated as a distributive
     lattice.
     """
-    if p.kind != "finite":
-        raise CoverError("frame_of_presentation needs a finite base")
+    _needs_finite(p, "frame_of_presentation")
     BaseTooLarge.guard(p, max_base)
     closed = p.closed_sets()
     return validate_lattice([frozenset(p.members(s)) for s in closed],
@@ -595,8 +581,7 @@ def check_formal_cover_axioms(p):
     latter per raw axiom, which propagates to the whole cover by
     induction on derivations.
     """
-    if p.kind != "finite":
-        raise CoverError("check_formal_cover_axioms needs a finite base")
+    _needs_finite(p, "check_formal_cover_axioms")
     masks = _sample_masks(len(p.base))
     for mask in masks:
         s = p.closure(mask)
@@ -628,8 +613,7 @@ def check_compactness(p, u):
     Tries subsets of u by ascending size in deterministic base order;
     None means u does not cover the top at all.
     """
-    if p.kind != "finite":
-        raise CoverError("check_compactness needs a finite base")
+    _needs_finite(p, "check_compactness")
     members = _normalize_cover_argument(p, u)
     top = p.mask((p.top,))
     if not p.closure(p.mask(members)) & top:
@@ -658,7 +642,7 @@ def check_sigma_coherent(p, samples, budget=1000):
     of the witness enumeration, the witness itself, and u itself.
     Property-based evidence, not a proof.
     """
-    if p.kind == "finite":
+    if not isinstance(p, CountablePresentation):
         return passed("finite base: every subset is countable")
     for sample in samples:
         a, u, witness = sample

@@ -97,11 +97,16 @@ def and_binary(p, q):
     """Conjunction: confirms once both conjuncts have confirmed.
 
     Stage k fires iff both p and q confirm within budget k, so the
-    confirmation step is the max of the two individual steps.
+    confirmation step is the max of the two individual steps.  Once
+    either conjunct is refuted, so is the conjunction.
     """
 
     def stage(k):
-        return p.confirmed(k) and q.confirmed(k)
+        # probe both, so that a refutation of either one is seen
+        both = p.confirmed(k), q.confirmed(k)
+        if all(both):
+            return True
+        return None if p._refuted or q._refuted else False
 
     return SemiDecision(stage)
 

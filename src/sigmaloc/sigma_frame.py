@@ -21,7 +21,6 @@ from .enumeration import (
     Enumeration,
     SemiDecidableEquality,
     dovetail,
-    ext_equal_finite,
     union_countable,
 )
 from .reports import failed, passed
@@ -396,11 +395,7 @@ def free_class_of(e):
 
 def free_ext_equal(e1, e2):
     """Extensional equality of free elements, top classes glued."""
-    top1 = any(v is TOP_GENERATOR for v in e1.elements())
-    top2 = any(v is TOP_GENERATOR for v in e2.elements())
-    if top1 or top2:
-        return top1 and top2
-    return ext_equal_finite(e1, e2)
+    return free_class_of(e1) == free_class_of(e2)
 
 
 def free_lattice(generators):

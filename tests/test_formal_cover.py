@@ -12,6 +12,8 @@ from sigmaloc import (
     Confirmed,
     CoverError,
     CoverPresentation,
+    Enumeration,
+    Positivity,
     baire_cover,
     boolean_lattice,
     cantor_cover,
@@ -19,11 +21,13 @@ from sigmaloc import (
     discrete_cover,
     check_compactness,
     check_formal_cover_axioms,
+    check_overt_cover,
     check_sigma_coherent,
     derive,
     derive_with_trace,
     envelope_cover,
     frame_of_presentation,
+    is_overlap_cover,
     relation_as_morphism,
     run,
     saturate,
@@ -303,3 +307,60 @@ def test_relation_as_morphism_reports():
     assert not bad
     with pytest.raises(CoverError):
         relation_as_morphism({"0": ["0"]}, chain2, chain3)
+
+
+def raises_exactly(exc, message, fn, *args):
+    """fn(*args) raises exc itself, not a subclass, with this message."""
+    with pytest.raises(exc) as info:
+        fn(*args)
+    assert info.type is exc
+    assert str(info.value) == message
+
+
+def test_finite_only_checks_refuse_a_countable_base():
+    p = cantor_cover()
+    pos = Positivity.of([""])
+    for fn, args in [(saturate, ([""],)),
+                     (frame_of_presentation, ()),
+                     (check_formal_cover_axioms, ()),
+                     (check_compactness, ([""],)),
+                     (check_overt_cover, (pos,)),
+                     (is_overlap_cover, (pos,))]:
+        name = "check_overt_cover" if fn is is_overlap_cover else fn.__name__
+        raises_exactly(CoverError, "%s needs a finite base" % name,
+                       fn, p, *args)
+    raises_exactly(CoverError, "not a base element: 5", derive, p, 5, ["0"])
+
+
+def test_finite_presentation_refuses_names_outside_its_base():
+    def finite(base, top, axioms):
+        return CoverPresentation.finite(base, lambda x, y: x if x == y
+                                        else "a", top, axioms)
+
+    raises_exactly(CoverError, "empty base", finite, [], "a", [])
+    raises_exactly(CoverError, "duplicate base element: 'a'",
+                   finite, ["a", "a"], "a", [])
+    raises_exactly(CoverError, "top element 'z' not in base",
+                   finite, ["a"], "z", [])
+    raises_exactly(CoverError, "axiom head 'z' not in base",
+                   finite, ["a"], "a", [("z", ())])
+    raises_exactly(CoverError, "cover member 'z' not in base",
+                   finite, ["a"], "a", [("a", ("z",))])
+    p = two_cover()
+    raises_exactly(CoverError, "meet undefined at ('x', 'zz')",
+                   p.meet, "x", "zz")
+    raises_exactly(CoverError, "not a base element: 'zz'",
+                   p.mask, ["x", "zz"])
+
+
+def test_sigma_coherence_tries_the_witness_enumeration():
+    p = cantor_cover()
+    words = ["00", "01", "10", "11"]
+    sample = ("", words, Enumeration.from_iterable(words))
+    assert check_sigma_coherent(p, [sample])
+    short = words[:3]
+    report = check_sigma_coherent(
+        p, [("", short, Enumeration.from_iterable(short))])
+    assert not report
+    assert report.detail == "no countable subcover confirmed"
+    assert report.witnesses == ("",)

@@ -1,5 +1,7 @@
 """Budget-indexed semi-decisions: monotonicity, memoization, combinators."""
 
+import time
+
 import pytest
 
 from sigmaloc import (
@@ -102,3 +104,11 @@ def test_or_countable_skips_blanks():
     res = run(or_countable(family), 200)
     assert isinstance(res, Confirmed)
     assert run(or_countable(Enumeration.from_iterable([])), 30) is UNKNOWN
+
+
+def test_and_binary_refutes_with_either_conjunct():
+    for p, q in [(from_boolean(True), never()),
+                 (never(), from_boolean(True))]:
+        t0 = time.time()
+        assert run(and_binary(p, q), 10 ** 9) is UNKNOWN
+        assert time.time() - t0 < 1.0

@@ -6,6 +6,7 @@ import pytest
 
 from sigmaloc import (
     Enumeration,
+    LatticeError,
     MissingMeetOrJoin,
     MissingSurjectivityBound,
     NotAPartialOrder,
@@ -176,3 +177,23 @@ def test_extend_to_free_values():
     assert h(free_element(["u", "v"])) == "11"
     assert h(free_bottom()) == "00"
     assert h(free_top()) == "11"
+
+
+def test_lattice_errors_name_the_bad_element():
+    def raises(message, fn, *args):
+        with pytest.raises(LatticeError) as info:
+            fn(*args)
+        assert info.type is LatticeError
+        assert str(info.value) == message
+        return info.value
+
+    raises("empty carrier", validate_lattice, [], [])
+    dup = raises("duplicate element", validate_lattice, ["a", "a"],
+                 [[True, True], [True, True]])
+    assert dup.witnesses == ("a",)
+    unknown = raises("unknown element in order pair: 'z'",
+                     lattice_from_leq_pairs, ["a", "b"], [("a", "z")])
+    assert unknown.witnesses == ("z",)
+    outside = raises("not a lattice element: 'zz'",
+                     chain_lattice(2).index, "zz")
+    assert outside.witnesses == ("zz",)
