@@ -114,7 +114,7 @@ def _tokenize(text):
                 i += 1
             continue
         two = text[i:i + 2]
-        if two in _SYMBOLS:
+        if len(two) == 2 and two in _SYMBOLS:
             tokens.append(_Token("sym", two, line, col))
             i += 2
             col += 2

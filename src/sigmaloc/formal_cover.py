@@ -17,9 +17,14 @@ per closed set, so the frame is built without visiting every subset.
 
 Countable presentations (Cantor, Baire) are CountablePresentations:
 the base is a membership predicate, with axioms_of / uppers_of
-callbacks; they support derive but not saturate.  derive is a
-SemiDecision running a depth- and node-bounded goal-directed search
-per power-of-two effort bucket.  For covers given by unbounded
+callbacks; they support derive but not saturate.  Both classes list,
+by local_covers(x), the covers a derivation step at x may use: after
+localization every step is x <| {v} for some v above x, or x <| an
+axiom of some v >= x met with x.  A finite presentation lists its
+rule table; a countable one lists x's axioms, then each v above x
+with v's axioms, then the top.  derive is a SemiDecision running one
+depth- and node-bounded goal-directed search over that list per
+power-of-two effort bucket.  For covers given by unbounded
 enumerations the axiom step is discharged only when the axiom's cover
 is the goal cover itself; the engine is sound but deliberately
 incomplete there, and budget exhaustion reports Unknown, never false.
@@ -72,6 +77,19 @@ class CountablePresentation:
         self.top = top
         self.axioms_of = cache(lambda a: tuple(axioms_of(a)))
         self.uppers_of = cache(lambda a: tuple(uppers_of(a)))
+
+    def local_covers(self, x):
+        """(cover, head) pairs for a derive at x: x's axioms, then for
+        each v above x the singleton {v} and v's axioms, then {top}.
+        The search meets the members of a cover headed v with x."""
+        for cover in self.axioms_of(x):
+            yield cover, x
+        for v in self.uppers_of(x):
+            yield (v,), x
+            for cover in self.axioms_of(v):
+                yield cover, v
+        if x != self.top:
+            yield (self.top,), x
 
     # a cover argument is taken as given: there is no base index to
     # normalize it on
@@ -178,16 +196,18 @@ class CoverPresentation:
             raise CoverError("meet undefined at (%r, %r)" % (x, y))
         return self.base[self._meet_index[i][j]]
 
-    def axioms_of(self, a):
-        """Covers of a, from the raw axiom list."""
-        return tuple(cover for head, cover in self.axioms if head == a)
-
     def uppers_of(self, a):
         i = self._base_index.get(a)
         if i is None:
             raise CoverError("not a base element: %r" % (a,))
         return tuple(b for j, b in enumerate(self.base)
                      if j != i and self._meet_index[i][j] == i)
+
+    def local_covers(self, x):
+        """(cover, x) for each cover in the rule table at x, already
+        localized."""
+        for bits in self._rules[self._base_index[x]]:
+            yield self.members(bits), x
 
     def _compile(self):
         """The rule table, built once: per head, cover bitmasks.
@@ -323,9 +343,11 @@ class _CoverPrefixes:
     is always complete; for an Enumeration the members are its distinct
     values at indices up to min(horizon, bound), in first-occurrence
     order, complete only when the bound is known and within the
-    horizon.  Each Enumeration is listed once, by a _Listing extended
-    when a later effort bucket looks further, so the nodes and buckets
-    of one derive share it.
+    horizon.  Each Enumeration is listed once, deduplicated with a set,
+    and extended when a later effort bucket looks further (a derive's
+    horizons only grow), so the nodes and buckets of one derive share
+    it.  A listing holds its cover, so no id it is keyed by is reused
+    while the derive lives.
     """
 
     def __init__(self):
@@ -335,40 +357,29 @@ class _CoverPrefixes:
         if not isinstance(cover, Enumeration):
             return tuple(cover), True
         complete = cover.bound is not None and cover.bound <= horizon
-        listing = self._listings.get(id(cover))
-        if listing is None:
-            listing = self._listings[id(cover)] = _Listing(cover)
-        return listing.upto(cover.bound if complete else horizon), complete
-
-
-class _Listing:
-    """An Enumeration's distinct values in first-occurrence order,
-    deduplicated with a set."""
-
-    def __init__(self, cover):
-        self.cover = cover
-        self.last = -1
-        self.seen = set()
-        self.members = ()
-
-    def upto(self, last):
-        """The distinct values at indices 0..last, extending the listing
-        to there.  last never shrinks: a derive runs its effort buckets
-        in increasing order, each with a fresh search."""
-        if last > self.last:
+        last = cover.bound if complete else horizon
+        _cover, listed, seen, members = self._listings.get(
+            id(cover), (cover, -1, set(), ()))
+        if last > listed:
             fresh = []
-            for n in range(self.last + 1, last + 1):
-                v = self.cover.alpha(n)
-                if v is not BLANK and v not in self.seen:
-                    self.seen.add(v)
+            for n in range(listed + 1, last + 1):
+                v = cover.alpha(n)
+                if v is not BLANK and v not in seen:
+                    seen.add(v)
                     fresh.append(v)
-            self.members += tuple(fresh)
-            self.last = last
-        return self.members
+            members += tuple(fresh)
+            self._listings[id(cover)] = cover, last, seen, members
+        return members, complete
 
 
 class _Search:
-    """One depth/node-bounded proof search at a fixed effort."""
+    """One depth/node-bounded proof search at a fixed effort.
+
+    A node x is proved by a member of the goal above it, or by a cover
+    from covers(x) whose members are all proved one level deeper; a
+    cover headed by some v other than x is met with x first.  A goal
+    cover listed at x, with head x, discharges x outright.
+    """
 
     def __init__(self, p, u, effort, prefixes, build_trace=False):
         self.p = p
@@ -381,6 +392,9 @@ class _Search:
         self.cutoff = False
         self.build_trace = build_trace
         self.proven = {}
+
+    def covers(self, x):
+        return self.p.local_covers(x)
 
     def prove(self, x, depth, path):
         if x in self.proven:
@@ -399,72 +413,34 @@ class _Search:
         if x in path:
             return None
         path = path | {x}
-        if isinstance(self.p, CountablePresentation):
-            return self.prove_countable(x, depth, path)
-        return self.prove_finite(x, depth, path)
+        for cover, head in self.covers(x):
+            # () is one shared object, so only a nonempty cover is
+            # taken to be the goal
+            if cover is self.u and cover and head is x:
+                return self.done(x, ("axiom-in-cover", x))
+            if isinstance(cover, Enumeration):
+                cover, complete = self.prefixes(cover, self.horizon)
+                if not complete:
+                    self.cutoff = True
+                    continue
+            if cover and depth == 0:
+                self.cutoff = True
+                continue
+            if head is not x:
+                cover = tuple(self.p.meet(c, x) for c in cover)
+            children = []
+            for c in cover:
+                child = self.prove(c, depth - 1, path)
+                if child is None:
+                    break
+                children.append(child)
+            else:
+                return self.done(x, ("axiom", x, cover, tuple(children)))
+        return None
 
     def done(self, x, trace):
         self.proven[x] = trace if self.build_trace else True
         return self.proven[x]
-
-    def prove_all(self, xs, depth, path):
-        """Proofs of every element of xs in order, or None at the first
-        that fails; an empty xs is proved at any depth."""
-        if xs and depth < 0:
-            self.cutoff = True
-            return None
-        children = []
-        for c in xs:
-            child = self.prove(c, depth, path)
-            if child is None:
-                return None
-            children.append(child)
-        return tuple(children)
-
-    def prove_finite(self, x, depth, path):
-        p = self.p
-        for bits in p._rules[p._base_index[x]]:
-            cover = p.members(bits)
-            children = self.prove_all(cover, depth - 1, path)
-            if children is not None:
-                return self.done(x, ("axiom", x, cover, children))
-        return None
-
-    def prove_countable(self, x, depth, path):
-        for cover in self.p.axioms_of(x):
-            if cover is self.u:
-                return self.done(x, ("axiom-in-cover", x))
-            members, complete = self.prefixes(cover, self.horizon)
-            if not complete:
-                self.cutoff = True
-                continue
-            children = self.prove_all(members, depth - 1, path)
-            if children is not None:
-                return self.done(x, ("axiom", x, members, children))
-        for v in self.p.uppers_of(x):
-            if depth == 0:
-                self.cutoff = True
-                break
-            child = self.prove(v, depth - 1, path)
-            if child is not None:
-                return self.done(x, ("up", x, v, child))
-            for cover in self.p.axioms_of(v):
-                members, complete = self.prefixes(cover, self.horizon)
-                if not complete:
-                    self.cutoff = True
-                    continue
-                localized = tuple(self.p.meet(c, x) for c in members)
-                children = self.prove_all(localized, depth - 1, path)
-                if children is not None:
-                    return self.done(
-                        x, ("up-axiom", x, v, localized, children))
-        if x != self.p.top and depth > 0:
-            child = self.prove(self.p.top, depth - 1, path)
-            if child is not None:
-                return self.done(x, ("top", x, child))
-        elif x != self.p.top:
-            self.cutoff = True
-        return None
 
     def run(self, goal):
         outcome = self.prove(goal, self.depth_limit, frozenset())
@@ -625,15 +601,6 @@ def check_compactness(p, u):
     return None
 
 
-def _prefixes(values, sizes=(1, 2, 4, 8)):
-    out = []
-    for size in sizes:
-        if size > len(values):
-            break
-        out.append(tuple(values[:size]))
-    return out
-
-
 def check_sigma_coherent(p, samples, budget=1000):
     """Search for countable subcovers on the given (a, u, witness) samples.
 
@@ -649,16 +616,11 @@ def check_sigma_coherent(p, samples, budget=1000):
         if witness is None and isinstance(u, Enumeration):
             witness = u
         if witness is not None:
-            scanned = []
-            for n in range(32):
-                v = witness.alpha(n)
-                if v is not BLANK and v not in scanned:
-                    scanned.append(v)
-                if len(scanned) >= 8:
-                    break
+            scanned = _CoverPrefixes()(witness, 31)[0][:8]
         else:
-            scanned = list(u)[:8]
-        candidates = _prefixes(scanned)
+            scanned = tuple(u)[:8]
+        candidates = [scanned[:size] for size in (1, 2, 4, 8)
+                      if size <= len(scanned)]
         if witness is not None:
             candidates.append(witness)
         if u is not witness:

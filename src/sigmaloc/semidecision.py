@@ -117,15 +117,24 @@ def or_countable(family):
     ``family`` is an Enumeration of SemiDecisions (blank entries are
     skipped).  Stage k decodes to (i, j) and fires iff member i of the
     family confirms within budget j, so every (member, budget) pair is
-    eventually tried.
+    eventually tried.  Over a bounded family the stage records each
+    index up to the bound whose entry is blank or whose member is
+    refuted; once every index is recorded, no member can confirm (the
+    bound lists the whole family) and the stage returns None.
     """
     from .enumeration import BLANK
+
+    dropped = set()
 
     def stage(k):
         i, j = pair_decode(k)
         member = family.alpha(i)
-        if member is BLANK:
+        if member is not BLANK and member.confirmed(j):
+            return True
+        if family.bound is None or i > family.bound:
             return False
-        return member.confirmed(j)
+        if member is BLANK or member._refuted:
+            dropped.add(i)
+        return None if len(dropped) > family.bound else False
 
     return SemiDecision(stage)

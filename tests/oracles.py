@@ -326,12 +326,8 @@ class _FullListSearch(_Search):
         super().__init__(p, u, effort, cover_prefix)
         self.by_head = by_head
 
-    def prove_finite(self, x, depth, path):
-        for cover in self.by_head.get(x, ()):
-            children = self.prove_all(cover, depth - 1, path)
-            if children is not None:
-                return self.done(x, ("axiom", x, cover, children))
-        return None
+    def covers(self, x):
+        return ((cover, x) for cover in self.by_head.get(x, ()))
 
 
 def full_list_derive(p):

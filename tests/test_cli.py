@@ -107,6 +107,33 @@ def test_parse_errors_carry_position():
         parse("lattice L { elements: x;...")
 
 
+def test_an_error_at_the_end_of_input_names_the_next_column():
+    with pytest.raises(ParseError) as err:
+        parse("lattice L {")
+    assert str(err.value) == "line 1, col 12: expected a field or '}'"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lattice L { elements: ; }", "line 1, col 13: elements list is empty"),
+    ("lattice L { pos: a; }", "line 1, col 1: lattice L has no elements field"),
+    ("cover C { base: ; top: t; }", "line 1, col 11: base list is empty"),
+    ("cover C { base: t; top: t; foo: x; }",
+     "line 1, col 28: unknown cover field 'foo'"),
+    ("cover C { top: t; }", "line 1, col 1: cover C has no base field"),
+    ("cover C { base: t; }", "line 1, col 1: cover C has no top field"),
+])
+def test_block_field_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_pretty_print_refuses_a_non_item():
+    with pytest.raises(TypeError) as err:
+        pretty_print(Document(("x",)))
+    assert str(err.value) == "not a document item: 'x'"
+
+
 def test_budget_must_be_numeric():
     # "\u00b2" (superscript two) passes str.isdigit but not int().
     for budget in ("lots", "\u00b2"):

@@ -273,3 +273,23 @@ def test_member_search_without_both_bounds_is_not_refuted():
         assert sd.probe(5000) is UNKNOWN
         assert not sd._refuted
         assert all(sd._stage(k) is False for k in range(5000, 5100))
+
+
+def test_traces_use_the_one_rule_vocabulary():
+    kinds = set()
+
+    def check(trace):
+        kinds.add(trace[0])
+        assert trace[0] in ("refl", "below", "axiom", "axiom-in-cover")
+        if trace[0] == "axiom":
+            _rule, _x, members, children = trace
+            assert tuple(child[1] for child in children) == tuple(members)
+            for child in children:
+                check(child)
+
+    for p, a, u, budget in cantor_example_derives() + confirmed_questions():
+        res = derive(p, a, u).probe(budget)
+        trace = derive_with_trace(p, a, u, res.at_step)
+        assert trace[1] == a
+        check(trace)
+    assert kinds == {"refl", "below", "axiom", "axiom-in-cover"}

@@ -125,3 +125,17 @@ def test_ext_equal_finite():
     assert not ext_equal_finite(e1, e3)
     with pytest.raises(MissingSurjectivityBound):
         ext_equal_finite(e1, Enumeration(lambda n: "a"))
+
+
+def test_detachable_subset_operations_agree_with_sets():
+    carrier = range(8)
+    rng = random.Random(3)
+    for _ in range(20):
+        a = {x for x in carrier if rng.random() < 0.5}
+        b = {x for x in carrier if rng.random() < 0.5}
+        da, db = DetachableSubset.from_set(a), DetachableSubset.from_set(b)
+        for subset, expected in ((da, a),
+                                 (da.complement(), set(carrier) - a),
+                                 (da.union(db), a | b),
+                                 (da.intersect(db), a & b)):
+            assert {x for x in carrier if subset.chi(x)} == expected
