@@ -4,13 +4,14 @@ A cover presentation is a meet-semilattice base together with axioms
 ``head <| cover``.  A finite presentation is compiled to one rule
 table: meet-below (a∧b <| {a}, the top law among them) and each raw
 axiom localized below its head, reduced per head to the covers that
-contain no other.  Forward chaining on it realizes the generated cover
-relation, and derive searches it; the saturation satisfies
-reflexivity, transitivity, meet-left and stability
+contain no other.  It is the only table: derive searches it, and
+CoverPresentation.closure chains over it to a least fixpoint, in at
+most n + 1 passes.  That fixpoint is the generated cover relation; it
+satisfies reflexivity, transitivity, meet-left and stability
 (check_formal_cover_axioms re-verifies at run time).
 Subsets of a finite base are int bitmasks over base indices, and
-CoverPresentation.closure is the one saturation: saturate, the frame,
-the cover laws and the overt and overlap cover checks all read it.
+closure is the one saturation: saturate, the frame, the cover laws
+and the overt and overlap cover checks all read it.
 Being a closure operator, it lists its closed sets by Ganter's
 NextClosure (CoverPresentation.closed_sets), with at most n closures
 per closed set, so the frame is built without visiting every subset.
@@ -196,13 +197,6 @@ class CoverPresentation:
             raise CoverError("meet undefined at (%r, %r)" % (x, y))
         return self.base[self._meet_index[i][j]]
 
-    def uppers_of(self, a):
-        i = self._base_index.get(a)
-        if i is None:
-            raise CoverError("not a base element: %r" % (a,))
-        return tuple(b for j, b in enumerate(self.base)
-                     if j != i and self._meet_index[i][j] == i)
-
     def local_covers(self, x):
         """(cover, x) for each cover in the rule table at x, already
         localized."""
@@ -224,8 +218,7 @@ class CoverPresentation:
         keeps, by (size, indices), only the covers that leave out the
         head and contain no kept cover, so the least fixpoint does not
         change.  _rules[h] lists them for head index h; derive searches
-        it, and forward chaining reads it as _heads, _needs, _watchers
-        and _nullary.
+        it and closure chains over it, so it is the only table.
         """
         idx, meet, n = self._base_index, self._meet_index, len(self.base)
         below = [sum(1 << y for y in range(n) if meet[a][y] == y)
@@ -246,23 +239,10 @@ class CoverPresentation:
             return len(members), members
 
         self._rules = [[] for _ in range(n)]
-        heads, needs, watchers = [], [], [[] for _ in range(n)]
-        self._nullary = 0
         for h, kept in enumerate(self._rules):
             for bits in sorted(covers[h], key=order):
-                if bits >> h & 1 or any(not k & ~bits for k in kept):
-                    continue
-                kept.append(bits)
-                members = order(bits)[1]
-                if not members:
-                    self._nullary |= 1 << h
-                for c in members:
-                    watchers[c].append(len(heads))
-                heads.append(h)
-                needs.append(len(members))
-        self._heads = heads
-        self._needs = needs
-        self._watchers = watchers
+                if not (bits >> h & 1 or any(not k & ~bits for k in kept)):
+                    kept.append(bits)
         self._closed = {}
 
     def mask(self, members):
@@ -286,22 +266,22 @@ class CoverPresentation:
     def closure(self, mask):
         """The saturation of a bitmask, as a bitmask.
 
-        Counter-based forward chaining over the chaining tables of
-        _compile: an axiom fires once every member of its cover is in.
-        Results are cached per presentation, keyed by the mask.
+        The least fixpoint of the rule table above the mask: each pass
+        adds every head outside it with a cover inside it, until a pass
+        adds nothing.  Every pass but the last adds a bit, so there are
+        at most n + 1.  Results are cached per presentation, keyed by
+        the mask.
         """
         sat = self._closed.get(mask)
         if sat is None:
-            heads, watchers = self._heads, self._watchers
-            need = list(self._needs)
-            sat = mask | self._nullary
-            stack = [i for i in range(len(self.base)) if sat >> i & 1]
-            while stack:
-                for k in watchers[stack.pop()]:
-                    need[k] -= 1
-                    if not need[k] and not sat >> heads[k] & 1:
-                        sat |= 1 << heads[k]
-                        stack.append(heads[k])
+            sat, grown = mask, True
+            while grown:
+                grown = False
+                for h, covers in enumerate(self._rules):
+                    if not sat >> h & 1 and any(not bits & ~sat
+                                                for bits in covers):
+                        sat |= 1 << h
+                        grown = True
             self._closed[mask] = sat
         return sat
 
@@ -381,7 +361,7 @@ class _Search:
     cover listed at x, with head x, discharges x outright.
     """
 
-    def __init__(self, p, u, effort, prefixes, build_trace=False):
+    def __init__(self, p, u, effort, prefixes):
         self.p = p
         self.u = u
         self.horizon = effort
@@ -390,7 +370,6 @@ class _Search:
         self.depth_limit = max(effort.bit_length() - 1, 0)
         self.nodes = 64 * effort
         self.cutoff = False
-        self.build_trace = build_trace
         self.proven = {}
 
     def covers(self, x):
@@ -439,8 +418,8 @@ class _Search:
         return None
 
     def done(self, x, trace):
-        self.proven[x] = trace if self.build_trace else True
-        return self.proven[x]
+        self.proven[x] = trace
+        return trace
 
     def run(self, goal):
         outcome = self.prove(goal, self.depth_limit, frozenset())
@@ -492,8 +471,7 @@ def derive_with_trace(p, a, u, at_step):
     """
     u = _normalize_cover_argument(p, u)
     effort = 1 << at_step.bit_length()
-    search = _Search(p, u, effort, _CoverPrefixes(), build_trace=True)
-    outcome, _complete = search.run(a)
+    outcome, _complete = _Search(p, u, effort, _CoverPrefixes()).run(a)
     return outcome
 
 

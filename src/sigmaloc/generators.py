@@ -59,23 +59,16 @@ def _tree_meet(x, y):
     return ABSURD
 
 
-def cantor_cover():
-    """Binary words covered by their two one-letter extensions.
-
-    Base: strings over {0, 1} plus the absurd element.  A word's only
-    axiom splits it into word+'0' and word+'1'; absurd is covered by
-    nothing.  Uppers of a word are its proper prefixes, shortest first.
-    """
-
-    def contains(x):
-        if x is ABSURD:
-            return True
-        return isinstance(x, str) and all(ch in "01" for ch in x)
+def _tree_cover(top, is_word, children):
+    """The prefix tree over the words is_word accepts, top the empty
+    word, plus the absurd element.  A word's only axiom is
+    children(word); absurd is covered by the empty family.  Uppers of a
+    word are its proper prefixes, shortest first; absurd has none."""
 
     def axioms_of(s):
         if s is ABSURD:
             return ((),)
-        return ((s + "0", s + "1"),)
+        return (children(s),)
 
     def uppers_of(s):
         if s is ABSURD:
@@ -83,11 +76,25 @@ def cantor_cover():
         return tuple(s[:i] for i in range(len(s)))
 
     return CoverPresentation.countable(
-        contains=contains,
+        contains=lambda x: x is ABSURD or is_word(x),
         meet=_tree_meet,
-        top="",
+        top=top,
         axioms_of=axioms_of,
         uppers_of=uppers_of,
+    )
+
+
+def cantor_cover():
+    """Binary words covered by their two one-letter extensions.
+
+    Base: strings over {0, 1} plus the absurd element.  A word's only
+    axiom splits it into word+'0' and word+'1'; absurd is covered by
+    nothing.  Uppers of a word are its proper prefixes, shortest first.
+    """
+    return _tree_cover(
+        "",
+        lambda x: isinstance(x, str) and all(ch in "01" for ch in x),
+        lambda s: (s + "0", s + "1"),
     )
 
 
@@ -97,29 +104,11 @@ def baire_cover():
     Like the binary tree, but a node has countably many children, so
     its axiom cover is an Enumeration without a surjectivity bound.
     """
-
-    def contains(x):
-        if x is ABSURD:
-            return True
-        return isinstance(x, tuple) and all(
-            isinstance(v, int) and v >= 0 for v in x)
-
-    def axioms_of(s):
-        if s is ABSURD:
-            return ((),)
-        return (Enumeration(lambda n: s + (n,)),)
-
-    def uppers_of(s):
-        if s is ABSURD:
-            return ()
-        return tuple(s[:i] for i in range(len(s)))
-
-    return CoverPresentation.countable(
-        contains=contains,
-        meet=_tree_meet,
-        top=(),
-        axioms_of=axioms_of,
-        uppers_of=uppers_of,
+    return _tree_cover(
+        (),
+        lambda x: isinstance(x, tuple) and all(
+            isinstance(v, int) and v >= 0 for v in x),
+        lambda s: Enumeration(lambda n: s + (n,)),
     )
 
 

@@ -493,14 +493,10 @@ def overlap_cover_sweep(p, pos):
     return True, None
 
 
-# The five tables of CoverPresentation._compile, in that order.
-RuleTables = namedtuple("RuleTables", "rules heads needs watchers nullary")
-
-
 def compile_rules(p):
-    """CoverPresentation._compile's tables with every raw axiom localized
-    at every element below its head, the copies that contain their own
-    head dropped only when the covers are reduced."""
+    """CoverPresentation._compile's rule table with every raw axiom
+    localized at every element below its head, the copies that contain
+    their own head dropped only when the covers are reduced."""
     idx, meet, n = p._base_index, p._meet_index, len(p.base)
     below = [[y for y in range(n) if meet[a][y] == y] for a in range(n)]
     covers = [{1 << a for a in range(n) if meet[a][y] == y}
@@ -514,21 +510,11 @@ def compile_rules(p):
         return len(members), members
 
     rules = [[] for _ in range(n)]
-    heads, needs, watchers = [], [], [[] for _ in range(n)]
-    nullary = 0
     for h, kept in enumerate(rules):
         for bits in sorted(covers[h], key=order):
-            if bits >> h & 1 or any(not k & ~bits for k in kept):
-                continue
-            kept.append(bits)
-            members = order(bits)[1]
-            if not members:
-                nullary |= 1 << h
-            for c in members:
-                watchers[c].append(len(heads))
-            heads.append(h)
-            needs.append(len(members))
-    return RuleTables(rules, heads, needs, watchers, nullary)
+            if not (bits >> h & 1 or any(not k & ~bits for k in kept)):
+                kept.append(bits)
+    return rules
 
 
 def linear_probe(stage, budget):
@@ -568,6 +554,5 @@ def relisting_trace(p, a, u, at_step):
     with cover_prefix."""
     u = _normalize_cover_argument(p, u)
     effort = 1 << at_step.bit_length()
-    outcome, _complete = _Search(p, u, effort, cover_prefix,
-                                 build_trace=True).run(a)
+    outcome, _complete = _Search(p, u, effort, cover_prefix).run(a)
     return outcome

@@ -10,9 +10,10 @@ validation on seeded, mutated meet tables.  The rule table, which
 keeps meet-below and axioms localized below their heads, less
 self-headed and subsumed covers, is compared with the oracle's
 saturation over the full compiled list, on random axiom sets rich in
-both, and derive on it with derive over the full list; its five
-tables are compared with the construction that localizes every axiom
-at every element below its head.  The
+both, and on a chain whose closure adds one element per pass, and
+derive on it with derive over the full list; the table is compared
+with the construction that localizes every axiom at every element
+below its head.  The
 envelope's axioms are compared with their name-based construction,
 and the closed-set kernel (NextClosure frames, the greedy overt check
 and the closed-set overlap test) gets a time bound.
@@ -270,38 +271,21 @@ REDUNDANT = [("redundant-%s-%d" % (name, seed),
              for name, lattice in CORPUS for seed in range(3)]
 
 
-def chaining_table(p):
-    """The chaining table's axioms as (head, cover mask) pairs."""
-    covers = {}
-    for c, watched in enumerate(p._watchers):
-        for k in watched:
-            covers[k] = covers.get(k, 0) | 1 << c
-    return [(head, covers.get(k, 0)) for k, head in enumerate(p._heads)]
-
-
 def test_chaining_table_has_no_self_headed_or_subsumed_axiom():
     dropped = 0
     for name, p in REDUNDANT + [(name, p) for name, p, _ in CASES]:
-        table = chaining_table(p)
-        assert len(table) == len(p._needs), name
-        for k, (head, cover) in enumerate(table):
-            assert p._needs[k] == bin(cover).count("1"), name
-            assert not cover >> head & 1, name
-            assert not any(h == head and c != cover and not c & ~cover
-                           for h, c in table), name
-        assert p._nullary == sum({1 << head for head, cover in table
-                                  if not cover}), name
-        # each rule is meet-below (one member, above its head) or a copy
-        # localized below its head
         meet = p._meet_index
-        for head, cover in table:
-            members = [c for c in range(len(p.base)) if cover >> c & 1]
-            assert (len(members) == 1 and meet[head][members[0]] == head
-                    or all(meet[c][head] == c for c in members)), name
-        # derive searches exactly these covers, head by head, in order
-        assert [(head, cover) for head, covers in enumerate(p._rules)
-                for cover in covers] == table, name
-        dropped += len(compiled_by_name(p)) - len(table)
+        for head, covers in enumerate(p._rules):
+            for cover in covers:
+                assert not cover >> head & 1, name
+                assert not any(c != cover and not c & ~cover
+                               for c in covers), name
+                # each rule is meet-below (one member, above its head) or
+                # a copy localized below its head
+                members = [c for c in range(len(p.base)) if cover >> c & 1]
+                assert (len(members) == 1 and meet[head][members[0]] == head
+                        or all(meet[c][head] == c for c in members)), name
+        dropped += len(compiled_by_name(p)) - sum(map(len, p._rules))
     assert dropped > 0
 
 
@@ -311,14 +295,23 @@ def test_rule_tables_match_the_compile_oracle():
                  ("chain31", envelope_cover(chain_lattice(30))[0])]
     instances += REDUNDANT + [(name, p) for name, p, _ in CASES]
     for name, p in instances:
-        assert compile_rules(p) == (p._rules, p._heads, p._needs,
-                                    p._watchers, p._nullary), name
+        assert compile_rules(p) == p._rules, name
+
+
+def downward_chain(k):
+    """The chain a0 > a1 > ... > ak with ai <| {a(i+1)}: closure's
+    passes visit heads in base order, so closing {ak} adds one element
+    per pass."""
+    base = ["a%d" % i for i in range(k + 1)]
+    return CoverPresentation.finite(
+        base, lambda x, y: max(x, y, key=base.index), base[0],
+        [(base[i], (base[i + 1],)) for i in range(k)])
 
 
 def test_reduced_chaining_table_keeps_the_least_fixpoint():
     # saturation, the frame and the laws against the oracles, which
     # chain over the full compiled list
-    for name, p in REDUNDANT:
+    for name, p in REDUNDANT + [("downward-chain", downward_chain(9))]:
         oracle = name_saturation(p)
         for subset in subsets(p.base):
             assert saturate(p, subset) == oracle(subset), (name, subset)
