@@ -95,6 +95,15 @@ def test_baire_meets_and_membership():
     assert not p.contains("01")
 
 
+def test_baire_uppers_and_both_trees_absurd_element():
+    p = baire_cover()
+    assert p.uppers_of((3, 1, 4)) == ((), (3,), (3, 1))
+    assert p.uppers_of(()) == ()
+    for q in (cantor_cover(), p):
+        assert q.axioms_of(ABSURD) == ((),)
+        assert q.uppers_of(ABSURD) == ()
+
+
 def test_baire_derive_child_axiom():
     p = baire_cover()
     u = p.axioms_of(())[0]
