@@ -33,6 +33,7 @@ Exit status: 0 when every command passes, 1 when some command fails
 
 import argparse
 import json
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -77,63 +78,36 @@ class DocumentError(Exception):
     """Semantic error in an otherwise well-formed document."""
 
 
-_SYMBOLS = ("<=", "<|", "{", "}", ":", ";", ",", "*", "=")
+_Token = namedtuple("_Token", "kind value line col")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+# A newline, blanks or a comment (all skipped), a symbol, a word, or any
+# other character, which is an error.
+_TOKEN = re.compile(r"(\n)|[ \t\r]+|#[^\n]*|(<=|<\||[{}:;,*=])|(\w+)|(.)")
 
 
 def _tokenize(text):
-    """Tokens plus newline markers.
+    """The word and symbol tokens of a text, then an `eof` token.
 
-    Newlines are insignificant except that they terminate a derive
-    command's cover list; the parser skips them everywhere else.
+    A token's column is its offset from the start of its line, plus 1;
+    `eof` sits one column past the end of the last line.  Newlines only
+    separate tokens: a derive command's cover list ends at the end of
+    its line because every token carries its line.
     """
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(_Token("nl", "\n", line, col))
-            i += 1
+    line, start = 1, 0
+    for m in _TOKEN.finditer(text):
+        newline, sym, word, other = m.groups()
+        col = m.start() - start + 1
+        if newline:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i:i + 2]
-        if len(two) == 2 and two in _SYMBOLS:
-            tokens.append(_Token("sym", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("word", text[start:i], line, start_col))
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("eof", "", line, col))
+            start = m.end()
+        elif sym:
+            tokens.append(_Token("sym", sym, line, col))
+        elif word:
+            tokens.append(_Token("word", word, line, col))
+        elif other:
+            raise ParseError("unexpected character %r" % other, line, col)
+    tokens.append(_Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -203,11 +177,6 @@ class _Parser:
         self.pos = 0
 
     def peek(self):
-        while self.tokens[self.pos].kind == "nl":
-            self.pos += 1
-        return self.tokens[self.pos]
-
-    def peek_raw(self):
         return self.tokens[self.pos]
 
     def advance(self):
@@ -353,12 +322,12 @@ class _Parser:
     def parse_derive(self, _head):
         name = self.expect_word("name").value
         element = self.expect_word().value
-        self.expect_sym("<|")
-        # The list runs to the end of the line or to a keyword; its last
+        arrow = self.expect_sym("<|")
+        # The list runs to the end of the `<|` line or to a keyword; its last
         # two words are the budget clause when the first is `budget`.
         words = []
-        while (self.peek_raw().kind == "word"
-               and self.peek_raw().value not in _KEYWORDS):
+        while (self.peek().kind == "word" and self.peek().line == arrow.line
+               and self.peek().value not in _KEYWORDS):
             words.append(self.advance())
         budget = None
         if len(words) >= 2 and words[-2].value == "budget":
@@ -504,24 +473,16 @@ def build_cover(block):
         raise DocumentError("%s: top %r is not in the base"
                             % (where, block.top))
     table = {}
-
-    def put(x, y, v, declared):
-        old = table.get((x, y))
-        if old is not None and old != v:
-            if declared:
-                raise DocumentError("%s: meet table conflict at %s*%s"
-                                    % (where, x, y))
-            return
-        table[(x, y)] = v
-
     for x, y, v in block.meet_entries:
         _require_known(where, "meet", (x, y, v), seen)
-        put(x, y, v, True)
-        put(y, x, v, True)
+        for pair in ((x, y), (y, x)):
+            if table.setdefault(pair, v) != v:
+                raise DocumentError("%s: meet table conflict at %s*%s"
+                                    % ((where,) + pair))
     for x in base:
-        put(x, x, x, False)
-        put(x, block.top, x, False)
-        put(block.top, x, x, False)
+        table.setdefault((x, x), x)
+        table.setdefault((x, block.top), x)
+        table.setdefault((block.top, x), x)
     for x in base:
         for y in base:
             if (x, y) not in table:
@@ -532,7 +493,7 @@ def build_cover(block):
     try:
         p = CoverPresentation.finite(
             base=list(base),
-            meet=dict(table),
+            meet=table,
             top=block.top,
             axioms=[(h, tuple(c)) for h, c in block.axioms],
         )
@@ -542,25 +503,10 @@ def build_cover(block):
 
 
 def _fmt_value(v):
+    """A witness as text: a name, or a tuple of witnesses in parentheses."""
     if isinstance(v, str):
         return v
-    if isinstance(v, (frozenset, set)):
-        return "{%s}" % " ".join(sorted(str(x) for x in v))
-    if isinstance(v, (tuple, list)):
-        return "(%s)" % " ".join(_fmt_value(x) for x in v)
-    return str(v)
-
-
-def _json_safe(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, (frozenset, set)):
-        return [_json_safe(x) for x in sorted(v, key=str)]
-    if isinstance(v, (tuple, list)):
-        return [_json_safe(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _json_safe(x) for k, x in v.items()}
-    return str(v)
+    return "(%s)" % " ".join(_fmt_value(x) for x in v)
 
 
 def _report_text(report):
@@ -653,7 +599,7 @@ class _Runner:
                                     _report_text(report))
         return [line], {"aspect": cmd.aspect, "ok": report.ok,
                         "detail": report.detail,
-                        "witnesses": _json_safe(report.witnesses)}
+                        "witnesses": report.witnesses}
 
     def run_booleanize(self, cmd, _kind, lattice, pos):
         name = cmd.target
@@ -681,7 +627,7 @@ class _Runner:
         for i, cls in enumerate(c.classes()):
             lines.append("  class %d: %s" % (i, " ".join(cls)))
         return lines, {"ok": overlap_after, "detail": tail,
-                       "classes": _json_safe(c.classes()),
+                       "classes": c.classes(),
                        "identity": identity, "overlap_after": overlap_after}
 
     def run_congruences(self, cmd, _kind, lattice, _pos):
@@ -692,7 +638,7 @@ class _Runner:
                 "[%s]" % " ".join(cls) for cls in c.classes()))
         return lines, {
             "ok": True, "count": len(family),
-            "congruences": [_json_safe(c.classes()) for c in family],
+            "congruences": [c.classes() for c in family],
         }
 
     def run_derive(self, cmd, _kind, p, _pos):
@@ -700,14 +646,14 @@ class _Runner:
         sd = derive(p, cmd.element, cmd.cover)
         res = sd.probe(budget)
         header = _show_derive(replace(cmd, budget=budget))
-        fields = {"element": cmd.element, "cover": list(cmd.cover),
+        fields = {"element": cmd.element, "cover": cmd.cover,
                   "budget": budget}
         if isinstance(res, Confirmed):
             lines = ["%s: confirmed at step %d" % (header, res.at_step)]
             trace = derive_with_trace(p, cmd.element, cmd.cover, res.at_step)
             _trace_lines(trace, 1, lines)
             fields.update(ok=True, result="confirmed", at_step=res.at_step,
-                          trace=_json_safe(trace))
+                          trace=trace)
             return lines, fields
         fields.update(ok=False, result="unknown", at_step=None, trace=None)
         return ["%s: unknown (budget exhausted)" % header], fields

@@ -311,8 +311,10 @@ class CoverPresentation:
 def saturate(p, members):
     """The saturation of a subset: everything derivably covered by it,
     as a frozenset of base elements (CoverPresentation.closure on its
-    bitmask)."""
+    bitmask).  A bounded Enumeration is read by its elements()."""
     _needs_finite(p, "saturate")
+    if isinstance(members, Enumeration):
+        members = members.elements()
     return frozenset(p.members(p.closure(p.mask(members))))
 
 
@@ -565,9 +567,12 @@ def check_compactness(p, u):
     """Smallest subcover of the top within u, or None.
 
     Tries subsets of u by ascending size in deterministic base order;
-    None means u does not cover the top at all.
+    None means u does not cover the top at all.  A bounded Enumeration
+    is read by its elements().
     """
     _needs_finite(p, "check_compactness")
+    if isinstance(u, Enumeration):
+        u = u.elements()
     members = _normalize_cover_argument(p, u)
     top = p.mask((p.top,))
     if not p.closure(p.mask(members)) & top:
@@ -576,7 +581,6 @@ def check_compactness(p, u):
         for candidate in combinations(members, size):
             if p.closure(p.mask(candidate)) & top:
                 return candidate
-    return None
 
 
 def check_sigma_coherent(p, samples, budget=1000):

@@ -7,7 +7,8 @@ Confirmed(at_step) for the earliest stage up to the budget that fires,
 or Unknown.  Unknown is not a negative answer; a later, larger budget
 may still confirm, unless a stage has returned None: that says the
 search is refuted, no later stage fires, and every later probe answers
-Unknown without calling the stage again.
+Unknown without calling the stage again.  The ``refuted`` attribute
+says whether a probe has seen such a stage.
 
 A stage may be constant on runs of steps.  The optional
 ``next_step(k)`` names the next step at which the stage can change
@@ -45,7 +46,7 @@ class SemiDecision:
         self._next_step = next_step or (lambda k: k + 1)
         self._first = None
         self._scanned = -1
-        self._refuted = False
+        self.refuted = False
 
     def probe(self, budget):
         """Answer for the stages up to ``budget`` inclusive.
@@ -61,14 +62,14 @@ class SemiDecision:
         if first is not None:
             return Confirmed(first) if first <= budget else UNKNOWN
         k = self._scanned
-        while k < budget and not self._refuted:
+        while k < budget and not self.refuted:
             k += 1
             fired = self._stage(k)
             if fired:
                 self._first = k
                 self._scanned = k
                 return Confirmed(k)
-            self._refuted = fired is None
+            self.refuted = fired is None
             k = self._next_step(k) - 1
         self._scanned = k
         return UNKNOWN
@@ -106,7 +107,7 @@ def and_binary(p, q):
         both = p.confirmed(k), q.confirmed(k)
         if all(both):
             return True
-        return None if p._refuted or q._refuted else False
+        return None if p.refuted or q.refuted else False
 
     return SemiDecision(stage)
 
@@ -133,7 +134,7 @@ def or_countable(family):
             return True
         if family.bound is None or i > family.bound:
             return False
-        if member is BLANK or member._refuted:
+        if member is BLANK or member.refuted:
             dropped.add(i)
         return None if len(dropped) > family.bound else False
 

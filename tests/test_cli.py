@@ -20,6 +20,7 @@ from sigmaloc.cli import (
     EnvelopeCommand,
     LatticeBlock,
     ParseError,
+    _tokenize,
     build_cover,
     build_lattice,
     main,
@@ -111,6 +112,9 @@ def test_an_error_at_the_end_of_input_names_the_next_column():
     with pytest.raises(ParseError) as err:
         parse("lattice L {")
     assert str(err.value) == "line 1, col 12: expected a field or '}'"
+    with pytest.raises(ParseError) as err:
+        parse("lattice L { # open")
+    assert str(err.value) == "line 1, col 19: expected a field or '}'"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -291,6 +295,22 @@ def mutations(rng, count):
         yield " ".join(tokens)
 
 
+def test_tokens_sit_at_their_line_and_column():
+    texts = []
+    for name in sorted(os.listdir(EXAMPLES)):
+        with open(os.path.join(EXAMPLES, name)) as handle:
+            texts.append(handle.read())
+    texts.extend(mutations(random.Random(2), 300))
+    for text in texts:
+        lines = text.split("\n")
+        *tokens, eof = _tokenize(text)
+        for t in tokens:
+            assert t.kind in ("word", "sym"), (text, t)
+            assert lines[t.line - 1].startswith(t.value, t.col - 1), (text, t)
+        assert (eof.kind, eof.line, eof.col) == (
+            "eof", len(lines), len(lines[-1]) + 1), text
+
+
 def test_main_survives_mutated_examples(tmp_path, capsys):
     rng = random.Random(1)
     path = tmp_path / "mutant.cov"
@@ -427,6 +447,21 @@ def test_derive_unknown_fails_the_run():
     assert code == 1
     assert records[0]["result"] == "unknown"
     assert lines[0].endswith("unknown (budget exhausted)")
+
+
+def test_derive_prints_a_below_step(tmp_path, capsys):
+    doc = tmp_path / "below.cov"
+    doc.write_text("cover C { base: e s0 s1 nil; top: e;"
+                   " meet: s0*s1=nil, nil*s0=nil, nil*s1=nil;"
+                   " axiom: e <| s0 s1; axiom: nil <| ; }\n"
+                   "derive C s0 <| e s1\n")
+    assert main(["--input", str(doc)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "derive C s0 <| e s1 budget 1000: confirmed at step 0",
+        "  s0 <= e [below]"]
+    assert main(["--input", str(doc), "--format", "records"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["trace"] == ["below", "s0", "e"]
 
 
 def test_main_reads_files_and_reports_usage_errors(tmp_path, capsys):

@@ -242,7 +242,7 @@ def test_a_bounded_decidable_non_member_is_refuted():
         sd = member_semidecide(99, Enumeration(alpha, bound=bound), EQ)
         assert sd.probe(10 ** 9) is UNKNOWN
         assert alpha.calls <= pair_encode(bound, 0) + 1, values
-        assert sd._refuted
+        assert sd.refuted
 
 
 def test_member_steps_match_the_linear_scan():
@@ -271,7 +271,7 @@ def test_member_search_without_both_bounds_is_not_refuted():
     for e, eq in ((no_bound, EQ), (bounded, no_budget)):
         sd = member_semidecide(99, e, eq)
         assert sd.probe(5000) is UNKNOWN
-        assert not sd._refuted
+        assert not sd.refuted
         assert all(sd._stage(k) is False for k in range(5000, 5100))
 
 

@@ -16,12 +16,13 @@ with the construction that localizes every axiom at every element
 below its head.  The
 envelope's axioms are compared with their name-based construction,
 and the closed-set kernel (NextClosure frames, the greedy overt check
-and the closed-set overlap test) gets a time bound.
+and the closed-set overlap test) gets a time bound.  Presentations
+broken on purpose pin each failing report of the cover laws check.
 """
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -156,6 +157,41 @@ def test_cover_laws_sample_draws_the_oracle_subsets(monkeypatch):
         len(expected),)
     sampled = requested[:2 * len(expected):2]
     assert [p.members(mask) for mask in sampled] == expected
+
+
+def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
+    # each presentation is broken after it is built, so the cache of
+    # closures it already holds is emptied
+    p, _ = envelope_cover(chain_lattice(3))
+    assert [p.members(bits) for bits in p._rules[p._base_index["b"]]] == [
+        ("1",)]
+    p._rules[p._base_index["b"]] = []
+    p._closed = {}
+    assert check_formal_cover_axioms(p) == failed("meet-left fails",
+                                                  ("b", "1"))
+
+    p, _ = envelope_cover(boolean_lattice(2))
+    head, pair = p._base_index["11"], p.mask(("01", "10"))
+    assert pair in p._rules[head]
+    p._rules[head] = [bits for bits in p._rules[head] if bits != pair]
+    p._closed = {}
+    assert check_formal_cover_axioms(p) == failed(
+        "stability fails", ("11", "11", ("01", "10")))
+
+    p, _ = envelope_cover(chain_lattice(2))
+    closure = p.closure
+    p.closure = lambda mask: closure(mask) & ~1
+    p._closed = {}
+    assert check_formal_cover_axioms(p) == failed("reflexivity fails",
+                                                  ("0", ("0",)))
+
+    p, _ = envelope_cover(chain_lattice(2))
+    closure, calls = p.closure, count()
+    p.closure = lambda mask: closure(mask) | 1 << next(calls)
+    p._closed = {}
+    report = check_formal_cover_axioms(p)
+    assert not report.ok
+    assert report.detail == "saturation not idempotent"
 
 
 def test_overt_cover_matches_the_name_sweep():

@@ -13,6 +13,7 @@ from sigmaloc import (
     CoverError,
     CoverPresentation,
     Enumeration,
+    MissingSurjectivityBound,
     Positivity,
     baire_cover,
     boolean_lattice,
@@ -24,6 +25,7 @@ from sigmaloc import (
     check_sigma_coherent,
     derive,
     derive_with_trace,
+    discrete_cover,
     envelope_cover,
     frame_of_presentation,
     is_overlap_cover,
@@ -269,6 +271,19 @@ def test_check_compactness_frozen_cases():
     assert check_compactness(p, ("0", "a")) is None
     diamond, _ = envelope_cover(boolean_lattice(2))
     assert check_compactness(diamond, ("01", "10")) == ("01", "10")
+
+
+def test_saturate_and_compactness_read_a_bounded_enumeration():
+    p, _pos = discrete_cover(["a", "b"])
+    u = (frozenset("a"), frozenset("b"))
+    listed = Enumeration.from_iterable(u)
+    assert saturate(p, listed) == saturate(p, u)
+    assert check_compactness(p, listed) == check_compactness(p, u) == u
+    unbounded = Enumeration(lambda n: u[n % 2])
+    with pytest.raises(MissingSurjectivityBound):
+        saturate(p, unbounded)
+    with pytest.raises(MissingSurjectivityBound):
+        check_compactness(p, unbounded)
 
 
 def test_check_compactness_on_corpus_cover_of_top():

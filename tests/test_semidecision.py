@@ -111,12 +111,12 @@ def test_or_countable_refutes_once_every_member_has():
     sd = or_countable(Enumeration.from_iterable([never(), never()]))
     assert run(sd, 10 ** 9) is UNKNOWN
     assert time.time() - t0 < 1.0
-    assert sd._refuted
+    assert sd.refuted
     family = Enumeration.from_iterable([never(), from_boolean(True)])
     assert run(or_countable(family), 10 ** 9) == Confirmed(1)
     unbounded = or_countable(Enumeration(lambda n: never()))
     assert run(unbounded, 5000) is UNKNOWN
-    assert not unbounded._refuted
+    assert not unbounded.refuted
 
 
 def test_and_binary_refutes_with_either_conjunct():
