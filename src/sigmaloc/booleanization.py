@@ -212,12 +212,12 @@ def congruence_leq(c1, c2):
     return True
 
 
-def _signatures(lattice, pos):
-    """Per element index, the bitmask of the test elements z whose meet
-    with it is positive."""
-    positive = [pos.holds(x) for x in lattice.elements]
+def _signatures(elements, meet_table, pos):
+    """Per element index of a lattice or a finite cover's base, the
+    bitmask of the test elements z whose meet with it is positive."""
+    positive = [pos.holds(x) for x in elements]
     out = []
-    for row in lattice.meet_table:
+    for row in meet_table:
         sig = 0
         for k, m in enumerate(row):
             if positive[m]:
@@ -226,17 +226,21 @@ def _signatures(lattice, pos):
     return out
 
 
+def _require_overt(report, error=ValueError, where=""):
+    """Raise error unless the overt laws hold, as report says."""
+    if not report:
+        raise error("positivity is not overt%s: %s" % (where, report.detail))
+
+
 def bool_congruence(lattice, pos):
     """The congruence relating elements no positivity test separates.
 
     x ~ y iff positivity of x meet z and of y meet z agree for every z.
     Requires the overt laws to hold.
     """
-    report = check_overt(lattice, pos)
-    if not report:
-        raise ValueError("positivity is not overt: %s" % (report.detail,))
-    return Congruence.from_class_ids(lattice.elements,
-                                     _signatures(lattice, pos))
+    _require_overt(check_overt(lattice, pos))
+    sigs = _signatures(lattice.elements, lattice.meet_table, pos)
+    return Congruence.from_class_ids(lattice.elements, sigs)
 
 
 def quotient(lattice, c, pos=None):
@@ -283,12 +287,9 @@ def is_sigma_overlap_algebra(lattice, pos):
     element order, where x overlaps no more than y yet x is not below
     y.  Requires the overt laws.
     """
-    report = check_overt(lattice, pos)
-    if not report:
-        raise ValueError("positivity is not overt: %s" % (report.detail,))
-    sigs = _signatures(lattice, pos)
-    elements = lattice.elements
-    down = lattice.down
+    _require_overt(check_overt(lattice, pos))
+    elements, down = lattice.elements, lattice.down
+    sigs = _signatures(elements, lattice.meet_table, pos)
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
             if not sigs[i] & ~sigs[j] and not down[j] >> i & 1:
@@ -313,13 +314,9 @@ def is_overlap_cover(p, pos):
     NextClosure lists.  Only after a closed set fails are the subsets
     up to it swept, in bitmask order, to name the first witness.
     """
-    report = check_overt_cover(p, pos)
-    if not report:
-        raise CoverError("positivity is not overt on the base: %s"
-                         % (report.detail,))
-    base = p.base
-    n = len(base)
-    sig = [p.mask(b for b in base if pos.holds(p.meet(a, b))) for a in base]
+    _require_overt(check_overt_cover(p, pos), CoverError, " on the base")
+    n = len(p.base)
+    sig = _signatures(p.base, p.meet_table, pos)
 
     def premise(union):
         """The elements whose sig lies within union."""
@@ -392,9 +389,7 @@ def smallest_strongly_dense_oracle(lattice, pos):
     family has no maximum, which would falsify the minimality statement
     at this instance; it must never happen on valid overt inputs.
     """
-    report = check_overt(lattice, pos)
-    if not report:
-        raise ValueError("positivity is not overt: %s" % (report.detail,))
+    _require_overt(check_overt(lattice, pos))
     dense_family = [c for c in enumerate_congruences(lattice)
                     if is_strongly_dense(lattice, c, pos)]
     for candidate in dense_family:

@@ -36,7 +36,7 @@ import json
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from .booleanization import (
@@ -117,7 +117,6 @@ class LatticeBlock:
     elements: Tuple[str, ...]
     leq_pairs: Tuple[Tuple[str, str], ...]
     pos: Optional[Tuple[str, ...]]
-    location: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -128,26 +127,22 @@ class CoverBlock:
     meet_entries: Tuple[Tuple[str, str, str], ...]
     axioms: Tuple[Tuple[str, Tuple[str, ...]], ...]
     pos: Optional[Tuple[str, ...]]
-    location: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class CheckCommand:
     target: str
     aspect: str
-    location: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class BooleanizeCommand:
     target: str
-    location: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class CongruencesCommand:
     target: str
-    location: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -156,19 +151,16 @@ class DeriveCommand:
     element: str
     cover: Tuple[str, ...]
     budget: Optional[int]
-    location: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class EnvelopeCommand:
     target: str
-    location: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Document:
     items: Tuple
-
 
 
 class _Parser:
@@ -219,8 +211,7 @@ class _Parser:
             if t.value not in _KEYWORDS:
                 self.fail("unknown keyword %r" % t.value)
             head = self.advance()
-            item = _KEYWORDS[head.value].parse(self, head)
-            items.append(replace(item, location=(head.line, head.col)))
+            items.append(_KEYWORDS[head.value].parse(self, head))
         return Document(tuple(items))
 
     def fields(self):
@@ -348,17 +339,31 @@ def parse(text):
 def pretty_print(document):
     """Canonical text for a document; parse(pretty_print(d)) == d.
 
-    Raises ValueError for an item that no text parses back to: a
-    lattice with no elements, a cover with an empty base, and a derive
-    with a cover member named like a keyword, or with no budget and a
-    cover whose second-to-last member is `budget`.
+    Raises ValueError for an item that no text parses back to: a name
+    that is not one word (a whole \\w+ match, as the tokenizer reads
+    words), a lattice with no elements, a cover with an empty base, a
+    check of an unknown aspect, and a derive with a negative budget, a
+    cover member named like a keyword, or no budget and a cover whose
+    second-to-last member is `budget`.
     """
     chunks = []
     for item in document.items:
         if type(item) not in _ENTRY_OF:
             raise TypeError("not a document item: %r" % (item,))
+        for field_name, value in vars(item).items():
+            for w in _names(value):
+                if not re.fullmatch(r"\w+", w):
+                    raise ValueError("%r: %s %r is not a word"
+                                     % (item, field_name, w))
         chunks.append(_ENTRY_OF[type(item)].show(item))
     return "\n\n".join(chunks) + "\n"
+
+
+def _names(value):
+    """The strs of an item's field, itself one or nested in tuples."""
+    if isinstance(value, tuple):
+        return [w for v in value for w in _names(v)]
+    return [value] if isinstance(value, str) else []
 
 
 def _show_lattice(block):
@@ -393,6 +398,9 @@ def _show_cover(block):
 
 
 def _show_check(cmd):
+    if cmd.aspect not in _ASPECTS:
+        raise ValueError("check %s: unknown aspect %r" % (cmd.target,
+                                                          cmd.aspect))
     return "check %s %s" % (cmd.target, cmd.aspect)
 
 
@@ -410,6 +418,9 @@ def _show_derive(cmd):
         raise ValueError("%s: the last two cover members read as a budget"
                          % (text,))
     if cmd.budget is not None:
+        if cmd.budget < 0:
+            raise ValueError("%s: budget %d is not a natural number"
+                             % (text, cmd.budget))
         text += " budget %d" % cmd.budget
     return text
 
@@ -686,9 +697,8 @@ def _validate_check(cmd, kind, _structure, pos):
 
 
 def _validate_derive(cmd, _kind, p, _pos):
-    base = set(p.base)
     for w in (cmd.element,) + cmd.cover:
-        if w not in base:
+        if not p.contains(w):
             raise DocumentError("derive mentions unknown base element %r"
                                 % (w,))
 

@@ -103,10 +103,9 @@ class SemiDecidableEquality:
     max_confirm_budget: Optional[int] = None
 
     @staticmethod
-    def from_decidable(eq=None):
-        test = eq if eq is not None else (lambda x, y: x == y)
+    def from_decidable():
         return SemiDecidableEquality(
-            lambda x, y: from_boolean(test(x, y)), max_confirm_budget=0
+            lambda x, y: from_boolean(x == y), max_confirm_budget=0
         )
 
 

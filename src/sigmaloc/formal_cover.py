@@ -114,10 +114,10 @@ class CoverPresentation:
         """Validated finite presentation.
 
         meet is a callable or a complete mapping on ordered pairs; it is
-        read once into an index table, on which the meet-semilattice
-        laws (closure, idempotence, commutativity, associativity, top
-        neutral) are checked exhaustively.  Covers are normalized to
-        deduplicated base-index-sorted tuples.
+        read once into the index table meet_table, on which the
+        meet-semilattice laws (closure, idempotence, commutativity,
+        associativity, top neutral) are checked exhaustively.  Covers
+        are normalized to deduplicated base-index-sorted tuples.
         """
         p = CoverPresentation()
         p.base = list(base)
@@ -166,7 +166,7 @@ class CoverPresentation:
                         raise CoverError(
                             "meet not associative at (%r, %r, %r)"
                             % (base[x], base[y], base[z]))
-        p._meet_index = table
+        p.meet_table = table
 
         normalized = []
         for head, cover in axioms:
@@ -195,7 +195,7 @@ class CoverPresentation:
             i, j = self._base_index[x], self._base_index[y]
         except KeyError:
             raise CoverError("meet undefined at (%r, %r)" % (x, y))
-        return self.base[self._meet_index[i][j]]
+        return self.base[self.meet_table[i][j]]
 
     def local_covers(self, x):
         """(cover, x) for each cover in the rule table at x, already
@@ -220,7 +220,7 @@ class CoverPresentation:
         change.  _rules[h] lists them for head index h; derive searches
         it and closure chains over it, so it is the only table.
         """
-        idx, meet, n = self._base_index, self._meet_index, len(self.base)
+        idx, meet, n = self._base_index, self.meet_table, len(self.base)
         below = [sum(1 << y for y in range(n) if meet[a][y] == y)
                  for a in range(n)]
         covers = [{1 << a for a in range(n) if below[a] >> y & 1}
@@ -548,7 +548,7 @@ def check_formal_cover_axioms(p):
         if p.closure(s) != s:
             return failed("saturation not idempotent", (p.members(mask),))
     n = len(p.base)
-    meet, idx = p._meet_index, p._base_index
+    meet, idx = p.meet_table, p._base_index
     for a in range(n):
         for b in range(n):
             if meet[a][b] == a and not p.closure(1 << b) >> a & 1:

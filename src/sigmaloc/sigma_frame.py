@@ -230,49 +230,40 @@ def lattice_from_leq_pairs(elements, pairs):
 def find_isomorphism(first, second):
     """Order isomorphism between two finite lattices, or None.
 
-    Backtracking with a (down-set size, up-set size) signature filter;
-    returns a dict element-of-first -> element-of-second.
+    Backtracking over element indices with a (down-set size, up-set
+    size) signature filter and the down-set bits of the pairs already
+    placed; returns a dict element-of-first -> element-of-second, in
+    placement order.
     """
     if len(first) != len(second):
         return None
+    down1, down2 = first.down, second.down
+    sig1 = [(d.bit_count(), u.bit_count()) for d, u in zip(down1, first.up)]
+    sig2 = [(d.bit_count(), u.bit_count()) for d, u in zip(down2, second.up)]
+    order = sorted(range(len(first)),
+                   key=lambda i: (sig1[i], str(first.elements[i])))
+    image = []
 
-    def signatures(lat):
-        return {x: (lat.down[i].bit_count(), lat.up[i].bit_count())
-                for i, x in enumerate(lat.elements)}
-
-    sig1 = signatures(first)
-    sig2 = signatures(second)
-    order = sorted(first.elements, key=lambda x: (sig1[x], str(x)))
-    mapping = {}
-    used = set()
-
-    def consistent(x, y):
-        for a, b in mapping.items():
-            if first.leq(a, x) != second.leq(b, y):
-                return False
-            if first.leq(x, a) != second.leq(y, b):
-                return False
-        return True
-
-    def place(i):
-        if i == len(order):
+    def place(used):
+        if len(image) == len(order):
             return True
-        x = order[i]
-        for y in second.elements:
-            if y in used or sig2[y] != sig1[x]:
+        i = order[len(image)]
+        for j, sig in enumerate(sig2):
+            if used >> j & 1 or sig != sig1[i]:
                 continue
-            if not consistent(x, y):
+            if any((down1[i] >> a ^ down2[j] >> b) & 1
+                   or (down1[a] >> i ^ down2[b] >> j) & 1
+                   for a, b in zip(order, image)):
                 continue
-            mapping[x] = y
-            used.add(y)
-            if place(i + 1):
+            image.append(j)
+            if place(used | 1 << j):
                 return True
-            del mapping[x]
-            used.discard(y)
+            image.pop()
         return False
 
     if place(0):
-        return dict(mapping)
+        return {first.elements[i]: second.elements[j]
+                for i, j in zip(order, image)}
     return None
 
 
@@ -290,28 +281,30 @@ def check_sigma_hom(hom):
     """Does the mapping preserve top, bottom, meets and joins?
 
     On finite lattices countable joins reduce to binary ones, so this
-    is the whole sigma-frame homomorphism condition.  Returns a
-    CheckReport whose witnesses name the first failure in element
-    order.
+    is the whole sigma-frame homomorphism condition, checked on the
+    index tables.  Returns a CheckReport whose witnesses name the first
+    failure in element order.
     """
     src, tgt, f = hom.source, hom.target, hom.mapping
+    image = []
     for x in src.elements:
         if x not in f:
             return failed("unmapped element", (x,))
         if f[x] not in tgt._index:
             return failed("image outside target", (x, f[x]))
+        image.append(tgt._index[f[x]])
     if f[src.top] != tgt.top:
         return failed("top not preserved", (src.top, f[src.top]))
     if f[src.bottom] != tgt.bottom:
         return failed("bottom not preserved", (src.bottom, f[src.bottom]))
-    for x in src.elements:
-        for y in src.elements:
-            if f[src.meet(x, y)] != tgt.meet(f[x], f[y]):
-                return failed("meet not preserved", (x, y))
-    for x in src.elements:
-        for y in src.elements:
-            if f[src.join(x, y)] != tgt.join(f[x], f[y]):
-                return failed("join not preserved", (x, y))
+    for law, table, target in (("meet", src.meet_table, tgt.meet_table),
+                               ("join", src.join_table, tgt.join_table)):
+        for i, row in enumerate(table):
+            target_row = target[image[i]]
+            for j, k in enumerate(row):
+                if image[k] != target_row[image[j]]:
+                    return failed("%s not preserved" % law,
+                                  (src.elements[i], src.elements[j]))
     return passed("sigma-frame homomorphism")
 
 
@@ -425,10 +418,10 @@ def free_lattice(generators):
 
 def respects_disjointness(lattice, assignment):
     """Do distinct generators land on disjoint lattice elements?"""
-    values = list(assignment.items())
-    for i, (a, x) in enumerate(values):
-        for b, y in values[i + 1:]:
-            if a != b and lattice.meet(x, y) != lattice.bottom:
+    values = list(assignment.values())
+    for i, x in enumerate(values):
+        for y in values[i + 1:]:
+            if lattice.meet(x, y) != lattice.bottom:
                 return False
     return True
 

@@ -7,22 +7,23 @@ filtered by compatibility (Bell(n)), and the compatibility check keyed
 by element rather than by index.  For lattices they are also the
 validation on an n x n bool matrix, with the Warshall closure of order
 pairs, distributivity as the O(n^3) triple loop and the
-join-irreducibles as a fold of joins.  For covers they are the
-name-based forms of saturation, the frame, the cover laws and the
-overt and overlap cover checks, which pass frozensets and tuples of
-base elements where the kernel passes bitmasks, the meet-table
-validation on a dict keyed by name pairs, the envelope's axioms built
-through lattice.join and lattice.leq, the rule table built from a
-localized copy of every axiom at every element below its head, and
-derive over the full compiled axiom list.  For the countable searches
-they are the probe that calls its stage at every step and the cover
-prefix listed anew, with a list membership test, at every request.
-They are kept here only to compare the direct computations with, on
-small instances.
+join-irreducibles as a fold of joins, and the isomorphism search
+over every bijection.  For covers they are the name-based forms of
+saturation, the frame, the cover laws and the overt and overlap cover
+checks, which pass frozensets and tuples of base elements where the
+kernel passes bitmasks, the meet-table validation on a dict keyed by
+name pairs, the envelope's axioms built through lattice.join and
+lattice.leq, the rule table built from a localized copy of every axiom
+at every element below its head, and derive over the full compiled
+axiom list.  For the countable searches they are the probe that calls
+its stage at every step and the cover prefix listed anew, with a list
+membership test, at every request.  They are kept here only to compare
+the direct computations with, on small instances.
 """
 
 import random
 from collections import namedtuple
+from itertools import permutations
 
 from sigmaloc.booleanization import Congruence
 from sigmaloc.enumeration import BLANK, Enumeration
@@ -205,6 +206,24 @@ def name_pair_meet(base, meet, top):
                     raise CoverError(
                         "meet not associative at (%r, %r, %r)" % (x, y, z))
     return table
+
+
+def permutation_isomorphism(first, second):
+    """find_isomorphism by trying every bijection, in the order
+    itertools.permutations lists them: the first order isomorphism,
+    as a dict, or None."""
+    n = len(first)
+    if n != len(second):
+        return None
+    leq1 = [[first.leq(x, y) for y in first.elements] for x in first.elements]
+    leq2 = [[second.leq(x, y) for y in second.elements]
+            for x in second.elements]
+    for image in permutations(range(n)):
+        if all(leq1[i][j] == leq2[image[i]][image[j]]
+               for i in range(n) for j in range(n)):
+            return {first.elements[i]: second.elements[image[i]]
+                    for i in range(n)}
+    return None
 
 
 def overt_sweep(lattice, pos):
@@ -497,7 +516,7 @@ def compile_rules(p):
     """CoverPresentation._compile's rule table with every raw axiom
     localized at every element below its head, the copies that contain
     their own head dropped only when the covers are reduced."""
-    idx, meet, n = p._base_index, p._meet_index, len(p.base)
+    idx, meet, n = p._base_index, p.meet_table, len(p.base)
     below = [[y for y in range(n) if meet[a][y] == y] for a in range(n)]
     covers = [{1 << a for a in range(n) if meet[a][y] == y}
               for y in range(n)]

@@ -310,7 +310,7 @@ REDUNDANT = [("redundant-%s-%d" % (name, seed),
 def test_chaining_table_has_no_self_headed_or_subsumed_axiom():
     dropped = 0
     for name, p in REDUNDANT + [(name, p) for name, p, _ in CASES]:
-        meet = p._meet_index
+        meet = p.meet_table
         for head, covers in enumerate(p._rules):
             for cover in covers:
                 assert not cover >> head & 1, name

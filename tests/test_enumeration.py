@@ -92,6 +92,25 @@ def test_union_countable_against_set_oracle():
         assert got.bound is not None
 
 
+def test_union_countable_bound_needs_every_member_bounded():
+    index = Enumeration.from_iterable(["a", "b"])
+    members = {"a": Enumeration.from_iterable(["x"]),
+               "b": Enumeration(lambda n: "y")}
+    assert union_countable(index, members).bound is None
+    assert union_countable(index, lambda i: members["a"]).bound is not None
+
+
+def test_union_countable_skips_a_blank_index_entry():
+    # index 1 is blank, and the member at index 2 holds the last values
+    index = Enumeration(lambda n: {0: "a", 2: "b"}.get(n, BLANK), bound=2)
+    members = {"a": Enumeration.from_iterable(["x", "y"]),
+               "b": Enumeration.from_iterable(["z", "w", "v"])}
+    got = union_countable(index, members)
+    assert sorted(got.elements()) == ["v", "w", "x", "y", "z"]
+    # the last value of the last member sits at the bound itself
+    assert got.alpha(got.bound) == "v"
+
+
 def test_intersect_binary_against_set_oracle():
     rng = random.Random(12)
     universe = "vwxyz"

@@ -1,6 +1,7 @@
 """Finite lattice validation, homomorphisms, and the free layer."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -34,6 +35,9 @@ from sigmaloc import (
     respects_disjointness,
     validate_lattice,
 )
+
+from corpus import corpus, downset_lattice, product_lattice
+from oracles import permutation_isomorphism
 
 EQ = extend_equality_to_free(SemiDecidableEquality.from_decidable())
 
@@ -89,17 +93,27 @@ def test_lattice_from_leq_pairs_closure():
 def test_check_sigma_hom_catches_each_law():
     c2 = chain_lattice(1)
     c3 = chain_lattice(2)
-    ok = SigmaFrameHom(c2, c3, {"0": "0", "1": "1"})
-    assert check_sigma_hom(ok)
-    bad_top = SigmaFrameHom(c2, c3, {"0": "0", "1": "a"})
-    assert check_sigma_hom(bad_top).detail == "top not preserved"
-    missing = SigmaFrameHom(c2, c3, {"0": "0"})
-    assert check_sigma_hom(missing).detail == "unmapped element"
     diamond = boolean_lattice(2)
-    not_join = SigmaFrameHom(diamond, chain_lattice(1),
-                             {"00": "0", "01": "0", "10": "0", "11": "1"})
-    report = check_sigma_hom(not_join)
-    assert not report and report.detail == "join not preserved"
+    cases = (
+        (c2, c3, {"0": "0", "1": "1"}, True, "sigma-frame homomorphism", ()),
+        (c2, c3, {"0": "0"}, False, "unmapped element", ("1",)),
+        (c2, c3, {"0": "0", "1": "zz"}, False, "image outside target",
+         ("1", "zz")),
+        (c2, c3, {"0": "0", "1": "a"}, False, "top not preserved",
+         ("1", "a")),
+        (c2, c3, {"0": "a", "1": "1"}, False, "bottom not preserved",
+         ("0", "a")),
+        # 01 and 10 meet at 00, but both go to 1
+        (diamond, c3, {"00": "0", "01": "1", "10": "1", "11": "1"}, False,
+         "meet not preserved", ("01", "10")),
+        # every meet holds, but 01 and 10 join to 11 and both go to 0
+        (diamond, c2, {"00": "0", "01": "0", "10": "0", "11": "1"}, False,
+         "join not preserved", ("01", "10")),
+    )
+    for source, target, mapping, ok, detail, witnesses in cases:
+        report = check_sigma_hom(SigmaFrameHom(source, target, mapping))
+        assert (report.ok, report.detail, report.witnesses) == \
+            (ok, detail, witnesses)
 
 
 def test_find_isomorphism():
@@ -110,6 +124,61 @@ def test_find_isomorphism():
     assert iso == {"0": "x", "a": "y", "1": "z"}
     assert find_isomorphism(c3, boolean_lattice(2)) is None
     assert find_isomorphism(boolean_lattice(2), chain_lattice(3)) is None
+
+
+def assert_order_isomorphism(first, second, iso):
+    assert sorted(iso, key=first.elements.index) == first.elements
+    assert sorted(iso.values(), key=second.elements.index) == second.elements
+    for x in first.elements:
+        for y in first.elements:
+            assert first.leq(x, y) == second.leq(iso[x], iso[y])
+
+
+def small_lattices():
+    """Corpus lattices and down-set lattices of 4-point posets, each
+    poset also under a relabelling of its points, all of at most 7
+    elements and each once: isomorphic pairs whose element orders
+    differ."""
+    out = {}
+    for _name, lat in corpus():
+        out[repr(lat.elements), tuple(lat.down)] = lat
+    pairs = list(combinations(range(4), 2))
+    for mask in range(1 << len(pairs)):
+        chosen = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+        for relabel in ((0, 1, 2, 3), (3, 1, 0, 2)):
+            lat = downset_lattice(list(range(4)), [
+                (relabel[x], relabel[y]) for x, y in chosen])
+            out[repr(lat.elements), tuple(lat.down)] = lat
+    return [lat for lat in out.values() if len(lat) <= 7]
+
+
+def test_find_isomorphism_matches_the_permutation_oracle():
+    lattices = small_lattices()
+    isomorphic = 0
+    for first in lattices:
+        for second in lattices:
+            if len(first) != len(second):
+                continue
+            iso = find_isomorphism(first, second)
+            assert (iso is None) == \
+                (permutation_isomorphism(first, second) is None)
+            if iso is not None:
+                isomorphic += 1
+                assert_order_isomorphism(first, second, iso)
+    assert isomorphic > len(lattices)
+
+
+def test_find_isomorphism_backtracks_on_the_grid():
+    # two 2-chains side by side, labelled two ways: both down-set
+    # lattices are the 3x3 grid, and the corners (0,1) and (1,0) share a
+    # signature, so some placements must be undone
+    first = downset_lattice([0, 1, 2, 3], [(0, 3), (1, 2)])
+    second = downset_lattice([0, 1, 2, 3], [(0, 1), (2, 3)])
+    grid = product_lattice([chain_lattice(2), chain_lattice(2)])
+    for a, b in ((first, second), (second, first), (first, grid),
+                 (grid, second)):
+        assert_order_isomorphism(a, b, find_isomorphism(a, b))
+    assert find_isomorphism(first, chain_lattice(8)) is None
 
 
 def test_free_lattice_shape():
@@ -194,6 +263,13 @@ def test_lattice_errors_name_the_bad_element():
     unknown = raises("unknown element in order pair: 'z'",
                      lattice_from_leq_pairs, ["a", "b"], [("a", "z")])
     assert unknown.witnesses == ("z",)
+    # the first element of a pair is checked first
+    first = raises("unknown element in order pair: 'y'",
+                   lattice_from_leq_pairs, ["a", "b"], [("y", "z")])
+    assert first.witnesses == ("y",)
     outside = raises("not a lattice element: 'zz'",
                      chain_lattice(2).index, "zz")
     assert outside.witnesses == ("zz",)
+    missing = raises("assignment misses generator 'v'", extend_to_free,
+                     ["u", "v"], chain_lattice(1), {"u": "1"})
+    assert missing.witnesses == ("v",)
