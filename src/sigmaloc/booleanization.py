@@ -13,11 +13,10 @@ re-derives that minimum over all congruences so the two can be
 compared on every instance.
 """
 
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
 from .formal_cover import CoverError, _needs_finite
-from .reports import failed, passed
+from .reports import Record, failed, passed
 from .sigma_frame import SigmaFrameHom, validate_lattice
 
 
@@ -37,11 +36,10 @@ class SizeCapExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Positivity:
+class Positivity(Record, namedtuple("Positivity", "members")):
     """Decidable positivity predicate, given by its member set."""
 
-    members: frozenset
+    __slots__ = ()
 
     def holds(self, x):
         return x in self.members
@@ -129,17 +127,15 @@ def check_overt_cover(p, pos):
     return passed("overt cover laws hold")
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record, namedtuple("Congruence", "elements class_of")):
     """A partition of a lattice's elements, as normalized class ids.
 
-    class_of[i] is the class of elements[i]; ids are normalized to
-    first-appearance order (a restricted growth string), so equal
-    partitions compare equal.
+    elements and class_of are tuples: class_of[i] is the class of
+    elements[i]; ids are normalized to first-appearance order (a
+    restricted growth string), so equal partitions compare equal.
     """
 
-    elements: Tuple
-    class_of: Tuple[int, ...]
+    __slots__ = ()
 
     @staticmethod
     def from_class_ids(elements, ids):

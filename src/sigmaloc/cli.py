@@ -36,8 +36,6 @@ import json
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
 
 from .booleanization import (
     Positivity,
@@ -61,7 +59,7 @@ from .formal_cover import (
     envelope_cover,
     frame_of_presentation,
 )
-from .reports import CheckReport, failed, passed
+from .reports import CheckReport, Record, failed, passed
 from .semidecision import Confirmed
 from .sigma_frame import LatticeError, find_isomorphism, lattice_from_leq_pairs
 
@@ -111,56 +109,42 @@ def _tokenize(text):
     return tokens
 
 
-@dataclass(frozen=True)
-class LatticeBlock:
-    name: str
-    elements: Tuple[str, ...]
-    leq_pairs: Tuple[Tuple[str, str], ...]
-    pos: Optional[Tuple[str, ...]]
+# Document items.  A field is a name, a tuple of names, of (x, y) leq
+# pairs, (x, y, meet) entries or (head, cover) axioms, or None for an
+# absent pos field or budget clause.
+class LatticeBlock(Record, namedtuple(
+        "LatticeBlock", "name elements leq_pairs pos")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoverBlock:
-    name: str
-    base: Tuple[str, ...]
-    top: str
-    meet_entries: Tuple[Tuple[str, str, str], ...]
-    axioms: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    pos: Optional[Tuple[str, ...]]
+class CoverBlock(Record, namedtuple(
+        "CoverBlock", "name base top meet_entries axioms pos")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckCommand:
-    target: str
-    aspect: str
+class CheckCommand(Record, namedtuple("CheckCommand", "target aspect")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BooleanizeCommand:
-    target: str
+class BooleanizeCommand(Record, namedtuple("BooleanizeCommand", "target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CongruencesCommand:
-    target: str
+class CongruencesCommand(Record, namedtuple("CongruencesCommand", "target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DeriveCommand:
-    target: str
-    element: str
-    cover: Tuple[str, ...]
-    budget: Optional[int]
+class DeriveCommand(Record, namedtuple(
+        "DeriveCommand", "target element cover budget")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EnvelopeCommand:
-    target: str
+class EnvelopeCommand(Record, namedtuple("EnvelopeCommand", "target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Document:
-    items: Tuple
+class Document(Record, namedtuple("Document", "items")):
+    __slots__ = ()
 
 
 class _Parser:
@@ -350,7 +334,7 @@ def pretty_print(document):
     for item in document.items:
         if type(item) not in _ENTRY_OF:
             raise TypeError("not a document item: %r" % (item,))
-        for field_name, value in vars(item).items():
+        for field_name, value in item._asdict().items():
             for w in _names(value):
                 if not re.fullmatch(r"\w+", w):
                     raise ValueError("%r: %s %r is not a word"
@@ -656,7 +640,7 @@ class _Runner:
         budget = cmd.budget if cmd.budget is not None else self.budget_default
         sd = derive(p, cmd.element, cmd.cover)
         res = sd.probe(budget)
-        header = _show_derive(replace(cmd, budget=budget))
+        header = _show_derive(cmd._replace(budget=budget))
         fields = {"element": cmd.element, "cover": cmd.cover,
                   "budget": budget}
         if isinstance(res, Confirmed):
@@ -742,19 +726,17 @@ _ASPECTS = {
 }
 
 
-@dataclass(frozen=True)
-class _Keyword:
+class _Keyword(Record, namedtuple(
+        "_Keyword", "keyword cls parse show build kind needs_pos validate run",
+        defaults=(None, "either", False, None, None))):
     """How one keyword of the language is parsed, printed, and either
-    built (blocks) or checked and run (commands)."""
-    keyword: str
-    cls: type
-    parse: Callable                     # (parser, head token) -> item
-    show: Callable                      # item -> text
-    build: Optional[Callable] = None    # block -> (structure, pos)
-    kind: str = "either"                # block kind a command's target is
-    needs_pos: bool = False
-    validate: Optional[Callable] = None  # (cmd, kind, structure, pos)
-    run: Optional[Callable] = None      # -> (lines, record fields)
+    built (blocks) or checked and run (commands): parse(parser, head
+    token) -> item, show(item) -> text, build(block) -> (structure, pos);
+    kind is the block kind a command's target is, validate(cmd, kind,
+    structure, pos) an extra check and run(...) -> (lines, record fields).
+    """
+
+    __slots__ = ()
 
 
 _KEYWORDS = {entry.keyword: entry for entry in (

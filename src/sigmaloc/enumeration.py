@@ -13,10 +13,10 @@ together with a map onto the carrier, is interconvertible with
 enumerations via from_detachable / to_detachable.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import namedtuple
 
 from .pairing import pair_decode, pair_encode
+from .reports import Record
 from .semidecision import SemiDecision, from_boolean
 
 
@@ -34,10 +34,9 @@ class MissingSurjectivityBound(Exception):
     """The operation needs to exhaust the enumeration but no bound is known."""
 
 
-@dataclass(frozen=True)
-class Enumeration:
-    alpha: Callable[[int], object]
-    bound: Optional[int] = None
+class Enumeration(Record, namedtuple("Enumeration", "alpha bound",
+                                     defaults=(None,))):
+    __slots__ = ()
 
     @staticmethod
     def from_iterable(values):
@@ -69,11 +68,10 @@ class Enumeration:
         return seen
 
 
-@dataclass(frozen=True)
-class DetachableSubset:
+class DetachableSubset(Record, namedtuple("DetachableSubset", "chi")):
     """Decidable membership test (a total 0/1 characteristic function)."""
 
-    chi: Callable[[object], bool]
+    __slots__ = ()
 
     @staticmethod
     def from_set(values):
@@ -90,17 +88,17 @@ class DetachableSubset:
         return DetachableSubset(lambda x: self.chi(x) and other.chi(x))
 
 
-@dataclass(frozen=True)
-class SemiDecidableEquality:
+class SemiDecidableEquality(Record, namedtuple(
+        "SemiDecidableEquality", "psi max_confirm_budget", defaults=(None,))):
     """Equality test returning a SemiDecision.
 
-    max_confirm_budget, when given, promises that every true equality
-    between carrier values confirms within that budget.  It is what
-    lets intersect_binary propagate surjectivity bounds.
+    psi(x, y) semi-decides x == y.  max_confirm_budget, when given,
+    promises that every true equality between carrier values confirms
+    within that budget.  It is what lets intersect_binary propagate
+    surjectivity bounds.
     """
 
-    psi: Callable[[object, object], SemiDecision]
-    max_confirm_budget: Optional[int] = None
+    __slots__ = ()
 
     @staticmethod
     def from_decidable():

@@ -326,10 +326,11 @@ class _CoverPrefixes:
     values at indices up to min(horizon, bound), in first-occurrence
     order, complete only when the bound is known and within the
     horizon.  Each Enumeration is listed once, deduplicated with a set,
-    and extended when a later effort bucket looks further (a derive's
-    horizons only grow), so the nodes and buckets of one derive share
-    it.  A listing holds its cover, so no id it is keyed by is reused
-    while the derive lives.
+    so the nodes and buckets of one derive share it.  A search lists a
+    rule's cover only once it is complete; only the goal is listed in
+    part, and extended when a later effort bucket looks further (a
+    derive's horizons only grow).  A listing holds its cover, so no id
+    it is keyed by is reused while the derive lives.
     """
 
     def __init__(self):
@@ -400,10 +401,10 @@ class _Search:
             if cover is self.u and cover and head is x:
                 return self.done(x, ("axiom-in-cover", x))
             if isinstance(cover, Enumeration):
-                cover, complete = self.prefixes(cover, self.horizon)
-                if not complete:
+                if cover.bound is None or cover.bound > self.horizon:
                     self.cutoff = True
                     continue
+                cover = self.prefixes(cover, self.horizon)[0]
             if cover and depth == 0:
                 self.cutoff = True
                 continue
@@ -443,13 +444,14 @@ def derive(p, a, u):
     the exponent, node budget = 64 * effort, enumeration horizon =
     effort.  The stage is constant on each effort bucket, so a probe
     runs one search per bucket, at most budget.bit_length() + 1 in
-    all, and confirms at the first step of its bucket.  The searches of one derive share
-    the prefixes of Enumeration covers, each extended as the horizon
-    grows; a search on an unbounded cover still lists effort values of
-    it, so its cost is linear in the horizon.  On finite presentations
-    a failed search without any cutoff is definitive: its stage returns
-    None, so the probe stops there and answers Unknown for every budget
-    without re-searching.
+    all, and confirms at the first step of its bucket.  The searches
+    of one derive share the listings of Enumeration covers.  A rule's
+    cover is listed only when its bound is within the horizon, since a
+    part of it proves nothing; the goal is listed up to the horizon,
+    so only an unbounded goal costs time linear in the horizon.  On
+    finite presentations a failed search without any cutoff is
+    definitive: its stage returns None, so the probe stops there and
+    answers Unknown for every budget without re-searching.
     """
     if not p.contains(a):
         raise CoverError("not a base element: %r" % (a,))

@@ -1,14 +1,28 @@
-"""Uniform result type for the check_* oracles."""
+"""Uniform result type for the check_* oracles, and the base of every
+sigmaloc record."""
 
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    detail: str = ""
-    witnesses: Tuple = ()
+class Record:
+    """Base of the named-tuple records: a record equals only records of
+    its own class, so Confirmed(3) != (3,).  Declared as
+    class Confirmed(Record, namedtuple("Confirmed", "at_step"))."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class CheckReport(Record, namedtuple("CheckReport", "ok detail witnesses",
+                                     defaults=("", ()))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

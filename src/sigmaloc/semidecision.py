@@ -20,14 +20,14 @@ it is probed, so repeated probing with growing budgets costs the same
 as one probe with the largest budget.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .pairing import pair_decode
+from .reports import Record
 
 
-@dataclass(frozen=True)
-class Confirmed:
-    at_step: int
+class Confirmed(Record, namedtuple("Confirmed", "at_step")):
+    __slots__ = ()
 
 
 class _Unknown:

@@ -13,8 +13,7 @@ finite quotient of that realization (free_lattice) is what the tests
 compare against.
 """
 
-from dataclasses import dataclass
-from typing import Dict
+from collections import namedtuple
 
 from .enumeration import (
     BLANK,
@@ -23,8 +22,8 @@ from .enumeration import (
     dovetail,
     union_countable,
 )
-from .reports import failed, passed
-from .semidecision import SemiDecision, from_boolean
+from .reports import Record, failed, passed
+from .semidecision import from_boolean
 
 
 class LatticeError(Exception):
@@ -267,11 +266,11 @@ def find_isomorphism(first, second):
     return None
 
 
-@dataclass(frozen=True)
-class SigmaFrameHom:
-    source: FiniteDistributiveLattice
-    target: FiniteDistributiveLattice
-    mapping: Dict[object, object]
+class SigmaFrameHom(Record, namedtuple("SigmaFrameHom",
+                                       "source target mapping")):
+    """A map between finite lattices, given by its dict of images."""
+
+    __slots__ = ()
 
     def __call__(self, x):
         return self.mapping[x]

@@ -3,6 +3,7 @@
 import pytest
 
 from sigmaloc import (
+    CheckReport,
     Congruence,
     CoverPresentation,
     NoMaximumFound,
@@ -70,6 +71,8 @@ def test_congruence_normal_form_and_relates():
     assert c.classes() == (("0",), ("a", "1"))
     assert c.relates("a", "1")
     assert not c.relates("0", "1")
+    with pytest.raises(ValueError, match="one class id per element"):
+        Congruence.from_class_ids(("0", "a", "1"), [0, 1])
 
 
 def test_is_congruence():
@@ -79,6 +82,9 @@ def test_is_congruence():
     # while 1 v a = 1 land in different classes
     bad = Congruence.from_class_ids(("0", "a", "1"), [0, 1, 0])
     assert not is_congruence(CHAIN3, bad)
+    other = Congruence.from_class_ids(("0", "1", "a"), [0, 1, 1])
+    assert is_congruence(CHAIN3, other) == CheckReport(
+        False, "partition is over different elements", ())
 
 
 def test_congruence_leq_is_refinement():

@@ -9,6 +9,7 @@ from sigmaloc import (
     ABSURD,
     UNKNOWN,
     BaseTooLarge,
+    CheckReport,
     Confirmed,
     CoverError,
     CoverPresentation,
@@ -304,6 +305,12 @@ def test_sigma_coherence_on_cantor_samples():
     u = p.axioms_of("")[0]
     report = check_sigma_coherent(p, [("", u, None)], budget=1000)
     assert report, report.detail
+    # an enumerated cover without a witness is its own witness
+    listed = Enumeration.from_iterable(["00", "01", "1"])
+    assert check_sigma_coherent(p, [("", listed, None)])
+    short = Enumeration.from_iterable(["00", "01"])
+    assert check_sigma_coherent(p, [("", short, None)]) == CheckReport(
+        False, "no countable subcover confirmed", ("",))
 
 
 def test_relation_as_morphism_reports():
@@ -315,6 +322,26 @@ def test_relation_as_morphism_reports():
     assert not bad
     with pytest.raises(CoverError):
         relation_as_morphism({"0": ["0"]}, chain2, chain3)
+    images = {"0": Enumeration.from_iterable(["0", "0"]),
+              "1": Enumeration.from_iterable(["a", "1"])}
+    assert relation_as_morphism(images, chain2, chain3)
+    images["1"] = Enumeration.from_iterable(["a"])
+    assert not relation_as_morphism(images, chain2, chain3)
+    images["1"] = Enumeration.from_iterable(["1", "zz"])
+    raises_exactly(CoverError, "relation image 'zz' not in target base",
+                   relation_as_morphism, images, chain2, chain3)
+
+
+def test_set_covers_read_as_sorted_tuples():
+    p = two_cover()
+    for u in ({"x", "y"}, frozenset({"y"}), set()):
+        listed = tuple(sorted(u))
+        assert derive(p, "top", u).probe(100) == \
+            derive(p, "top", listed).probe(100)
+        assert check_compactness(p, u) == check_compactness(p, listed)
+    assert derive(p, "top", {"y", "x"}).probe(100) == Confirmed(1)
+    assert derive_with_trace(p, "top", {"y", "x"}, 1) == \
+        derive_with_trace(p, "top", ("x", "y"), 1)
 
 
 def raises_exactly(exc, message, fn, *args):

@@ -42,3 +42,5 @@ def test_negative_rejected():
         pair_encode(-1, 0)
     with pytest.raises(ValueError):
         pair_encode(0, -1)
+    with pytest.raises(ValueError):
+        pair_decode(-1)

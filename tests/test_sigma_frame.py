@@ -49,6 +49,7 @@ def test_validate_chain():
     assert lat.meet("a", "1") == "a"
     assert lat.join("a", "0") == "a"
     assert lat.meet_all([]) == "1"
+    assert lat.meet_all(["1", "a", "1"]) == "a"
     assert lat.join_all([]) == "0"
 
 
@@ -208,10 +209,21 @@ def test_free_top_absorbs():
 def test_free_meet_top_neutral_and_independence():
     m = free_meet(free_top(), free_generator("u"), EQ)
     assert free_class_of(m) == frozenset({"u"})
+    m = free_meet(free_generator("u"), free_top(), EQ)
+    assert free_class_of(m) == frozenset({"u"})
     both = free_meet(free_element(["u", "v"]), free_element(["v", "w"]), EQ)
     assert free_class_of(both) == frozenset({"v"})
     disjoint = free_meet(free_generator("u"), free_generator("v"), EQ)
     assert free_class_of(disjoint) == frozenset()
+
+
+def test_lifted_equality_decides_the_top_generator():
+    assert EQ.psi(TOP_GENERATOR, TOP_GENERATOR).confirmed(0)
+    for x, y in ((TOP_GENERATOR, "u"), ("u", TOP_GENERATOR)):
+        p = EQ.psi(x, y)
+        assert not p.confirmed(10) and p.refuted
+    assert EQ.psi("u", "u").confirmed(0)
+    assert EQ.max_confirm_budget == 0
 
 
 def test_free_ext_equal_ignores_order_and_repeats():
