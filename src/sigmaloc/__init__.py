@@ -8,187 +8,18 @@ overtness, congruences, and the Booleanization quotient; stock
 generators; and a small CLI over declaration files.
 """
 
-from .pairing import pair_decode, pair_encode
-from .semidecision import (
-    UNKNOWN,
-    Confirmed,
-    SemiDecision,
-    and_binary,
-    from_boolean,
-    never,
-    or_countable,
-    run,
-)
-from .enumeration import (
-    BLANK,
-    DetachableSubset,
-    Enumeration,
-    MissingSurjectivityBound,
-    SemiDecidableEquality,
-    ext_equal_finite,
-    from_detachable,
-    intersect_binary,
-    map_enumeration,
-    member_semidecide,
-    restrict_detachable,
-    to_detachable,
-    union_countable,
-)
-from .reports import CheckReport, failed, passed
-from .sigma_frame import (
-    TOP_GENERATOR,
-    FiniteDistributiveLattice,
-    LatticeError,
-    MissingMeetOrJoin,
-    NotAPartialOrder,
-    NotDistributive,
-    SigmaFrameHom,
-    check_sigma_hom,
-    extend_equality_to_free,
-    extend_to_free,
-    extend_to_free_table,
-    find_isomorphism,
-    free_bottom,
-    free_class_of,
-    free_element,
-    free_ext_equal,
-    free_generator,
-    free_join,
-    free_lattice,
-    free_meet,
-    free_top,
-    lattice_from_leq_pairs,
-    respects_disjointness,
-    validate_lattice,
-)
-from .formal_cover import (
-    BaseTooLarge,
-    CoverError,
-    CoverPresentation,
-    check_compactness,
-    check_formal_cover_axioms,
-    check_sigma_coherent,
-    derive,
-    derive_with_trace,
-    envelope_cover,
-    frame_of_presentation,
-    relation_as_morphism,
-    saturate,
-)
-from .booleanization import (
-    Congruence,
-    NoMaximumFound,
-    Positivity,
-    RepresentativeDependentPos,
-    SizeCapExceeded,
-    bool_congruence,
-    check_overt,
-    check_overt_cover,
-    congruence_leq,
-    enumerate_congruences,
-    is_congruence,
-    is_dense,
-    is_overlap_cover,
-    is_sigma_overlap_algebra,
-    is_strongly_dense,
-    quotient,
-    smallest_strongly_dense_oracle,
-)
-from .generators import (
-    ABSURD,
-    baire_cover,
-    boolean_lattice,
-    cantor_cover,
-    chain_lattice,
-    discrete_cover,
-    with_nonzero_pos,
-)
+from .pairing import *
+from .semidecision import *
+from .enumeration import *
+from .reports import *
+from .sigma_frame import *
+from .formal_cover import *
+from .booleanization import *
+from .generators import *
 
-__all__ = [
-    "ABSURD",
-    "BLANK",
-    "BaseTooLarge",
-    "CheckReport",
-    "Confirmed",
-    "Congruence",
-    "CoverError",
-    "CoverPresentation",
-    "DetachableSubset",
-    "Enumeration",
-    "FiniteDistributiveLattice",
-    "LatticeError",
-    "MissingMeetOrJoin",
-    "MissingSurjectivityBound",
-    "NoMaximumFound",
-    "NotAPartialOrder",
-    "NotDistributive",
-    "Positivity",
-    "RepresentativeDependentPos",
-    "SemiDecidableEquality",
-    "SemiDecision",
-    "SigmaFrameHom",
-    "SizeCapExceeded",
-    "TOP_GENERATOR",
-    "UNKNOWN",
-    "and_binary",
-    "baire_cover",
-    "bool_congruence",
-    "boolean_lattice",
-    "cantor_cover",
-    "chain_lattice",
-    "check_compactness",
-    "check_formal_cover_axioms",
-    "check_overt",
-    "check_overt_cover",
-    "check_sigma_coherent",
-    "check_sigma_hom",
-    "congruence_leq",
-    "derive",
-    "derive_with_trace",
-    "discrete_cover",
-    "enumerate_congruences",
-    "envelope_cover",
-    "ext_equal_finite",
-    "extend_equality_to_free",
-    "extend_to_free",
-    "extend_to_free_table",
-    "failed",
-    "find_isomorphism",
-    "frame_of_presentation",
-    "free_bottom",
-    "free_class_of",
-    "free_element",
-    "free_ext_equal",
-    "free_generator",
-    "free_join",
-    "free_lattice",
-    "free_meet",
-    "free_top",
-    "from_boolean",
-    "from_detachable",
-    "intersect_binary",
-    "is_congruence",
-    "is_dense",
-    "is_overlap_cover",
-    "is_sigma_overlap_algebra",
-    "is_strongly_dense",
-    "lattice_from_leq_pairs",
-    "map_enumeration",
-    "member_semidecide",
-    "never",
-    "or_countable",
-    "pair_decode",
-    "pair_encode",
-    "passed",
-    "quotient",
-    "relation_as_morphism",
-    "respects_disjointness",
-    "restrict_detachable",
-    "run",
-    "saturate",
-    "smallest_strongly_dense_oracle",
-    "to_detachable",
-    "union_countable",
-    "validate_lattice",
-    "with_nonzero_pos",
-]
+# Each module lists the names it defines in its own __all__; each star
+# import also binds the submodule's name, which the union reads.
+__all__ = sorted(pairing.__all__ + semidecision.__all__
+                 + enumeration.__all__ + reports.__all__
+                 + sigma_frame.__all__ + formal_cover.__all__
+                 + booleanization.__all__ + generators.__all__)

@@ -19,6 +19,26 @@ from .formal_cover import CoverError, _needs_finite
 from .reports import Record, failed, passed
 from .sigma_frame import SigmaFrameHom, validate_lattice
 
+__all__ = [
+    "Congruence",
+    "NoMaximumFound",
+    "Positivity",
+    "RepresentativeDependentPos",
+    "SizeCapExceeded",
+    "bool_congruence",
+    "check_overt",
+    "check_overt_cover",
+    "congruence_leq",
+    "enumerate_congruences",
+    "is_congruence",
+    "is_dense",
+    "is_overlap_cover",
+    "is_sigma_overlap_algebra",
+    "is_strongly_dense",
+    "quotient",
+    "smallest_strongly_dense_oracle",
+]
+
 
 class RepresentativeDependentPos(Exception):
     """Inherited positivity disagrees inside a congruence class."""

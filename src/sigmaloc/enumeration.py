@@ -19,6 +19,22 @@ from .pairing import pair_decode, pair_encode
 from .reports import Record
 from .semidecision import SemiDecision, from_boolean
 
+__all__ = [
+    "BLANK",
+    "DetachableSubset",
+    "Enumeration",
+    "MissingSurjectivityBound",
+    "SemiDecidableEquality",
+    "ext_equal_finite",
+    "from_detachable",
+    "intersect_binary",
+    "map_enumeration",
+    "member_semidecide",
+    "restrict_detachable",
+    "to_detachable",
+    "union_countable",
+]
+
 
 class _Blank:
     __slots__ = ()

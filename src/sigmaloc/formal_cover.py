@@ -22,10 +22,10 @@ callbacks; they support derive but not saturate.  Both classes list,
 by local_covers(x), the covers a derivation step at x may use: after
 localization every step is x <| {v} for some v above x, or x <| an
 axiom of some v >= x met with x.  A finite presentation lists its
-rule table; a countable one lists x's axioms, then each v above x
-with v's axioms, then the top.  derive is a SemiDecision running one
-depth- and node-bounded goal-directed search over that list per
-power-of-two effort bucket.  For covers given by unbounded
+rule table; a countable one lists x's axioms, then each v above x,
+the top among them, with v's axioms.  derive is a SemiDecision
+running one depth- and node-bounded goal-directed search over that
+list per power-of-two effort bucket.  For covers given by unbounded
 enumerations the axiom step is discharged only when the axiom's cover
 is the goal cover itself; the engine is sound but deliberately
 incomplete there, and budget exhaustion reports Unknown, never false.
@@ -39,6 +39,21 @@ from .enumeration import BLANK, Enumeration
 from .reports import failed, passed
 from .semidecision import SemiDecision
 from .sigma_frame import SigmaFrameHom, check_sigma_hom, validate_lattice
+
+__all__ = [
+    "BaseTooLarge",
+    "CoverError",
+    "CoverPresentation",
+    "check_compactness",
+    "check_formal_cover_axioms",
+    "check_sigma_coherent",
+    "derive",
+    "derive_with_trace",
+    "envelope_cover",
+    "frame_of_presentation",
+    "relation_as_morphism",
+    "saturate",
+]
 
 
 class CoverError(Exception):
@@ -65,11 +80,15 @@ class CountablePresentation:
     """A presentation with a countable base given by callbacks.
 
     contains decides base membership and meet is the base meet, both
-    the caller's.  axioms_of(a) lists the covers of a (tuples, or
+    the caller's; top is the top element, which derive finds only
+    through uppers_of.  axioms_of(a) lists the covers of a (tuples, or
     Enumerations for genuinely countable covers), uppers_of(a) lists
-    the elements strictly above a; both are memoized, so the cover
-    objects stay stable across calls, which derive's identity discharge
-    relies on.
+    every element strictly above a, and so the top for every a but
+    the top itself.  The one exception is an absurd element below
+    everything: it may list no uppers, since its own empty axiom
+    proves it before any upper step is tried.  Both are memoized, so
+    the cover objects stay stable across calls, which derive's
+    identity discharge relies on.
     """
 
     def __init__(self, contains, meet, top, axioms_of, uppers_of):
@@ -81,16 +100,15 @@ class CountablePresentation:
 
     def local_covers(self, x):
         """(cover, head) pairs for a derive at x: x's axioms, then for
-        each v above x the singleton {v} and v's axioms, then {top}.
-        The search meets the members of a cover headed v with x."""
+        each v above x the singleton {v} and v's axioms, {top} among
+        them unless x is the top or absurd.  The search meets the
+        members of a cover headed v with x."""
         for cover in self.axioms_of(x):
             yield cover, x
         for v in self.uppers_of(x):
             yield (v,), x
             for cover in self.axioms_of(v):
                 yield cover, v
-        if x != self.top:
-            yield (self.top,), x
 
     # a cover argument is taken as given: there is no base index to
     # normalize it on

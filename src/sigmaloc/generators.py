@@ -12,6 +12,16 @@ from .enumeration import Enumeration
 from .formal_cover import CoverPresentation
 from .sigma_frame import validate_lattice
 
+__all__ = [
+    "ABSURD",
+    "baire_cover",
+    "boolean_lattice",
+    "cantor_cover",
+    "chain_lattice",
+    "discrete_cover",
+    "with_nonzero_pos",
+]
+
 
 class _Absurd(object):
     """Formal bottom for the tree covers: below everything, covered by
@@ -63,7 +73,8 @@ def _tree_cover(top, is_word, children):
     """The prefix tree over the words is_word accepts, top the empty
     word, plus the absurd element.  A word's only axiom is
     children(word); absurd is covered by the empty family.  Uppers of a
-    word are its proper prefixes, shortest first; absurd has none."""
+    word are its proper prefixes, shortest first, so the empty word is
+    an upper of every other word; absurd has none."""
 
     def axioms_of(s):
         if s is ABSURD:

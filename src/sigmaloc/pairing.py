@@ -8,6 +8,11 @@ dovetailing combinators rely on.
 
 from math import isqrt
 
+__all__ = [
+    "pair_decode",
+    "pair_encode",
+]
+
 
 def pair_encode(m, n):
     if m < 0 or n < 0:

@@ -3,6 +3,12 @@ sigmaloc record."""
 
 from collections import namedtuple
 
+__all__ = [
+    "CheckReport",
+    "failed",
+    "passed",
+]
+
 
 class Record:
     """Base of the named-tuple records: a record equals only records of

@@ -25,6 +25,17 @@ from collections import namedtuple
 from .pairing import pair_decode
 from .reports import Record
 
+__all__ = [
+    "UNKNOWN",
+    "Confirmed",
+    "SemiDecision",
+    "and_binary",
+    "from_boolean",
+    "never",
+    "or_countable",
+    "run",
+]
+
 
 class Confirmed(Record, namedtuple("Confirmed", "at_step")):
     __slots__ = ()

@@ -25,6 +25,33 @@ from .enumeration import (
 from .reports import Record, failed, passed
 from .semidecision import from_boolean
 
+__all__ = [
+    "TOP_GENERATOR",
+    "FiniteDistributiveLattice",
+    "LatticeError",
+    "MissingMeetOrJoin",
+    "NotAPartialOrder",
+    "NotDistributive",
+    "SigmaFrameHom",
+    "check_sigma_hom",
+    "extend_equality_to_free",
+    "extend_to_free",
+    "extend_to_free_table",
+    "find_isomorphism",
+    "free_bottom",
+    "free_class_of",
+    "free_element",
+    "free_ext_equal",
+    "free_generator",
+    "free_join",
+    "free_lattice",
+    "free_meet",
+    "free_top",
+    "lattice_from_leq_pairs",
+    "respects_disjointness",
+    "validate_lattice",
+]
+
 
 class LatticeError(Exception):
     def __init__(self, message, witnesses=()):

@@ -16,9 +16,10 @@ name pairs, the envelope's axioms built through lattice.join and
 lattice.leq, the rule table built from a localized copy of every axiom
 at every element below its head, and derive over the full compiled
 axiom list.  For the countable searches they are the probe that calls
-its stage at every step and the cover prefix listed anew, with a list
-membership test, at every request.  They are kept here only to compare
-the direct computations with, on small instances.
+its stage at every step, the cover prefix listed anew, with a list
+membership test, at every request, and the search that tries the
+{top} step again after the uppers have listed it.  They are kept here
+only to compare the direct computations with, on small instances.
 """
 
 import random
@@ -575,3 +576,14 @@ def relisting_trace(p, a, u, at_step):
     effort = 1 << at_step.bit_length()
     outcome, _complete = _Search(p, u, effort, cover_prefix).run(a)
     return outcome
+
+
+class TopRetrySearch(_Search):
+    """_Search on a countable presentation whose steps at x end with
+    {top} once more, after the uppers of x have listed it.  derive and
+    derive_with_trace run it in place of formal_cover._Search."""
+
+    def covers(self, x):
+        yield from self.p.local_covers(x)
+        if x != self.p.top:
+            yield (self.p.top,), x

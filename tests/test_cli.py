@@ -1,5 +1,6 @@
 """Declaration language: parsing, pretty-printing, execution, exit codes."""
 
+import io
 import json
 import os
 import random
@@ -507,6 +508,16 @@ def test_main_reads_files_and_reports_usage_errors(tmp_path, capsys):
 
     assert main(["--input", str(tmp_path / "absent.cov")]) == 2
     capsys.readouterr()
+
+
+def test_main_reads_stdin_for_a_dash(monkeypatch, capsys):
+    with open(os.path.join(EXAMPLES, "chain.cov")) as handle:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(handle.read()))
+    with open(os.path.join(GOLDEN, "chain.txt"), "rb") as handle:
+        expected = handle.read()
+    # the chain example has a failing check, as its golden run exits 1
+    assert main(["--input", "-"]) == 1
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_main_records_format(tmp_path, capsys):

@@ -9,13 +9,16 @@ enumerations, over every budget up to 300 and over growing, shrinking
 and repeated probe sequences.  The cover prefixes that the searches of
 one derive share are compared with cover_prefix, which lists each
 prefix anew.  The traces of confirmed derives are compared with the
-traces of a search that reads cover_prefix.
+traces of a search that reads cover_prefix.  On seeded Cantor and
+Baire questions, derive is compared with a search that tries the
+{top} step again after the uppers have listed it.
 """
 
 import os
 import random
 
 from sigmaloc import (
+    ABSURD,
     BLANK,
     UNKNOWN,
     Confirmed,
@@ -33,7 +36,8 @@ from sigmaloc.cli import CoverBlock, DeriveCommand, build_cover, parse
 from sigmaloc.pairing import pair_encode
 
 from corpus import corpus
-from oracles import cover_prefix, linear_probe, relisting_trace
+from oracles import TopRetrySearch, cover_prefix, linear_probe, \
+    relisting_trace
 
 BUDGETS = range(301)
 EQ = SemiDecidableEquality.from_decidable()
@@ -293,3 +297,64 @@ def test_traces_use_the_one_rule_vocabulary():
         assert trace[1] == a
         check(trace)
     assert kinds == {"refl", "below", "axiom", "axiom-in-cover"}
+
+
+def seeded_question(rng, cantor, baire):
+    """A seeded Cantor or Baire (presentation, element, cover): a node
+    or the absurd element against a slice at or above it, a proper
+    slice, stray nodes, or a bounded or unbounded enumeration."""
+    if rng.random() < 0.75:
+        p, letters, width, word = cantor, "01", 4, "".join
+    else:
+        p, letters, width, word = baire, range(10), 3, tuple
+
+    def node(width):
+        return word(rng.choice(letters) for _ in range(rng.randint(0, width)))
+
+    x = node(width)
+    a = ABSURD if rng.random() < 0.05 else x
+    above = x[:rng.randint(0, len(x))]
+    kind = rng.randrange(5)
+    if p is baire and kind < 2:
+        u = p.axioms_of(above if kind else x[:rng.randint(0, 1)])[0]
+    elif kind < 2:
+        u = words(above, len(x) - len(above) + rng.randint(0, 2))
+        if kind:
+            u.remove(rng.choice(u))
+    elif kind == 2:
+        u = [node(width) for _ in range(rng.randint(0, 5))]
+    elif kind == 3:
+        u = Enumeration.from_iterable([above + word([v]) for v in letters])
+    else:
+        u = Enumeration(lambda n: BLANK if n % 3 == 0
+                        else above + word([letters[n % 2]]))
+    return p, a, u
+
+
+def probes_and_traces(questions, budgets):
+    """Per question: the probe results at the budgets, the refuted flag
+    and the trace at the confirmation step, if any."""
+    out = []
+    for p, a, u in questions:
+        sd = derive(p, a, u)
+        results = [sd.probe(budget) for budget in budgets]
+        trace = (derive_with_trace(p, a, u, results[-1].at_step)
+                 if isinstance(results[-1], Confirmed) else None)
+        out.append((results, sd.refuted, trace))
+    return out
+
+
+def test_derive_matches_the_search_that_retries_the_top(monkeypatch):
+    cantor, baire = cantor_cover(), baire_cover()
+    rng = random.Random(15)
+    questions = [seeded_question(rng, cantor, baire) for _ in range(320)]
+    budgets = sorted(set(range(17)) | {31, 32, 100, 300, 1000})
+    got = probes_and_traces(questions, budgets)
+    with monkeypatch.context() as patch:
+        patch.setattr(formal_cover, "_Search", TopRetrySearch)
+        expected = probes_and_traces(questions, budgets)
+    for (p, a, u), mine, reference in zip(questions, got, expected):
+        assert mine == reference, (a, u)
+    assert {(p is baire, isinstance(results[-1], Confirmed))
+            for (p, _a, _u), (results, _r, _t) in zip(questions, got)} == \
+        {(False, False), (False, True), (True, False), (True, True)}

@@ -202,8 +202,6 @@ def test_frame_of_two_cover_is_diamond():
 
 
 class _FakeFinite:
-    kind = "finite"
-
     def __init__(self, base):
         self.base = base
 

@@ -104,6 +104,22 @@ def test_baire_uppers_and_both_trees_absurd_element():
         assert q.uppers_of(ABSURD) == ()
 
 
+def test_tree_local_covers_list_each_step_once():
+    # the uppers list the top, so {top} is listed once
+    cantor, baire = cantor_cover(), baire_cover()
+    cases = [(cantor, w) for w in ("", "0", "011", "10110")]
+    cases += [(baire, t) for t in ((), (4,), (3, 1, 4), (0, 0, 7, 2))]
+    cases += [(cantor, ABSURD), (baire, ABSURD)]
+    for p, x in cases:
+        steps = list(p.local_covers(x))
+        assert len(set(steps)) == len(steps), x
+        uppers = p.uppers_of(x)
+        assert len(steps) == 1 + 2 * len(uppers), x
+        if x != p.top and x is not ABSURD:
+            assert ((p.top,), x) in steps, x
+    assert list(cantor.local_covers(ABSURD)) == [((), ABSURD)]
+
+
 def test_baire_derive_child_axiom():
     p = baire_cover()
     u = p.axioms_of(())[0]
