@@ -198,9 +198,11 @@ class _Parser:
             items.append(_KEYWORDS[head.value].parse(self, head))
         return Document(tuple(items))
 
-    def fields(self):
-        """The `field:` tokens of a block body, up to its closing '}'."""
+    def fields(self, block):
+        """The `field:` tokens of a block body, up to its closing '}'.
+        Only `axiom` may come twice: each lists one cover axiom."""
         self.expect_sym("{")
+        seen = set()
         while True:
             t = self.advance()
             if t.kind == "sym" and t.value == "}":
@@ -208,6 +210,10 @@ class _Parser:
             if t.kind != "word":
                 self.fail("expected a field or '}'", t)
             self.expect_sym(":")
+            if t.value in seen:
+                self.fail("duplicate %s field %r" % (block, t.value), t)
+            if t.value != "axiom":
+                seen.add(t.value)
             yield t
 
     def word_tuples(self, *syms):
@@ -234,7 +240,7 @@ class _Parser:
         elements = None
         leq_pairs = ()
         pos = None
-        for t in self.fields():
+        for t in self.fields("lattice"):
             if t.value == "elements":
                 elements = self.words_until_sym(";")
                 if not elements:
@@ -256,7 +262,7 @@ class _Parser:
         meet_entries = ()
         axioms = []
         pos = None
-        for t in self.fields():
+        for t in self.fields("cover"):
             if t.value == "base":
                 base = self.words_until_sym(";")
                 if not base:
@@ -792,9 +798,9 @@ def main(argv=None):
         if args.input == "-":
             text = sys.stdin.read()
         else:
-            with open(args.input, "r") as handle:
+            with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print("cannot read %s: %s" % (args.input, err), file=sys.stderr)
         return 2
     try:

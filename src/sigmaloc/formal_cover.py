@@ -336,41 +336,19 @@ def saturate(p, members):
     return frozenset(p.members(p.closure(p.mask(members))))
 
 
-class _CoverPrefixes:
-    """The members of covers visible within a horizon, for one derive.
-
-    Called as (cover, horizon), it returns (members, complete): a tuple
-    is always complete; for an Enumeration the members are its distinct
-    values at indices up to min(horizon, bound), in first-occurrence
-    order, complete only when the bound is known and within the
-    horizon.  Each Enumeration is listed once, deduplicated with a set,
-    so the nodes and buckets of one derive share it.  A search lists a
-    rule's cover only once it is complete; only the goal is listed in
-    part, and extended when a later effort bucket looks further (a
-    derive's horizons only grow).  A listing holds its cover, so no id
-    it is keyed by is reused while the derive lives.
-    """
-
-    def __init__(self):
-        self._listings = {}
-
-    def __call__(self, cover, horizon):
-        if not isinstance(cover, Enumeration):
-            return tuple(cover), True
-        complete = cover.bound is not None and cover.bound <= horizon
-        last = cover.bound if complete else horizon
-        _cover, listed, seen, members = self._listings.get(
-            id(cover), (cover, -1, set(), ()))
-        if last > listed:
-            fresh = []
-            for n in range(listed + 1, last + 1):
-                v = cover.alpha(n)
-                if v is not BLANK and v not in seen:
-                    seen.add(v)
-                    fresh.append(v)
-            members += tuple(fresh)
-            self._listings[id(cover)] = cover, last, seen, members
-        return members, complete
+def _visible(cover, horizon):
+    """The members of a cover visible within a horizon, as (members,
+    complete): a tuple is always complete; for an Enumeration the
+    members are its distinct values at indices up to min(horizon,
+    bound), in first-occurrence order, complete only when the bound is
+    known and within the horizon."""
+    if not isinstance(cover, Enumeration):
+        return tuple(cover), True
+    complete = cover.bound is not None and cover.bound <= horizon
+    last = cover.bound if complete else horizon
+    values = dict.fromkeys(map(cover.alpha, range(last + 1)))
+    values.pop(BLANK, None)
+    return tuple(values), complete
 
 
 class _Search:
@@ -379,18 +357,19 @@ class _Search:
     A node x is proved by a member of the goal above it, or by a cover
     from covers(x) whose members are all proved one level deeper; a
     cover headed by some v other than x is met with x first.  A goal
-    cover listed at x, with head x, discharges x outright.
+    cover listed at x, with head x, discharges x outright.  The search
+    lists the goal once, to its own horizon, and a goal listed only in
+    part cuts it off from the start: its failure is then not definitive.
     """
 
-    def __init__(self, p, u, effort, prefixes):
+    def __init__(self, p, u, effort):
         self.p = p
         self.u = u
         self.horizon = effort
-        self.prefixes = prefixes
-        self.members, self.members_complete = prefixes(u, effort)
+        self.members, complete = _visible(u, effort)
         self.depth_limit = max(effort.bit_length() - 1, 0)
         self.nodes = 64 * effort
-        self.cutoff = False
+        self.cutoff = not complete
         self.proven = {}
 
     def covers(self, x):
@@ -404,8 +383,6 @@ class _Search:
                 return self.done(x, ("refl", x))
             if self.p.meet(x, m) == x:
                 return self.done(x, ("below", x, m))
-        if not self.members_complete:
-            self.cutoff = True
         if self.nodes <= 0:
             self.cutoff = True
             return None
@@ -422,7 +399,7 @@ class _Search:
                 if cover.bound is None or cover.bound > self.horizon:
                     self.cutoff = True
                     continue
-                cover = self.prefixes(cover, self.horizon)[0]
+                cover = _visible(cover, self.horizon)[0]
             if cover and depth == 0:
                 self.cutoff = True
                 continue
@@ -462,23 +439,22 @@ def derive(p, a, u):
     the exponent, node budget = 64 * effort, enumeration horizon =
     effort.  The stage is constant on each effort bucket, so a probe
     runs one search per bucket, at most budget.bit_length() + 1 in
-    all, and confirms at the first step of its bucket.  The searches
-    of one derive share the listings of Enumeration covers.  A rule's
-    cover is listed only when its bound is within the horizon, since a
-    part of it proves nothing; the goal is listed up to the horizon,
-    so only an unbounded goal costs time linear in the horizon.  On
-    finite presentations a failed search without any cutoff is
-    definitive: its stage returns None, so the probe stops there and
-    answers Unknown for every budget without re-searching.
+    all, and confirms at the first step of its bucket.  Each search
+    lists an Enumeration goal anew, to its own horizon: as horizons
+    double, a probe reads fewer than twice the values of one listing
+    to the last horizon, plus one per search.  A rule's cover is
+    listed only when its bound is within the horizon, since a part of
+    it proves nothing, so only an unbounded goal costs time linear in
+    the horizon.  On finite presentations a failed search without any
+    cutoff is definitive: its stage returns None, so the probe stops
+    there and answers Unknown for every budget without re-searching.
     """
     if not p.contains(a):
         raise CoverError("not a base element: %r" % (a,))
     u = _normalize_cover_argument(p, u)
-    prefixes = _CoverPrefixes()
 
     def stage(k):
-        outcome, complete = _Search(p, u, 1 << k.bit_length(),
-                                    prefixes).run(a)
+        outcome, complete = _Search(p, u, 1 << k.bit_length()).run(a)
         return True if outcome is not None else None if complete else False
 
     return SemiDecision(stage, lambda k: 1 << k.bit_length())
@@ -493,7 +469,7 @@ def derive_with_trace(p, a, u, at_step):
     """
     u = _normalize_cover_argument(p, u)
     effort = 1 << at_step.bit_length()
-    outcome, _complete = _Search(p, u, effort, _CoverPrefixes()).run(a)
+    outcome, _complete = _Search(p, u, effort).run(a)
     return outcome
 
 
@@ -617,10 +593,7 @@ def check_sigma_coherent(p, samples, budget=1000):
         a, u, witness = sample
         if witness is None and isinstance(u, Enumeration):
             witness = u
-        if witness is not None:
-            scanned = _CoverPrefixes()(witness, 31)[0][:8]
-        else:
-            scanned = tuple(u)[:8]
+        scanned = _visible(u if witness is None else witness, 31)[0][:8]
         candidates = [scanned[:size] for size in (1, 2, 4, 8)
                       if size <= len(scanned)]
         if witness is not None:

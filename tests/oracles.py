@@ -25,7 +25,9 @@ only to compare the direct computations with, on small instances.
 import random
 from collections import namedtuple
 from itertools import permutations
+from unittest.mock import patch
 
+from sigmaloc import formal_cover
 from sigmaloc.booleanization import Congruence
 from sigmaloc.enumeration import BLANK, Enumeration
 from sigmaloc.formal_cover import CoverError, _normalize_cover_argument, \
@@ -340,10 +342,10 @@ def compiled_by_name(p):
 
 class _FullListSearch(_Search):
     """_Search whose axiom step tries every compiled axiom of x, in the
-    order of compiled_by_name."""
+    order of compiled_by_name.  Build and run it within relisting()."""
 
     def __init__(self, p, u, effort, by_head):
-        super().__init__(p, u, effort, cover_prefix)
+        super().__init__(p, u, effort)
         self.by_head = by_head
 
     def covers(self, x):
@@ -363,8 +365,9 @@ def full_list_derive(p):
         def stage(k):
             effort = 1 << k.bit_length()
             if effort not in results:
-                search = _FullListSearch(p, u, effort, by_head)
-                outcome, complete = search.run(a)
+                with relisting():
+                    search = _FullListSearch(p, u, effort, by_head)
+                    outcome, complete = search.run(a)
                 results[effort] = (True if outcome is not None
                                    else None if complete else False)
             return results[effort]
@@ -569,12 +572,19 @@ def cover_prefix(cover, horizon):
     return tuple(cover), True
 
 
+def relisting():
+    """A context in which formal_cover._Search lists every cover with
+    cover_prefix instead of formal_cover._visible."""
+    return patch.object(formal_cover, "_visible", cover_prefix)
+
+
 def relisting_trace(p, a, u, at_step):
     """derive_with_trace on a search that lists each cover prefix anew
     with cover_prefix."""
     u = _normalize_cover_argument(p, u)
     effort = 1 << at_step.bit_length()
-    outcome, _complete = _Search(p, u, effort, cover_prefix).run(a)
+    with relisting():
+        outcome, _complete = _Search(p, u, effort).run(a)
     return outcome
 
 

@@ -125,6 +125,20 @@ def test_an_error_at_the_end_of_input_names_the_next_column():
      "line 1, col 28: unknown cover field 'foo'"),
     ("cover C { top: t; }", "line 1, col 1: cover C has no base field"),
     ("cover C { base: t; }", "line 1, col 1: cover C has no top field"),
+    ("lattice L { elements: 0 a 1; leq: 0<=a, a<=1; pos: a 1; pos: 1; }",
+     "line 1, col 57: duplicate lattice field 'pos'"),
+    ("lattice L { elements: 0 1; elements: 0 1; }",
+     "line 1, col 28: duplicate lattice field 'elements'"),
+    ("lattice L { elements: 0 a 1; leq: 0<=a; leq: a<=1; }",
+     "line 1, col 41: duplicate lattice field 'leq'"),
+    ("cover C { base: t; base: t; top: t; }",
+     "line 1, col 20: duplicate cover field 'base'"),
+    ("cover C { base: t; top: t; top: t; }",
+     "line 1, col 28: duplicate cover field 'top'"),
+    ("cover C { base: t; top: t; meet: t*t=t; meet: ; }",
+     "line 1, col 41: duplicate cover field 'meet'"),
+    ("cover C { base: t; top: t; pos: t; pos: ; }",
+     "line 1, col 36: duplicate cover field 'pos'"),
 ])
 def test_block_field_errors(text, message):
     with pytest.raises(ParseError) as err:
@@ -508,6 +522,15 @@ def test_main_reads_files_and_reports_usage_errors(tmp_path, capsys):
 
     assert main(["--input", str(tmp_path / "absent.cov")]) == 2
     capsys.readouterr()
+
+
+def test_an_undecodable_file_is_a_read_error(tmp_path, capsys):
+    doc = tmp_path / "latin.cov"
+    doc.write_bytes(b"lattice L { elements: \xff; }\n")
+    assert main(["--input", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read %s: " % doc)
+    assert "Traceback" not in err
 
 
 def test_main_reads_stdin_for_a_dash(monkeypatch, capsys):

@@ -6,10 +6,12 @@ every pair.  Both are compared with linear_probe, which calls the
 stage at every step.  The comparison runs on Cantor slices and proper
 subcovers, on Baire questions, on corpus envelopes and on seeded
 enumerations, over every budget up to 300 and over growing, shrinking
-and repeated probe sequences.  The cover prefixes that the searches of
-one derive share are compared with cover_prefix, which lists each
-prefix anew.  The traces of confirmed derives are compared with the
-traces of a search that reads cover_prefix.  On seeded Cantor and
+and repeated probe sequences.  The members a search sees of a cover
+are compared with cover_prefix, which lists them with a list
+membership test, and each search lists an enumerated goal once.  A
+bounded enumerated axiom is listed once the horizon covers its bound.
+The traces of confirmed derives are compared with the traces of a
+search that reads cover_prefix.  On seeded Cantor and
 Baire questions, derive is compared with a search that tries the
 {top} step again after the uppers have listed it.
 """
@@ -31,7 +33,7 @@ from sigmaloc import (
     envelope_cover,
     member_semidecide,
 )
-from sigmaloc import formal_cover
+from sigmaloc import formal_cover, generators
 from sigmaloc.cli import CoverBlock, DeriveCommand, build_cover, parse
 from sigmaloc.pairing import pair_encode
 
@@ -156,33 +158,49 @@ def seeded_enumeration(rng):
                        else (n * stride + offset) % 16)
 
 
-def test_cover_prefixes_match_the_relisting():
+def test_visible_members_match_the_relisting():
     rng = random.Random(5)
     kinds = set()
     for _ in range(200):
         e = seeded_enumeration(rng)
         kinds.add(e.bound is None)
         horizons = sorted(rng.randrange(60) for _ in range(8))
-        prefixes = formal_cover._CoverPrefixes()
         for horizon in horizons:
-            assert prefixes(e, horizon) == cover_prefix(e, horizon), horizon
+            assert formal_cover._visible(e, horizon) == \
+                cover_prefix(e, horizon), horizon
     assert kinds == {True, False}
-    prefixes = formal_cover._CoverPrefixes()
-    assert prefixes(("a", "b"), 3) == cover_prefix(("a", "b"), 3)
+    assert formal_cover._visible(("a", "b"), 3) == cover_prefix(("a", "b"), 3)
 
 
-def test_a_derive_lists_each_cover_value_once():
+def test_each_search_lists_an_enumerated_goal_once():
     calls = []
 
     def alpha(n):
         calls.append(n)
-        return n % 5
+        return "1" + "0" * n
 
-    u = Enumeration(alpha)
-    prefixes = formal_cover._CoverPrefixes()
-    for horizon in (1, 2, 4, 8, 8, 16):
-        prefixes(u, horizon)
-    assert calls == list(range(17))
+    assert derive(cantor_cover(), "0", Enumeration(alpha)).probe(16) \
+        is UNKNOWN
+    # one listing to each horizon 1, 2, 4, 8, 16 and 32: 69 calls
+    assert calls == [n for horizon in (1, 2, 4, 8, 16, 32)
+                     for n in range(horizon + 1)]
+
+
+def test_a_bounded_enumerated_axiom_waits_for_its_bound():
+    def words_split(children):
+        return generators._tree_cover(
+            "", lambda x: isinstance(x, str) and set(x) <= {"0", "1"},
+            children)
+
+    listed = words_split(lambda s: Enumeration.from_iterable(
+        [s + "0", BLANK, s + "1", s + "0"]))
+    plain = words_split(lambda s: (s + "0", s + "1"))
+    # the axiom's bound 3 is first within the horizon 4 of step 2
+    assert derive(listed, "", ["0", "1"]).probe(1000) == Confirmed(2)
+    assert derive(plain, "", ["0", "1"]).probe(1000) == Confirmed(1)
+    assert derive_with_trace(listed, "", ["0", "1"], 2) == \
+        ("axiom", "", ("0", "1"), (("refl", "0"), ("refl", "1")))
+    assert derive(listed, "0", ["00"]).probe(1000) is UNKNOWN
 
 
 def cantor_example_derives():
