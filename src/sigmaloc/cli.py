@@ -791,9 +791,11 @@ def main(argv=None):
                         help="largest base size for envelope frames and for "
                              "overt and overlap cover checks")
     args = parser.parse_args(argv)
-    if args.budget < 0:
-        parser.error("argument --budget: must be a natural number, got %d"
-                     % args.budget)
+    for flag, value in (("--budget", args.budget),
+                        ("--max-base", args.max_base)):
+        if value < 0:
+            parser.error("argument %s: must be a natural number, got %d"
+                         % (flag, value))
     try:
         if args.input == "-":
             text = sys.stdin.read()

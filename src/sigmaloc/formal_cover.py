@@ -11,7 +11,10 @@ satisfies reflexivity, transitivity, meet-left and stability
 (check_formal_cover_axioms re-verifies at run time).
 Subsets of a finite base are int bitmasks over base indices, and
 closure is the one saturation: saturate, the frame, the cover laws
-and the overt and overlap cover checks all read it.
+and the overt and overlap cover checks all read it.  It caches every
+closure and starts a new one from the cached closure of the mask less
+its lowest bit, so the cover laws' sweep over every subset chains
+from about n masks per closed set, not from each of the 2^n.
 Being a closure operator, it lists its closed sets by Ganter's
 NextClosure (CoverPresentation.closed_sets), with at most n closures
 per closed set, so the frame is built without visiting every subset.
@@ -288,11 +291,17 @@ class CoverPresentation:
         adds every head outside it with a cover inside it, until a pass
         adds nothing.  Every pass but the last adds a bit, so there are
         at most n + 1.  Results are cached per presentation, keyed by
-        the mask.
+        the mask.  A miss chains from the mask joined with the cached
+        closure of the mask less its lowest bit, if there is one: the
+        fixpoint is monotone, so that closure lies inside the answer.
+        The answer is cached under that start too, so masks that share
+        a start chain once.
         """
         sat = self._closed.get(mask)
         if sat is None:
-            sat, grown = mask, True
+            start = self._closed.get(mask & (mask - 1), 0) | mask
+            grown = start not in self._closed
+            sat = self._closed.get(start, start)
             while grown:
                 grown = False
                 for h, covers in enumerate(self._rules):
@@ -300,7 +309,7 @@ class CoverPresentation:
                                                 for bits in covers):
                         sat |= 1 << h
                         grown = True
-            self._closed[mask] = sat
+            self._closed[mask] = self._closed[start] = sat
         return sat
 
     def closed_sets(self):
@@ -531,7 +540,12 @@ def check_formal_cover_axioms(p):
     every subset when the base has at most 12 elements, else on a fixed
     seeded sample.  Meet-left and stability are checked exactly: the
     latter per raw axiom, which propagates to the whole cover by
-    induction on derivations.
+    induction on derivations.  The every-subset sweep goes in
+    increasing order, so closure always finds the closure of a mask
+    less its lowest bit cached and chains from about n masks per
+    closed set.  Stability closes the copy of each distinct raw cover
+    localized at each b once, then checks the axioms in order, so the
+    first failing (head, b, cover) is the witness.
     """
     _needs_finite(p, "check_formal_cover_axioms")
     masks = _sample_masks(len(p.base))
@@ -549,12 +563,14 @@ def check_formal_cover_axioms(p):
         for b in range(n):
             if meet[a][b] == a and not p.closure(1 << b) >> a & 1:
                 return failed("meet-left fails", (p.base[a], p.base[b]))
+    localized = {}
     for head, cover in p.axioms:
-        for b in range(n):
-            localized = 0
-            for x in cover:
-                localized |= 1 << meet[idx[x]][b]
-            if not p.closure(localized) >> meet[idx[head]][b] & 1:
+        if cover not in localized:
+            localized[cover] = [
+                p.closure(sum({1 << meet[idx[x]][b] for x in cover}))
+                for b in range(n)]
+        for b, sat in enumerate(localized[cover]):
+            if not sat >> meet[idx[head]][b] & 1:
                 return failed("stability fails", (head, p.base[b], cover))
     return passed("cover laws hold (%d subsets checked)" % (len(masks),))
 

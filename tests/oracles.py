@@ -386,12 +386,13 @@ def name_saturation(p):
         for c in cover:
             watchers.setdefault(c, []).append(i)
     nullary = [head for head, cover in axioms if not cover]
+    sizes = [len(cover) for _head, cover in axioms]
     cache = {}
 
     def saturate(members):
         key = frozenset(members)
         if key not in cache:
-            need = [len(cover) for _head, cover in axioms]
+            need = sizes.copy()
             sat = set()
             stack = []
             for x in nullary + list(key):

@@ -401,6 +401,19 @@ def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):
     assert "argument --budget: must be a natural number" in captured.err
 
 
+def test_negative_max_base_flag_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "doc.cov"
+    doc.write_text("cover C { base: t; top: t; }\ncheck C formalcover\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--input", str(doc), "--max-base", "-1"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --max-base: must be a natural number, got -1"
+            in captured.err)
+    assert main(["--input", str(doc), "--max-base", "0"]) == 0
+
+
 def test_build_lattice_errors():
     with pytest.raises(DocumentError, match="duplicate element"):
         build_lattice(parse("lattice L { elements: x x; }").items[0])

@@ -18,6 +18,9 @@ envelope's axioms are compared with their name-based construction,
 and the closed-set kernel (NextClosure frames, the greedy overt check
 and the closed-set overlap test) gets a time bound.  Presentations
 broken on purpose pin each failing report of the cover laws check.
+Closures on fresh presentations are compared with the oracle's in
+decreasing and in shuffled query order, and the laws check gets a
+work bound in fixpoint passes and stability closures.
 """
 
 import random
@@ -133,9 +136,13 @@ def test_frame_matches_the_name_sweep():
 
 
 def test_cover_laws_match_the_name_sweep():
+    # each wide presentation has more than 12 base elements, so the
+    # check samples its subsets
     wide = [("discrete4", discrete_cover(["v%d" % i for i in range(4)])[0]),
-            ("envelope-chain13", envelope_cover(chain_lattice(12))[0])]
-    for name, p in [(name, p) for name, p, _ in CASES] + wide:
+            ("envelope-chain13", envelope_cover(chain_lattice(12))[0]),
+            ("envelope-bool5", envelope_cover(boolean_lattice(5))[0]),
+            ("envelope-chain31", envelope_cover(chain_lattice(30))[0])]
+    for name, p in [(name, p) for name, p, _ in CASES] + REDUNDANT + wide:
         assert check_formal_cover_axioms(p) == cover_laws_sweep(p), name
 
 
@@ -178,6 +185,18 @@ def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
     assert check_formal_cover_axioms(p) == failed(
         "stability fails", ("11", "11", ("01", "10")))
 
+    # the failing axiom shares its cover with an earlier one that
+    # passes, and fails at a b other than its head
+    bool3 = boolean_lattice(3)
+    cover = ("011", "101")
+    p = CoverPresentation.finite(bool3.elements, bool3.meet, bool3.top,
+                                 [("001", cover), ("111", cover)])
+    head, pair = p._base_index["110"], p.mask(("010", "100"))
+    assert pair in p._rules[head]
+    p._rules[head] = [bits for bits in p._rules[head] if bits != pair]
+    assert check_formal_cover_axioms(p) == failed(
+        "stability fails", ("111", "110", cover))
+
     p, _ = envelope_cover(chain_lattice(2))
     closure = p.closure
     p.closure = lambda mask: closure(mask) & ~1
@@ -192,6 +211,77 @@ def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
     report = check_formal_cover_axioms(p)
     assert not report.ok
     assert report.detail == "saturation not idempotent"
+
+
+def test_closure_does_not_depend_on_query_order():
+    # on a fresh presentation per order, a closure starts from the cached
+    # closure of its mask less the lowest bit when there is one; sampled
+    # masks come with each of their masks less the lowest bits
+    instances = [("envelope-" + name, lambda lattice=lattice:
+                  envelope_cover(lattice)[0]) for name, lattice in CORPUS]
+    instances += [
+        ("envelope-bool5", lambda: envelope_cover(boolean_lattice(5))[0]),
+        ("envelope-chain12", lambda: envelope_cover(chain_lattice(11))[0]),
+        ("discrete4",
+         lambda: discrete_cover(["v%d" % i for i in range(4)])[0])]
+    cached = set()
+    for name, build in instances:
+        p = build()
+        oracle = name_saturation(p)
+        n = len(p.base)
+        rng = random.Random(name)
+        if n <= 12:
+            masks = list(range(1 << n))
+        else:
+            masks = set()
+            for _ in range(64):
+                mask = rng.getrandbits(n)
+                while mask:
+                    masks.add(mask)
+                    mask &= mask - 1
+            masks = sorted(masks)
+        for order in (masks[::-1], rng.sample(masks, len(masks))):
+            p = build()
+            p._closed = {}
+            for mask in order:
+                cached.add(mask & (mask - 1) in p._closed)
+                assert p.members(p.closure(mask)) == tuple(
+                    x for x in p.base if x in oracle(p.members(mask))), (
+                    name, mask)
+    assert cached == {True, False}
+
+
+def test_cover_laws_check_reuses_closures(monkeypatch):
+    # one count is one fixpoint pass of closure; the exhaustive sweep
+    # chains only from a closed set plus one bit, and stability closes
+    # each localized copy of each distinct raw cover once
+    class Passes(list):
+        count = 0
+
+        def __iter__(self):
+            Passes.count += 1
+            return super().__iter__()
+
+    p, _ = envelope_cover(chain_lattice(11))
+    p._rules = Passes(p._rules)
+    p._closed = {}
+    assert check_formal_cover_axioms(p)
+    assert Passes.count <= 200
+
+    p, _ = envelope_cover(chain_lattice(11))
+    requested = []
+    closure = CoverPresentation.closure
+
+    def recording(self, mask):
+        requested.append(mask)
+        return closure(self, mask)
+
+    monkeypatch.setattr(CoverPresentation, "closure", recording)
+    assert check_formal_cover_axioms(p)
+    n = len(p.base)
+    below = sum(p.meet_table[a][b] == a for a in range(n) for b in range(n))
+    stability = len(requested) - 2 * (1 << n) - below
+    assert stability <= len({cover for _head, cover in p.axioms}) * n
 
 
 def test_overt_cover_matches_the_name_sweep():
