@@ -68,20 +68,17 @@ class Enumeration(Record, namedtuple("Enumeration", "alpha bound",
         return Enumeration.from_iterable(())
 
     def elements(self):
-        """The image as a list, first occurrence order, deduplicated by ==.
+        """The image as a list, in first-occurrence order.
 
-        Requires a surjectivity bound.
+        One dict over the values at indices 0..bound, so it runs in
+        linear time and deduplicates by hash and ==: the values must be
+        hashable.  Requires a surjectivity bound.
         """
         if self.bound is None:
             raise MissingSurjectivityBound("elements() needs a surjectivity bound")
-        seen = []
-        for n in range(self.bound + 1):
-            v = self.alpha(n)
-            if v is BLANK:
-                continue
-            if v not in seen:
-                seen.append(v)
-        return seen
+        values = dict.fromkeys(map(self.alpha, range(self.bound + 1)))
+        values.pop(BLANK, None)
+        return list(values)
 
 
 class DetachableSubset(Record, namedtuple("DetachableSubset", "chi")):
@@ -279,12 +276,10 @@ def member_semidecide(x, e, eq):
 def ext_equal_finite(e1, e2):
     """Extensional equality of two bounded enumerations.
 
-    Compares the enumerated sets with the carrier's == (desk-scale
-    instances have decidable equality); both surjectivity bounds are
-    required.
+    Compares the sets of the two elements() listings, so by the
+    carrier's hash and == (desk-scale instances have decidable
+    equality), in linear time; both surjectivity bounds are required.
     """
     if e1.bound is None or e2.bound is None:
         raise MissingSurjectivityBound("ext_equal_finite needs both bounds")
-    first = e1.elements()
-    second = e2.elements()
-    return all(x in second for x in first) and all(y in first for y in second)
+    return set(e1.elements()) == set(e2.elements())

@@ -38,7 +38,7 @@ import random
 from functools import cache
 from itertools import combinations
 
-from .enumeration import BLANK, Enumeration
+from .enumeration import Enumeration
 from .reports import failed, passed
 from .semidecision import SemiDecision
 from .sigma_frame import SigmaFrameHom, check_sigma_hom, validate_lattice
@@ -199,14 +199,12 @@ class CoverPresentation:
         return p
 
     def _norm_cover(self, cover):
-        members = []
-        for c in cover:
-            if c not in self._base_index:
-                raise CoverError("cover member %r not in base" % (c,))
-            if c not in members:
-                members.append(c)
-        members.sort(key=self._base_index.__getitem__)
-        return tuple(members)
+        index = self._base_index
+        try:
+            return tuple(sorted(set(cover), key=index.__getitem__))
+        except KeyError:
+            bad = next(c for c in cover if c not in index)
+            raise CoverError("cover member %r not in base" % (bad,)) from None
 
     def contains(self, x):
         return x in self._base_index
@@ -347,17 +345,15 @@ def saturate(p, members):
 
 def _visible(cover, horizon):
     """The members of a cover visible within a horizon, as (members,
-    complete): a tuple is always complete; for an Enumeration the
-    members are its distinct values at indices up to min(horizon,
-    bound), in first-occurrence order, complete only when the bound is
-    known and within the horizon."""
+    complete): a tuple is always complete; an Enumeration is listed by
+    elements(), cut at the horizon when its bound is unknown or past
+    it, and is complete only when it is not cut."""
     if not isinstance(cover, Enumeration):
         return tuple(cover), True
     complete = cover.bound is not None and cover.bound <= horizon
-    last = cover.bound if complete else horizon
-    values = dict.fromkeys(map(cover.alpha, range(last + 1)))
-    values.pop(BLANK, None)
-    return tuple(values), complete
+    if not complete:
+        cover = cover._replace(bound=horizon)
+    return tuple(cover.elements()), complete
 
 
 class _Search:
@@ -408,7 +404,7 @@ class _Search:
                 if cover.bound is None or cover.bound > self.horizon:
                     self.cutoff = True
                     continue
-                cover = _visible(cover, self.horizon)[0]
+                cover = tuple(cover.elements())
             if cover and depth == 0:
                 self.cutoff = True
                 continue
@@ -441,6 +437,13 @@ def _normalize_cover_argument(p, u):
     return p._norm_cover(tuple(u))
 
 
+def _derive_arguments(p, a, u):
+    """u normalized as a goal for a, once a is known to be in the base."""
+    if not p.contains(a):
+        raise CoverError("not a base element: %r" % (a,))
+    return _normalize_cover_argument(p, u)
+
+
 def derive(p, a, u):
     """Semi-decide whether the cover axioms force a <| u.
 
@@ -458,9 +461,7 @@ def derive(p, a, u):
     cutoff is definitive: its stage returns None, so the probe stops
     there and answers Unknown for every budget without re-searching.
     """
-    if not p.contains(a):
-        raise CoverError("not a base element: %r" % (a,))
-    u = _normalize_cover_argument(p, u)
+    u = _derive_arguments(p, a, u)
 
     def stage(k):
         outcome, complete = _Search(p, u, 1 << k.bit_length()).run(a)
@@ -474,9 +475,12 @@ def derive_with_trace(p, a, u, at_step):
 
     Returns the proof trace (nested rule tuples) or None if the bucket
     search does not succeed, which means at_step was not a confirmation
-    step of derive(p, a, u).
+    step of derive(p, a, u).  Its arguments are checked as derive
+    checks them, and a negative at_step is refused.
     """
-    u = _normalize_cover_argument(p, u)
+    u = _derive_arguments(p, a, u)
+    if at_step < 0:
+        raise ValueError("at_step must be a natural number")
     effort = 1 << at_step.bit_length()
     outcome, _complete = _Search(p, u, effort).run(a)
     return outcome

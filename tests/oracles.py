@@ -15,21 +15,25 @@ kernel passes bitmasks, the meet-table validation on a dict keyed by
 name pairs, the envelope's axioms built through lattice.join and
 lattice.leq, the rule table built from a localized copy of every axiom
 at every element below its head, and derive over the full compiled
-axiom list.  For the countable searches they are the probe that calls
-its stage at every step, the cover prefix listed anew, with a list
-membership test, at every request, and the search that tries the
-{top} step again after the uppers have listed it.  They are kept here
+axiom list.  For enumerations it is the image listed by a scan that
+keeps each value not == to one kept before, quadratic in the number
+of distinct values.  For the countable searches they are the probe
+that calls its stage at every step, the cover prefix listed anew by
+that scan at every request, and the search that tries the {top} step
+again after the uppers have listed it.  They are kept here
 only to compare the direct computations with, on small instances.
 """
 
 import random
 from collections import namedtuple
+from contextlib import contextmanager
 from itertools import permutations
 from unittest.mock import patch
 
 from sigmaloc import formal_cover
 from sigmaloc.booleanization import Congruence
-from sigmaloc.enumeration import BLANK, Enumeration
+from sigmaloc.enumeration import BLANK, Enumeration, \
+    MissingSurjectivityBound
 from sigmaloc.formal_cover import CoverError, _normalize_cover_argument, \
     _Search
 from sigmaloc.reports import failed, passed
@@ -554,34 +558,48 @@ def linear_probe(stage, budget):
     return UNKNOWN
 
 
+def list_elements(e):
+    """Enumeration.elements() as a list scan: the values at indices up
+    to the bound, in first-occurrence order, each kept unless == to a
+    value kept before."""
+    if e.bound is None:
+        raise MissingSurjectivityBound("elements() needs a surjectivity bound")
+    seen = []
+    for n in range(e.bound + 1):
+        v = e.alpha(n)
+        if v is not BLANK and v not in seen:
+            seen.append(v)
+    return seen
+
+
 def cover_prefix(cover, horizon):
     """Members of a cover visible within the horizon, listed anew.
 
     Returns (members, complete): tuples are always complete; an
-    Enumeration is scanned up to max(horizon, bound) when bounded, and
-    is complete only then.
+    Enumeration is scanned by list_elements up to min(horizon, bound),
+    and is complete only when its bound is known and within the
+    horizon.
     """
     if isinstance(cover, Enumeration):
-        if cover.bound is not None and cover.bound <= horizon:
-            return tuple(cover.elements()), True
-        members = []
-        for n in range(horizon + 1):
-            v = cover.alpha(n)
-            if v is not BLANK and v not in members:
-                members.append(v)
-        return tuple(members), False
+        complete = cover.bound is not None and cover.bound <= horizon
+        last = cover.bound if complete else horizon
+        return tuple(list_elements(Enumeration(cover.alpha, last))), complete
     return tuple(cover), True
 
 
+@contextmanager
 def relisting():
-    """A context in which formal_cover._Search lists every cover with
-    cover_prefix instead of formal_cover._visible."""
-    return patch.object(formal_cover, "_visible", cover_prefix)
+    """A context in which formal_cover._Search lists its goal with
+    cover_prefix instead of formal_cover._visible, and every
+    enumeration lists its image with list_elements."""
+    with patch.object(formal_cover, "_visible", cover_prefix), \
+            patch.object(Enumeration, "elements", list_elements):
+        yield
 
 
 def relisting_trace(p, a, u, at_step):
-    """derive_with_trace on a search that lists each cover prefix anew
-    with cover_prefix."""
+    """derive_with_trace on a search that lists its goal's prefix anew
+    with cover_prefix, and its rule covers with list_elements."""
     u = _normalize_cover_argument(p, u)
     effort = 1 << at_step.bit_length()
     with relisting():

@@ -232,3 +232,13 @@ def test_no_maximum_found_is_reachable_in_principle():
     # counterexample would surface; on valid overt inputs it must not
     # trigger (covered by the oracle equality test above)
     assert issubclass(NoMaximumFound, Exception)
+
+
+def test_a_family_without_a_coarsest_dense_member_raises(monkeypatch):
+    # an empty family has no maximum: what a counterexample would show
+    monkeypatch.setattr("sigmaloc.booleanization.enumerate_congruences",
+                        lambda lattice: [])
+    with pytest.raises(NoMaximumFound) as info:
+        smallest_strongly_dense_oracle(CHAIN3, CHAIN3_POS)
+    assert str(info.value) == \
+        "strongly dense congruences have no coarsest member"

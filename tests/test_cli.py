@@ -616,6 +616,16 @@ def test_golden_files_are_byte_identical(tmp_path):
             assert got.stdout == expected, (path, fmt, seed)
 
 
+def test_help_is_byte_identical(monkeypatch, capsys):
+    # argparse wraps the help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    with open(os.path.join(GOLDEN, "help.txt"), encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
 def test_golden_runs_are_deterministic():
     path = os.path.join(EXAMPLES, "chain.cov")
     first = _cli(["--input", path, "--format", "records"])
@@ -651,3 +661,34 @@ def test_command_and_kind_mismatches_are_usage_errors(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "%s: %s\n" % (doc, message)
+
+
+BOOLEANIZE_DOC = """
+lattice L {
+  elements: 0 a 1;
+  leq: 0<=a, a<=1;
+  pos: a 1;
+}
+
+booleanize L
+"""
+
+
+def test_booleanize_reports_a_quotient_that_is_no_overlap_algebra(
+        monkeypatch, tmp_path, capsys):
+    # unreachable on valid input; the text shown if a quotient ever failed
+    monkeypatch.setattr("sigmaloc.cli.is_sigma_overlap_algebra",
+                        lambda lattice, pos: (False, None))
+    doc = tmp_path / "doc.cov"
+    doc.write_text(BOOLEANIZE_DOC)
+    assert main(["--input", str(doc)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "booleanize L: 2 classes; quotient is NOT a sigma-overlap algebra",
+        "  class 0: 0",
+        "  class 1: a 1"]
+    assert main(["--input", str(doc), "--format", "records"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "classes": [["0"], ["a", "1"]], "command": "booleanize",
+        "detail": "quotient is NOT a sigma-overlap algebra",
+        "identity": False, "ok": False, "overlap_after": False,
+        "target": "L"}

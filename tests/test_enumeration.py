@@ -1,4 +1,8 @@
-"""Enumerated countable sets and their operations against set oracles."""
+"""Enumerated countable sets and their operations against set oracles.
+
+elements() is compared with list_elements, the list scan it replaced,
+and the == comparisons it and ext_equal_finite make are counted.
+"""
 
 import random
 
@@ -21,6 +25,8 @@ from sigmaloc import (
     to_detachable,
     union_countable,
 )
+
+from oracles import list_elements
 
 EQ = SemiDecidableEquality.from_decidable()
 
@@ -158,3 +164,71 @@ def test_detachable_subset_operations_agree_with_sets():
                                  (da.union(db), a | b),
                                  (da.intersect(db), a & b)):
             assert {x for x in carrier if subset.chi(x)} == expected
+
+
+def seeded_value(rng):
+    """A blank, a scalar among ==-equal ones of other types (1, True,
+    1.0; 0, False, 0.0), or a frozenset or tuple built anew, so equal
+    values are distinct objects."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return BLANK
+    if kind == 1:
+        return rng.choice([0, 1, 2, True, False, 1.0, 0.0, "a", None])
+    if kind == 2:
+        return frozenset(rng.sample(range(3), rng.randint(0, 2)))
+    return tuple(rng.randrange(2) for _ in range(rng.randint(0, 2)))
+
+
+def test_elements_match_the_list_scan():
+    rng = random.Random(19)
+    collapsed = 0
+    for _ in range(300):
+        items = [seeded_value(rng) for _ in range(rng.randint(0, 25))]
+        kind = rng.randrange(3)
+        if kind == 0:
+            e = Enumeration.from_iterable(items)
+        elif kind == 1 and items:
+            e = Enumeration(lambda n, items=items: items[n % len(items)],
+                            bound=rng.randrange(2 * len(items)))
+        else:
+            e = Enumeration(Enumeration.from_iterable(items).alpha,
+                            bound=rng.randrange(len(items) + 3))
+        got, expected = e.elements(), list_elements(e)
+        # the same objects: the first occurrence of each value is kept
+        assert [id(v) for v in got] == [id(v) for v in expected], items
+        # distinct objects merged because they are ==
+        shown = {id(e.alpha(n)) for n in range(e.bound + 1)} - {id(BLANK)}
+        collapsed += len(got) < len(shown)
+    assert collapsed > 100
+
+
+class CountedEq:
+    """A hashable value that counts the == comparisons made on it."""
+
+    calls = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        CountedEq.calls += 1
+        return isinstance(other, CountedEq) and self.key == other.key
+
+
+def test_listing_compares_a_few_times_per_value():
+    size = 2000
+    values = [CountedEq(i) for i in range(size)] + \
+        [CountedEq(i) for i in range(size)]
+    e1 = Enumeration.from_iterable(values)
+    e2 = Enumeration.from_iterable(CountedEq(i) for i in reversed(range(size)))
+    CountedEq.calls = 0
+    listed = e1.elements()
+    assert [id(v) for v in listed] == [id(v) for v in values[:size]]
+    assert CountedEq.calls <= 2 * len(values)
+    CountedEq.calls = 0
+    assert ext_equal_finite(e1, e2)
+    assert CountedEq.calls <= 2 * (len(values) + size)

@@ -379,11 +379,29 @@ def test_finite_presentation_refuses_names_outside_its_base():
                    finite, ["a"], "a", [("z", ())])
     raises_exactly(CoverError, "cover member 'z' not in base",
                    finite, ["a"], "a", [("a", ("z",))])
+    raises_exactly(CoverError, "cover member 'y' not in base",
+                   finite, ["a"], "a", [("a", ("a", "y", "x", "z"))])
     p = two_cover()
     raises_exactly(CoverError, "meet undefined at ('x', 'zz')",
                    p.meet, "x", "zz")
     raises_exactly(CoverError, "not a base element: 'zz'",
                    p.mask, ["x", "zz"])
+
+
+@pytest.mark.parametrize("p, a, u, at_step", [
+    (discrete_cover(["a", "b"])[0], "zz", (), 0),
+    (cantor_cover(), 5, ("0",), 3),
+    (cantor_cover(), "x2", ("0",), 3),
+])
+def test_derive_with_trace_refuses_what_derive_refuses(p, a, u, at_step):
+    message = "not a base element: %r" % (a,)
+    raises_exactly(CoverError, message, derive, p, a, u)
+    raises_exactly(CoverError, message, derive_with_trace, p, a, u, at_step)
+
+
+def test_derive_with_trace_refuses_a_negative_step():
+    raises_exactly(ValueError, "at_step must be a natural number",
+                   derive_with_trace, cantor_cover(), "0", ("0",), -5)
 
 
 def test_sigma_coherence_tries_the_witness_enumeration():

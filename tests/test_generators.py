@@ -13,6 +13,7 @@ from sigmaloc import (
     check_overt_cover,
     derive,
     discrete_cover,
+    failed,
     frame_of_presentation,
     find_isomorphism,
     run,
@@ -158,3 +159,13 @@ def test_with_nonzero_pos():
     lat, pos = with_nonzero_pos(chain_lattice(3))
     assert not pos.holds(lat.bottom)
     assert all(pos.holds(x) for x in lat.elements if x != lat.bottom)
+
+
+def test_with_nonzero_pos_refuses_a_lattice_that_is_not_overt(monkeypatch):
+    # unreachable on a lattice: nonzero positivity is always overt
+    monkeypatch.setattr("sigmaloc.generators.check_overt",
+                        lambda lattice, pos: failed("overt laws fail"))
+    with pytest.raises(ValueError) as info:
+        with_nonzero_pos(chain_lattice(2))
+    assert str(info.value) == \
+        "nonzero positivity is not overt here: overt laws fail"
