@@ -71,11 +71,16 @@ class Enumeration(Record, namedtuple("Enumeration", "alpha bound",
         """The image as a list, in first-occurrence order.
 
         One dict over the values at indices 0..bound, so it runs in
-        linear time and deduplicates by hash and ==: the values must be
-        hashable.  Requires a surjectivity bound.
+        time linear in the bound and deduplicates by hash and ==: the
+        values must be hashable.  Requires a surjectivity bound.  An alpha that carries
+        a ``lister`` lists itself to the bound: a dovetail does, in time
+        proportional to its (n, m) pairs, not to its bound.
         """
         if self.bound is None:
             raise MissingSurjectivityBound("elements() needs a surjectivity bound")
+        lister = getattr(self.alpha, "lister", None)
+        if lister is not None:
+            return lister(self.bound)
         values = dict.fromkeys(map(self.alpha, range(self.bound + 1)))
         values.pop(BLANK, None)
         return list(values)
@@ -216,6 +221,15 @@ def dovetail(e1, e2, eq, pick):
     value x at n and e2's value y at m, or BLANK when either is blank;
     pick returns a value or BLANK.  The bound needs both input bounds
     plus eq's max_confirm_budget.
+
+    pick must be monotone in b: once pick(x, y, b) returns a value,
+    every larger b returns that same object.  It must also add nothing
+    after eq's max_confirm_budget, when that is known: BLANK at every b
+    up to it means BLANK at every b.  intersect_binary and free_meet
+    hold to this, since a SemiDecision never retracts and
+    max_confirm_budget bounds every confirmation.  So elements() visits
+    the (n, m) pairs within the bound and scans each one's b only up to
+    its first value, instead of every code.
     """
 
     def alpha(k):
@@ -227,6 +241,39 @@ def dovetail(e1, e2, eq, pick):
             return BLANK
         return pick(x, y, b)
 
+    def lister(bound):
+        """Each value at its least code up to the bound, in code order:
+        the listing of a scan over every code."""
+        last = eq.max_confirm_budget
+        ys = []
+        least = {}
+        n = 0
+        while pair_encode(n, 0) <= bound:
+            x = e1.alpha(n)
+            m = 0
+            while x is not BLANK and pair_encode(n, pair_encode(m, 0)) <= bound:
+                if m == len(ys):
+                    ys.append(e2.alpha(m))
+                y = ys[m]
+                b = 0
+                while y is not BLANK and (last is None or b <= last):
+                    code = pair_encode(n, pair_encode(m, b))
+                    if code > bound:
+                        break
+                    v = pick(x, y, b)
+                    if v is not BLANK:
+                        # ==-equal values keep the object at the lower code
+                        seen = least.get(v)
+                        if seen is None or code < seen[0]:
+                            least[v] = code, v
+                        break
+                    b += 1
+                m += 1
+            n += 1
+        # codes are distinct, so the sort never compares two values
+        return [v for _code, v in sorted(least.values())]
+
+    alpha.lister = lister
     bound = None
     if (
         e1.bound is not None

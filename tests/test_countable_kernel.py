@@ -13,7 +13,10 @@ bounded enumerated axiom is listed once the horizon covers its bound.
 The traces of confirmed derives are compared with the traces of a
 search that reads cover_prefix.  On seeded Cantor and
 Baire questions, derive is compared with a search that tries the
-{top} step again after the uppers have listed it.
+{top} step again after the uppers have listed it.  A derive whose
+goal is an intersect_binary dovetail, bounded or cut at the horizon,
+is compared bucket by bucket with the search that lists it by the scan
+over every code.
 """
 
 import os
@@ -31,6 +34,7 @@ from sigmaloc import (
     derive,
     derive_with_trace,
     envelope_cover,
+    intersect_binary,
     member_semidecide,
 )
 from sigmaloc import formal_cover, generators
@@ -39,7 +43,7 @@ from sigmaloc.pairing import pair_encode
 
 from corpus import corpus
 from oracles import TopRetrySearch, cover_prefix, linear_probe, \
-    relisting_trace
+    relisting, relisting_trace
 
 BUDGETS = range(301)
 EQ = SemiDecidableEquality.from_decidable()
@@ -376,3 +380,54 @@ def test_derive_matches_the_search_that_retries_the_top(monkeypatch):
     assert {(p is baire, isinstance(results[-1], Confirmed))
             for (p, _a, _u), (results, _r, _t) in zip(questions, got)} == \
         {(False, False), (False, True), (True, False), (True, True)}
+
+
+def intersect_questions(rng, count):
+    """Cantor nodes against the intersect of two seeded lists of words
+    and gaps: bounded under a decidable equality, unbounded (so always
+    cut at the horizon) under the same equality without its budget."""
+    cantor = cantor_cover()
+    no_budget = SemiDecidableEquality(EQ.psi)
+    short = words("", 0) + words("", 1) + words("", 2)
+
+    def side(pool):
+        return Enumeration.from_iterable(
+            BLANK if rng.random() < 0.2 else rng.choice(pool)
+            for _ in range(rng.randint(1, 6)))
+
+    out = []
+    for i in range(count):
+        pool = rng.sample(short, 4)
+        out.append((cantor, rng.choice(words("", rng.randint(0, 3))),
+                    intersect_binary(side(pool), side(pool),
+                                     EQ if i % 3 else no_budget)))
+    return out
+
+
+def searches_by_bucket(questions, efforts):
+    """Per question and effort: the goal members the search sees, its
+    outcome, whether it completed and the nodes it left."""
+    out = []
+    for p, a, u in questions:
+        for effort in efforts:
+            search = formal_cover._Search(p, u, effort)
+            out.append((search.members, search.run(a), search.nodes))
+    return out
+
+
+def test_an_intersect_goal_matches_the_relisting_search():
+    questions = intersect_questions(random.Random(20), 60)
+    efforts = [1 << j for j in range(9)]
+    budgets = sorted(set(range(17)) | {31, 32, 100, 300})
+    got = (searches_by_bucket(questions, efforts),
+           probes_and_traces(questions, budgets))
+    with relisting():
+        expected = (searches_by_bucket(questions, efforts),
+                    probes_and_traces(questions, budgets))
+    assert got == expected
+    # goals listed whole, goals cut at the horizon, and goals that prove
+    reach = {u.bound is not None and u.bound <= effort
+             for _p, _a, u in questions for effort in efforts}
+    assert reach == {True, False}
+    assert any(isinstance(results[-1], Confirmed)
+               for results, _refuted, _trace in got[1])

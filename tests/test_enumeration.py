@@ -1,10 +1,16 @@
 """Enumerated countable sets and their operations against set oracles.
 
 elements() is compared with list_elements, the list scan it replaced,
-and the == comparisons it and ext_equal_finite make are counted.
+and the == comparisons it and ext_equal_finite make are counted.  The
+dovetails of intersect_binary and free_meet list themselves by their
+(n, m) pairs; their listings are compared with the scan over every
+code on seeded inputs (budgeted equalities, gaps, values past the
+bound, TOP_GENERATOR, cut bounds), and the pick and alpha calls of a
+26 x 26 listing are counted.
 """
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -15,7 +21,11 @@ from sigmaloc import (
     Enumeration,
     MissingSurjectivityBound,
     SemiDecidableEquality,
+    SemiDecision,
+    TOP_GENERATOR,
     ext_equal_finite,
+    extend_equality_to_free,
+    free_meet,
     from_detachable,
     intersect_binary,
     map_enumeration,
@@ -232,3 +242,90 @@ def test_listing_compares_a_few_times_per_value():
     CountedEq.calls = 0
     assert ext_equal_finite(e1, e2)
     assert CountedEq.calls <= 2 * (len(values) + size)
+
+
+def budgeted_equality(rng, last):
+    """psi(x, y) confirms x == y at a step drawn per pair of types, at
+    most last when last is given, so 1, True and 1.0 confirm at
+    different steps; unequal values never confirm."""
+    steps = {}
+
+    def psi(x, y):
+        if x != y:
+            return SemiDecision(lambda k: False)
+        key = type(x), type(y)
+        if key not in steps:
+            steps[key] = rng.randint(0, 3 if last is None else last)
+        step = steps[key]
+        return SemiDecision(lambda k: k >= step)
+
+    return SemiDecidableEquality(psi, max_confirm_budget=last)
+
+
+def seeded_input(rng, top):
+    """Up to 8 seeded values, some BLANK and some TOP_GENERATOR when
+    top is set; blank past the end, cut short, or repeating past its
+    bound."""
+    items = [TOP_GENERATOR if top and rng.random() < 0.15
+             else seeded_value(rng) for _ in range(rng.randint(0, 8))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Enumeration.from_iterable(items)
+    if kind == 1 and items:
+        return Enumeration(lambda n, items=items: items[n % len(items)],
+                           bound=rng.randrange(len(items)))
+    return Enumeration(Enumeration.from_iterable(items).alpha,
+                       bound=rng.randrange(len(items) + 2))
+
+
+def test_dovetails_list_as_the_code_scan():
+    rng = random.Random(20)
+    seen = {"budgeted": 0, "cut": 0, "no budget": 0, "top": 0,
+            "collapsed": 0}
+    for case in range(900):
+        last = rng.choice([0, 1, 2, 3, None])
+        eq = (EQ if last == 0 and rng.random() < 0.5
+              else budgeted_equality(rng, last))
+        meet = case % 2
+        e1, e2 = seeded_input(rng, meet), seeded_input(rng, meet)
+        e = (free_meet(e1, e2, extend_equality_to_free(eq)) if meet
+             else intersect_binary(e1, e2, eq))
+        if e.bound is None or rng.random() < 0.3:
+            natural = 500 if e.bound is None else e.bound
+            e = e._replace(bound=rng.randrange(natural + 1))
+            seen["cut"] += 1
+            seen["no budget"] += last is None
+        got, expected = e.elements(), list_elements(e)
+        assert [id(v) for v in got] == [id(v) for v in expected], case
+        seen["budgeted"] += eq is not EQ and last is not None and bool(got)
+        seen["top"] += any(v is TOP_GENERATOR for v in got)
+        shown = {id(e.alpha(k)) for k in range(e.bound + 1)} - {id(BLANK)}
+        seen["collapsed"] += len(got) < len(shown)
+    assert min(seen.values()) > 50, seen
+
+
+def test_a_dovetail_lists_by_its_pairs_not_its_codes():
+    rng = random.Random(59)
+    first = rng.sample(range(52), 26)
+    second = rng.sample(first, 13) + rng.sample(
+        [x for x in range(52) if x not in first], 13)
+    rng.shuffle(second)
+    counts = {"psi": 0, "alpha": 0}
+
+    def counted(values):
+        def alpha(n):
+            counts["alpha"] += 1
+            return values[n] if n < len(values) else BLANK
+        return Enumeration(alpha, bound=len(values) - 1)
+
+    def psi(x, y):
+        counts["psi"] += 1
+        return EQ.psi(x, y)
+
+    e = intersect_binary(counted(first), counted(second),
+                         SemiDecidableEquality(psi, max_confirm_budget=0))
+    assert e.bound == 61750
+    assert sorted(e.elements()) == sorted(set(first) & set(second))
+    # one pick per pair of values, one alpha call per index in reach
+    assert counts["psi"] <= (len(first) + 1) * (len(second) + 1)
+    assert counts["alpha"] <= 2 * isqrt(e.bound) + 2
