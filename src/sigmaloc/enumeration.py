@@ -14,6 +14,7 @@ enumerations via from_detachable / to_detachable.
 """
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .pairing import pair_decode, pair_encode
 from .reports import Record
@@ -72,15 +73,19 @@ class Enumeration(Record, namedtuple("Enumeration", "alpha bound",
 
         One dict over the values at indices 0..bound, so it runs in
         time linear in the bound and deduplicates by hash and ==: the
-        values must be hashable.  Requires a surjectivity bound.  An alpha that carries
-        a ``lister`` lists itself to the bound: a dovetail does, in time
-        proportional to its (n, m) pairs, not to its bound.
+        values must be hashable.  Requires a surjectivity bound.  An
+        alpha that carries a ``lister`` lists (code, value) pairs
+        instead: lister(bound) names, for each non-blank code up to the
+        bound, a pair at that code or below it with the same object, and
+        the dict reads the pairs' values in code order.  A dovetail
+        lists one pair per (n, m), not one per code.
         """
         if self.bound is None:
             raise MissingSurjectivityBound("elements() needs a surjectivity bound")
         lister = getattr(self.alpha, "lister", None)
         if lister is not None:
-            return lister(self.bound)
+            pairs = sorted(lister(self.bound), key=itemgetter(0))
+            return list(dict.fromkeys(v for _code, v in pairs))
         values = dict.fromkeys(map(self.alpha, range(self.bound + 1)))
         values.pop(BLANK, None)
         return list(values)
@@ -126,12 +131,19 @@ class SemiDecidableEquality(Record, namedtuple(
 
 
 def map_enumeration(f, e):
-    """Apply f pointwise, skipping blanks. Keeps the bound."""
+    """Apply f pointwise, skipping blanks. Keeps the bound, and e's
+    lister with f applied pair by pair: a pair's object is the value at
+    every code the pair stands for, so the listing stays exact even
+    where f separates ==-equal values (str on 1 and True)."""
 
     def alpha(n):
         v = e.alpha(n)
         return BLANK if v is BLANK else f(v)
 
+    lister = getattr(e.alpha, "lister", None)
+    if lister is not None:
+        alpha.lister = lambda bound: [(code, f(v))
+                                      for code, v in lister(bound)]
     return Enumeration(alpha, bound=e.bound)
 
 
@@ -166,7 +178,9 @@ def to_detachable(e):
 
 
 def restrict_detachable(e, chi):
-    """Restrict an enumeration to a decidable predicate on the carrier."""
+    """Restrict an enumeration to a decidable predicate on the carrier.
+    Keeps the bound, and e's lister less the pairs whose value the
+    predicate refuses."""
     test = chi.chi if isinstance(chi, DetachableSubset) else chi
 
     def alpha(n):
@@ -175,6 +189,10 @@ def restrict_detachable(e, chi):
             return BLANK
         return v
 
+    lister = getattr(e.alpha, "lister", None)
+    if lister is not None:
+        alpha.lister = lambda bound: [(code, v) for code, v in lister(bound)
+                                      if test(v)]
     return Enumeration(alpha, bound=e.bound)
 
 
@@ -227,9 +245,11 @@ def dovetail(e1, e2, eq, pick):
     after eq's max_confirm_budget, when that is known: BLANK at every b
     up to it means BLANK at every b.  intersect_binary and free_meet
     hold to this, since a SemiDecision never retracts and
-    max_confirm_budget bounds every confirmation.  So elements() visits
-    the (n, m) pairs within the bound and scans each one's b only up to
-    its first value, instead of every code.
+    max_confirm_budget bounds every confirmation.  So alpha's lister
+    visits the (n, m) pairs within the bound and scans each one's b only
+    up to its first value, instead of every code.  It lists one (code,
+    value) pair per (n, m) that has a value within the bound, at its
+    least code: every later code of that pair holds the same object.
     """
 
     def alpha(k):
@@ -242,11 +262,9 @@ def dovetail(e1, e2, eq, pick):
         return pick(x, y, b)
 
     def lister(bound):
-        """Each value at its least code up to the bound, in code order:
-        the listing of a scan over every code."""
         last = eq.max_confirm_budget
         ys = []
-        least = {}
+        pairs = []
         n = 0
         while pair_encode(n, 0) <= bound:
             x = e1.alpha(n)
@@ -262,16 +280,12 @@ def dovetail(e1, e2, eq, pick):
                         break
                     v = pick(x, y, b)
                     if v is not BLANK:
-                        # ==-equal values keep the object at the lower code
-                        seen = least.get(v)
-                        if seen is None or code < seen[0]:
-                            least[v] = code, v
+                        pairs.append((code, v))
                         break
                     b += 1
                 m += 1
             n += 1
-        # codes are distinct, so the sort never compares two values
-        return [v for _code, v in sorted(least.values())]
+        return pairs
 
     alpha.lister = lister
     bound = None

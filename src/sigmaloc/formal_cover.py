@@ -124,6 +124,16 @@ def _needs_finite(p, what):
         raise CoverError("%s needs a finite base" % (what,))
 
 
+def _sorted_cover(index, cover):
+    """A cover as a deduplicated tuple in base order; index maps each
+    base element to its position."""
+    try:
+        return tuple(sorted(set(cover), key=index.__getitem__))
+    except KeyError:
+        bad = next(c for c in cover if c not in index)
+        raise CoverError("cover member %r not in base" % (bad,)) from None
+
+
 class CoverPresentation:
     """A finite presentation, built by finite().  countable() builds a
     CountablePresentation."""
@@ -138,23 +148,22 @@ class CoverPresentation:
         read once into the index table meet_table, on which the
         meet-semilattice laws (closure, idempotence, commutativity,
         associativity, top neutral) are checked exhaustively.  Covers
-        are normalized to deduplicated base-index-sorted tuples.
+        are normalized to deduplicated base-index-sorted tuples.  The
+        checked tables go to _trusted, which envelope_cover also calls,
+        on a validated lattice's own tables.
         """
-        p = CoverPresentation()
-        p.base = list(base)
-        if not p.base:
+        base = list(base)
+        if not base:
             raise CoverError("empty base")
         index = {}
-        for i, x in enumerate(p.base):
+        for i, x in enumerate(base):
             if x in index:
                 raise CoverError("duplicate base element: %r" % (x,))
             index[x] = i
-        p._base_index = index
         if top not in index:
             raise CoverError("top element %r not in base" % (top,))
-        p.top = top
 
-        base, n, t = p.base, len(p.base), index[top]
+        n, t = len(base), index[top]
         table = []
         for x in base:
             row = []
@@ -187,24 +196,30 @@ class CoverPresentation:
                         raise CoverError(
                             "meet not associative at (%r, %r, %r)"
                             % (base[x], base[y], base[z]))
-        p.meet_table = table
 
         normalized = []
         for head, cover in axioms:
             if head not in index:
                 raise CoverError("axiom head %r not in base" % (head,))
-            normalized.append((head, p._norm_cover(cover)))
-        p.axioms = tuple(normalized)
+            normalized.append((head, _sorted_cover(index, cover)))
+        return CoverPresentation._trusted(base, index, top, table, normalized)
+
+    @staticmethod
+    def _trusted(base, index, top, meet_table, axioms):
+        """A presentation on tables taken as given, as finite() leaves
+        them: index maps each base element to its position, meet_table
+        is an index table of a meet-semilattice with top, and each axiom
+        is (head, cover) with head in the base and cover a deduplicated
+        tuple of base elements in base order.  Nothing is checked."""
+        p = CoverPresentation()
+        p.base, p._base_index, p.top = base, index, top
+        p.meet_table = meet_table
+        p.axioms = tuple(axioms)
         p._compile()
         return p
 
     def _norm_cover(self, cover):
-        index = self._base_index
-        try:
-            return tuple(sorted(set(cover), key=index.__getitem__))
-        except KeyError:
-            bad = next(c for c in cover if c not in index)
-            raise CoverError("cover member %r not in base" % (bad,)) from None
+        return _sorted_cover(self._base_index, cover)
 
     def contains(self, x):
         return x in self._base_index
@@ -238,20 +253,26 @@ class CoverPresentation:
         head and contain no kept cover, so the least fixpoint does not
         change.  _rules[h] lists them for head index h; derive searches
         it and closure chains over it, so it is the only table.
+        The copy at y depends on U and y alone, so the y to visit are
+        gathered per distinct cover, as the union of its heads'
+        down-sets, and each cover is localized once per y.
         """
         idx, meet, n = self._base_index, self.meet_table, len(self.base)
         below = [sum(1 << y for y in range(n) if meet[a][y] == y)
                  for a in range(n)]
         covers = [{1 << a for a in range(n) if below[a] >> y & 1}
                   for y in range(n)]
+        below_heads = {}
         for head, cover in self.axioms:
-            ys = below[idx[head]]
-            for c in cover:
-                ys &= ~below[idx[c]]
+            below_heads[cover] = below_heads.get(cover, 0) | below[idx[head]]
+        for cover, ys in below_heads.items():
+            members = [idx[c] for c in cover]
+            for c in members:
+                ys &= ~below[c]
             while ys:
                 y = (ys & -ys).bit_length() - 1
                 ys ^= 1 << y
-                covers[y].add(sum({1 << meet[idx[c]][y] for c in cover}))
+                covers[y].add(sum({1 << meet[c][y] for c in members}))
 
         def order(bits):
             members = [i for i in range(n) if bits >> i & 1]
@@ -508,25 +529,34 @@ def envelope_cover(lattice):
     Base is the lattice itself; one axiom bottom <| {} plus a <| {b,c}
     for every a below b join c, each unordered pair b, c once, so no
     axiom repeats.  Returns the presentation together with
-    the embedding a -> saturate({a}).
+    the embedding a -> saturate({a}).  The lattice's tables are
+    validated already and its covers are one or two base elements in
+    base order, so the presentation is built on the lattice's own
+    meet_table without the checks of CoverPresentation.finite, which
+    keeps them for every other caller.
     """
-    base, n = lattice.elements, len(lattice)
-    join, down = lattice.join_table, lattice.down
+    base, n = list(lattice.elements), len(lattice)
+    join = lattice.join_table
+    below = [[x for a, x in enumerate(base) if down >> a & 1]
+             for down in lattice.down]
     axioms = [(lattice.bottom, ())]
     for i in range(n):
         for j in range(i, n):
             cover = (base[i],) if i == j else (base[i], base[j])
-            axioms.extend((base[a], cover) for a in range(n)
-                          if down[join[i][j]] >> a & 1)
-    p = CoverPresentation.finite(base, lattice.meet, lattice.top, axioms)
+            axioms.extend((a, cover) for a in below[join[i][j]])
+    index = {x: i for i, x in enumerate(base)}
+    p = CoverPresentation._trusted(base, index, lattice.top,
+                                   lattice.meet_table, axioms)
     embedding = {a: saturate(p, (a,)) for a in base}
     return p, embedding
 
 
+@cache
 def _sample_masks(n):
     """Every subset of an n-element base when n <= 12; above that the
     empty set, the whole base, each singleton and 512 seeded random
-    subsets."""
+    subsets.  Memoized per n, so the result is immutable: a range or
+    a tuple."""
     if n <= 12:
         return range(1 << n)
     rng = random.Random(0)
@@ -534,7 +564,39 @@ def _sample_masks(n):
     masks.extend(1 << i for i in range(n))
     for _ in range(512):
         masks.append(sum(1 << i for i in range(n) if rng.random() < 0.5))
-    return masks
+    return tuple(masks)
+
+
+def _stable_per_cover(p):
+    """Stability, one mask test per distinct raw cover U and element b:
+    every head∧b, for the heads of U, lies in the closure of U
+    localized at b.  The heads of each cover are folded into a
+    bitmask, and their meets with each b are cached per bitmask; in an
+    envelope the heads of U are the down-set of its join, so there are
+    at most n such bitmasks."""
+    n, idx = len(p.base), p._base_index
+    # bit of a∧b at meet_bits[a][b]
+    meet_bits = [[1 << m for m in row] for row in p.meet_table]
+    heads = {}
+    for head, cover in p.axioms:
+        heads[cover] = heads.get(cover, 0) | 1 << idx[head]
+    images = {}
+    for cover, mask in heads.items():
+        image = images.get(mask)
+        if image is None:
+            image = images[mask] = [0] * n
+            for h in range(n):
+                if mask >> h & 1:
+                    for b, bit in enumerate(meet_bits[h]):
+                        image[b] |= bit
+        rows = [meet_bits[idx[x]] for x in cover]
+        for b in range(n):
+            localized = 0
+            for row in rows:
+                localized |= row[b]
+            if image[b] & ~p.closure(localized):
+                return False
+    return True
 
 
 def check_formal_cover_axioms(p):
@@ -547,9 +609,11 @@ def check_formal_cover_axioms(p):
     induction on derivations.  The every-subset sweep goes in
     increasing order, so closure always finds the closure of a mask
     less its lowest bit cached and chains from about n masks per
-    closed set.  Stability closes the copy of each distinct raw cover
-    localized at each b once, then checks the axioms in order, so the
-    first failing (head, b, cover) is the witness.
+    closed set.  Stability makes one mask test per distinct raw cover
+    and b, for all the cover's heads at once (_stable_per_cover).
+    Only when one fails are the axioms checked one by one, in order,
+    each distinct cover's localized copies closed once, so the first
+    failing (head, b, cover) is the witness.
     """
     _needs_finite(p, "check_formal_cover_axioms")
     masks = _sample_masks(len(p.base))
@@ -567,15 +631,17 @@ def check_formal_cover_axioms(p):
         for b in range(n):
             if meet[a][b] == a and not p.closure(1 << b) >> a & 1:
                 return failed("meet-left fails", (p.base[a], p.base[b]))
-    localized = {}
-    for head, cover in p.axioms:
-        if cover not in localized:
-            localized[cover] = [
-                p.closure(sum({1 << meet[idx[x]][b] for x in cover}))
-                for b in range(n)]
-        for b, sat in enumerate(localized[cover]):
-            if not sat >> meet[idx[head]][b] & 1:
-                return failed("stability fails", (head, p.base[b], cover))
+    if not _stable_per_cover(p):
+        localized = {}
+        for head, cover in p.axioms:
+            if cover not in localized:
+                localized[cover] = [
+                    p.closure(sum({1 << meet[idx[x]][b] for x in cover}))
+                    for b in range(n)]
+            for b, sat in enumerate(localized[cover]):
+                if not sat >> meet[idx[head]][b] & 1:
+                    return failed("stability fails",
+                                  (head, p.base[b], cover))
     return passed("cover laws hold (%d subsets checked)" % (len(masks),))
 
 

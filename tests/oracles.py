@@ -11,9 +11,10 @@ join-irreducibles as a fold of joins, and the isomorphism search
 over every bijection.  For covers they are the name-based forms of
 saturation, the frame, the cover laws and the overt and overlap cover
 checks, which pass frozensets and tuples of base elements where the
-kernel passes bitmasks, the meet-table validation on a dict keyed by
-name pairs, the envelope's axioms built through lattice.join and
-lattice.leq, the rule table built from a localized copy of every axiom
+kernel passes bitmasks, saturation by the rule table read as names,
+the meet-table validation on a dict keyed by name pairs, the
+envelope's axioms built through lattice.join and lattice.leq, the
+rule table built from a localized copy of every axiom
 at every element below its head, and derive over the full compiled
 axiom list.  For enumerations it is the image listed by a scan that
 keeps each value not == to one kept before, quadratic in the number
@@ -463,9 +464,36 @@ def sample_subsets(p):
     return out
 
 
-def cover_laws_sweep(p):
-    """check_formal_cover_axioms on names."""
-    saturate = name_saturation(p)
+def rule_table_saturation(p):
+    """saturate by chaining over p's rule table as it stands, read as
+    names, memoized by frozenset: a presentation whose _rules were
+    edited after it was built saturates by what is left of them."""
+    rules = [(p.base[h], p.members(bits))
+             for h, covers in enumerate(p._rules) for bits in covers]
+    cache = {}
+
+    def saturate(members):
+        key = frozenset(members)
+        if key not in cache:
+            sat = set(key)
+            grown = True
+            while grown:
+                grown = False
+                for head, cover in rules:
+                    if head not in sat and all(c in sat for c in cover):
+                        sat.add(head)
+                        grown = True
+            cache[key] = frozenset(sat)
+        return cache[key]
+
+    return saturate
+
+
+def cover_laws_sweep(p, saturate=None):
+    """check_formal_cover_axioms on names.  saturate, if given, replaces
+    name_saturation(p), as rule_table_saturation(p) does for a
+    presentation broken after it was built."""
+    saturate = saturate or name_saturation(p)
     checked = sample_subsets(p)
     for subset in checked:
         s = saturate(subset)

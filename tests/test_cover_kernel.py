@@ -15,9 +15,13 @@ derive on it with derive over the full list; the table is compared
 with the construction that localizes every axiom at every element
 below its head.  The
 envelope's axioms are compared with their name-based construction,
-and the closed-set kernel (NextClosure frames, the greedy overt check
-and the closed-set overlap test) gets a time bound.  Presentations
-broken on purpose pin each failing report of the cover laws check.
+and its presentation, built on the lattice's own tables, with the one
+CoverPresentation.finite validates; the closed-set kernel (NextClosure
+frames, the greedy overt check and the closed-set overlap test) gets a
+time bound.  Presentations broken on purpose pin each failing report
+of the cover laws check, and on seeded broken ones (a rule dropped,
+or raw axioms the rule table does not enforce) the report, witness
+included, is compared with the sweep over the rule table as it stands.
 Closures on fresh presentations are compared with the oracle's in
 decreasing and in shuffled query order, and the laws check gets a
 work bound in fixpoint passes and stability closures.
@@ -62,6 +66,7 @@ from oracles import (
     name_saturation,
     overlap_cover_sweep,
     overt_cover_sweep,
+    rule_table_saturation,
     sample_subsets,
     subsets,
 )
@@ -211,6 +216,68 @@ def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
     report = check_formal_cover_axioms(p)
     assert not report.ok
     assert report.detail == "saturation not idempotent"
+
+
+def drop_one_rule(p, rng, copy):
+    """p with one seeded rule removed, one of the localized axiom copies
+    when copy is set, and its closure cache emptied; None when p has no
+    such rule.  Dropping a meet-below rule y <| {a} mostly breaks
+    meet-left, dropping a copy mostly stability."""
+    meet = p.meet_table
+    rules = [(h, bits) for h, covers in enumerate(p._rules)
+             for bits in covers
+             if not (copy and bits & (bits - 1) == 0 and bits
+                     and meet[h][bits.bit_length() - 1] == h)]
+    if not rules:
+        return None
+    h, bits = rng.choice(rules)
+    p._rules[h] = [rule for rule in p._rules[h] if rule != bits]
+    p._closed = {}
+    return p
+
+
+def add_unenforced_axioms(p, rng, count):
+    """p with count seeded raw axioms inserted among its axioms after its
+    rule table was built, about half of them on covers p already has.
+    The rule table does not enforce them, so most fail stability, and
+    several failures in one presentation are common."""
+    axioms = list(p.axioms)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            cover = rng.choice(axioms)[1]
+        else:
+            size = rng.randint(1, min(2, len(p.base)))
+            cover = p._norm_cover(rng.sample(p.base, size))
+        axioms.insert(rng.randrange(len(axioms) + 1),
+                      (rng.choice(p.base), cover))
+    p.axioms = tuple(axioms)
+    return p
+
+
+def test_stability_witnesses_match_the_sweep():
+    # stability tests each distinct cover's heads at once and names the
+    # first failing axiom only after that; the sweep tests axiom by
+    # axiom, over the saturation of the rule table as it stands
+    reports = []
+    for name, lattice in CORPUS:
+        rng = random.Random("broken-" + name)
+        broken = []
+        for copy in (False, True, True):
+            broken.append(drop_one_rule(envelope_cover(lattice)[0], rng, copy))
+            broken.append(drop_one_rule(random_cover(lattice, rng), rng, copy))
+        # on a shuffled base order, index order is no linear extension
+        broken.extend(add_unenforced_axioms(
+            envelope_cover(shuffled(lattice, rng))[0], rng, 6)
+            for _ in range(2))
+        for k, p in enumerate(broken):
+            if p is None:
+                continue
+            report = check_formal_cover_axioms(p)
+            assert report == cover_laws_sweep(
+                p, rule_table_saturation(p)), (name, k)
+            reports.append(report.detail)
+    assert len(reports) >= 50
+    assert reports.count("stability fails") >= 10
 
 
 def test_closure_does_not_depend_on_query_order():
@@ -509,6 +576,23 @@ def test_envelope_axioms_match_the_name_construction():
     for name, lattice in lattices:
         p, _embedding = envelope_cover(lattice)
         assert list(p.axioms) == envelope_axioms_by_name(lattice), name
+
+
+def test_envelope_matches_the_validated_presentation():
+    # envelope_cover builds on the lattice's own tables, unchecked;
+    # finite reads and checks them anew from lattice.meet
+    rng = random.Random("trusted")
+    lattices = CORPUS + [("chain13", chain_lattice(12)),
+                         ("bool5", boolean_lattice(5))]
+    lattices += [(name + "-shuffled", shuffled(lattice, rng))
+                 for name, lattice in CORPUS[::4]]
+    for name, lattice in lattices:
+        p, _embedding = envelope_cover(lattice)
+        q = CoverPresentation.finite(lattice.elements, lattice.meet,
+                                     lattice.top,
+                                     envelope_axioms_by_name(lattice))
+        for field in ("base", "top", "meet_table", "axioms", "_rules"):
+            assert getattr(p, field) == getattr(q, field), (name, field)
 
 
 def overt_in_base_order(p, pos, saturate):

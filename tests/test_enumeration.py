@@ -5,8 +5,9 @@ and the == comparisons it and ext_equal_finite make are counted.  The
 dovetails of intersect_binary and free_meet list themselves by their
 (n, m) pairs; their listings are compared with the scan over every
 code on seeded inputs (budgeted equalities, gaps, values past the
-bound, TOP_GENERATOR, cut bounds), and the pick and alpha calls of a
-26 x 26 listing are counted.
+bound, TOP_GENERATOR, cut bounds), also through map_enumeration and
+restrict_detachable, and the pick and alpha calls of a 26 x 26
+listing, plain, mapped and restricted, are counted.
 """
 
 import random
@@ -325,7 +326,54 @@ def test_a_dovetail_lists_by_its_pairs_not_its_codes():
     e = intersect_binary(counted(first), counted(second),
                          SemiDecidableEquality(psi, max_confirm_budget=0))
     assert e.bound == 61750
-    assert sorted(e.elements()) == sorted(set(first) & set(second))
-    # one pick per pair of values, one alpha call per index in reach
-    assert counts["psi"] <= (len(first) + 1) * (len(second) + 1)
-    assert counts["alpha"] <= 2 * isqrt(e.bound) + 2
+    common = set(first) & set(second)
+    # one pick per pair of values, one alpha call per index in reach,
+    # also through a map or a restriction of the dovetail
+    for listed, expected in (
+            (e, sorted(common)),
+            (map_enumeration(str, e), sorted(map(str, common))),
+            (restrict_detachable(e, lambda v: v % 2),
+             sorted(v for v in common if v % 2))):
+        counts.update(psi=0, alpha=0)
+        assert sorted(listed.elements()) == expected
+        assert counts["psi"] <= (len(first) + 1) * (len(second) + 1)
+        assert counts["alpha"] <= 2 * isqrt(e.bound) + 2
+
+
+def test_mapped_and_restricted_dovetails_list_as_the_code_scan():
+    # str separates ==-equal values (1, True and 1.0), so a map of the
+    # deduplicated listing would lose some of them
+    rng = random.Random(21)
+    maps = (str, repr, lambda v: (type(v).__name__, v))
+
+    def odd_length(v):
+        return len(str(v)) % 2 == 1
+
+    def not_bool(v):
+        return type(v) is not bool
+
+    seen = {"separated": 0, "restricted": 0, "cut": 0}
+    for case in range(400):
+        last = rng.choice([0, 1, 2, None])
+        eq = budgeted_equality(rng, last)
+        meet = case % 2
+        e1, e2 = seeded_input(rng, meet), seeded_input(rng, meet)
+        e = (free_meet(e1, e2, extend_equality_to_free(eq)) if meet
+             else intersect_binary(e1, e2, eq))
+        if e.bound is None or rng.random() < 0.3:
+            natural = 500 if e.bound is None else e.bound
+            e = e._replace(bound=rng.randrange(natural + 1))
+            seen["cut"] += 1
+        f, test = rng.choice(maps), rng.choice((odd_length, not_bool))
+        mapped = map_enumeration(f, e)
+        restricted = restrict_detachable(e, test)
+        for wrapped in (mapped, map_enumeration(f, restricted),
+                        restrict_detachable(mapped, odd_length)):
+            got, expected = wrapped.elements(), list_elements(wrapped)
+            assert [(type(v), v) for v in got] == \
+                [(type(v), v) for v in expected], case
+        got, expected = restricted.elements(), list_elements(restricted)
+        assert [id(v) for v in got] == [id(v) for v in expected], case
+        seen["separated"] += len(mapped.elements()) > len(e.elements())
+        seen["restricted"] += len(got) < len(e.elements())
+    assert min(seen.values()) >= 10, seen

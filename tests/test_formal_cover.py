@@ -388,6 +388,42 @@ def test_finite_presentation_refuses_names_outside_its_base():
                    p.mask, ["x", "zz"])
 
 
+CHAIN3 = chain_lattice(2)
+CHAIN3_MEET = {(x, y): CHAIN3.meet(x, y)
+               for x in CHAIN3.elements for y in CHAIN3.elements}
+# commutative and idempotent with t as unit, but
+# (a ∧ b) ∧ c = c while a ∧ (b ∧ c) = a
+UNASSOCIATIVE = {**{(x, x): x for x in "abct"},
+                 **{(x, "t"): x for x in "abc"},
+                 **{("t", x): x for x in "abc"},
+                 ("a", "b"): "a", ("b", "a"): "a", ("b", "c"): "b",
+                 ("c", "b"): "b", ("a", "c"): "c", ("c", "a"): "c"}
+
+
+@pytest.mark.parametrize("base, meet, top, axioms, message", [
+    (["0", "a", "1", "a"], CHAIN3_MEET, "1", [],
+     "duplicate base element: 'a'"),
+    (["0", "a", "1"], CHAIN3_MEET, "z", [], "top element 'z' not in base"),
+    (list("abct"), UNASSOCIATIVE, "t", [],
+     "meet not associative at ('a', 'b', 'c')"),
+    (["0", "a", "1"], {**CHAIN3_MEET, ("0", "a"): "a"}, "1", [],
+     "meet not commutative at ('0', 'a')"),
+    (["0", "a", "1"],
+     {k: v for k, v in CHAIN3_MEET.items() if k != ("a", "1")}, "1", [],
+     "meet table missing pair ('a', '1')"),
+    (["0", "a", "1"], CHAIN3_MEET, "1", [("1", ("a",)), ("z", ())],
+     "axiom head 'z' not in base"),
+    (["0", "a", "1"], CHAIN3_MEET, "1", [("1", ("a",)), ("a", ("0", "z"))],
+     "cover member 'z' not in base"),
+])
+def test_finite_keeps_the_checks_the_envelope_skips(base, meet, top, axioms,
+                                                    message):
+    # envelope_cover builds on a validated lattice's own tables without
+    # these checks; every other caller of finite still gets them
+    raises_exactly(CoverError, message, CoverPresentation.finite,
+                   base, meet, top, axioms)
+
+
 @pytest.mark.parametrize("p, a, u, at_step", [
     (discrete_cover(["a", "b"])[0], "zz", (), 0),
     (cantor_cover(), 5, ("0",), 3),
