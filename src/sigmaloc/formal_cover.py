@@ -4,9 +4,10 @@ A cover presentation is a meet-semilattice base together with axioms
 ``head <| cover``.  A finite presentation is compiled to one rule
 table: meet-below (a∧b <| {a}, the top law among them) and each raw
 axiom localized below its head, reduced per head to the covers that
-contain no other.  It is the only table: derive searches it, and
-CoverPresentation.closure chains over it to a least fixpoint, in at
-most n + 1 passes.  That fixpoint is the generated cover relation; it
+contain no other.  derive searches it head by head, and
+CoverPresentation.closure chains over its inversion, the covers
+grouped by the heads that list them, to a least fixpoint, in at most
+n + 1 passes.  That fixpoint is the generated cover relation; it
 satisfies reflexivity, transitivity, meet-left and stability
 (check_formal_cover_axioms re-verifies at run time).
 Subsets of a finite base are int bitmasks over base indices, and
@@ -252,7 +253,8 @@ class CoverPresentation:
         keeps, by (size, indices), only the covers that leave out the
         head and contain no kept cover, so the least fixpoint does not
         change.  _rules[h] lists them for head index h; derive searches
-        it and closure chains over it, so it is the only table.
+        it in that order, and closure reads its grouped inversion
+        (_group_rules).
         The copy at y depends on U and y alone, so the y to visit are
         gathered per distinct cover, as the union of its heads'
         down-sets, and each cover is localized once per y.
@@ -283,6 +285,30 @@ class CoverPresentation:
             for bits in sorted(covers[h], key=order):
                 if not (bits >> h & 1 or any(not k & ~bits for k in kept)):
                     kept.append(bits)
+        self._group_rules()
+
+    def _group_rules(self):
+        """closure's table, built from _rules, and an empty closure cache.
+
+        _rules is inverted to {cover: bitmask of the heads whose rules
+        list it}, and the covers are grouped by that bitmask, as
+        ((heads, (cover, ...)), ...): a cover inside a set adds all of
+        its heads at once, and a pass tests a group only while one of
+        its heads is outside.  Grouping by heads, not listing each
+        distinct cover once, keeps a pass short on a base with many
+        distinct covers (bool6's envelope: 1,954 rules, 1,409 distinct
+        covers, 115 groups).  A presentation whose _rules are edited
+        after it is built needs this call again.
+        """
+        heads_of = {}
+        for h, covers in enumerate(self._rules):
+            for bits in covers:
+                heads_of[bits] = heads_of.get(bits, 0) | 1 << h
+        groups = {}
+        for bits, heads in heads_of.items():
+            groups.setdefault(heads, []).append(bits)
+        self._groups = tuple((heads, tuple(covers))
+                             for heads, covers in groups.items())
         self._closed = {}
 
     def mask(self, members):
@@ -308,13 +334,15 @@ class CoverPresentation:
 
         The least fixpoint of the rule table above the mask: each pass
         adds every head outside it with a cover inside it, until a pass
-        adds nothing.  Every pass but the last adds a bit, so there are
-        at most n + 1.  Results are cached per presentation, keyed by
-        the mask.  A miss chains from the mask joined with the cached
-        closure of the mask less its lowest bit, if there is one: the
-        fixpoint is monotone, so that closure lies inside the answer.
-        The answer is cached under that start too, so masks that share
-        a start chain once.
+        adds nothing.  A pass walks the heads groups of _group_rules:
+        a group with a head outside the set is tested cover by cover,
+        and the first cover inside adds all of its heads.  Every pass
+        but the last adds a bit, so there are at most n + 1.  Results
+        are cached per presentation, keyed by the mask.  A miss chains
+        from the mask joined with the cached closure of the mask less
+        its lowest bit, if there is one: the fixpoint is monotone, so
+        that closure lies inside the answer.  The answer is cached under
+        that start too, so masks that share a start chain once.
         """
         sat = self._closed.get(mask)
         if sat is None:
@@ -323,11 +351,13 @@ class CoverPresentation:
             sat = self._closed.get(start, start)
             while grown:
                 grown = False
-                for h, covers in enumerate(self._rules):
-                    if not sat >> h & 1 and any(not bits & ~sat
-                                                for bits in covers):
-                        sat |= 1 << h
-                        grown = True
+                for heads, covers in self._groups:
+                    if heads & ~sat:
+                        for bits in covers:
+                            if not bits & ~sat:
+                                sat |= heads
+                                grown = True
+                                break
             self._closed[mask] = self._closed[start] = sat
         return sat
 

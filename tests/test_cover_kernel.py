@@ -13,7 +13,9 @@ saturation over the full compiled list, on random axiom sets rich in
 both, and on a chain whose closure adds one element per pass, and
 derive on it with derive over the full list; the table is compared
 with the construction that localizes every axiom at every element
-below its head.  The
+below its head.  closure's grouped table is checked to give back
+each head's rules, and closure to match chaining over the rules as
+they stand, on whole and on seeded broken presentations.  The
 envelope's axioms are compared with their name-based construction,
 and its presentation, built on the lattice's own tables, with the one
 CoverPresentation.finite validates; the closed-set kernel (NextClosure
@@ -172,13 +174,14 @@ def test_cover_laws_sample_draws_the_oracle_subsets(monkeypatch):
 
 
 def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
-    # each presentation is broken after it is built, so the cache of
-    # closures it already holds is emptied
+    # each presentation is broken after it is built, so closure's table
+    # is rebuilt from the edited rules, or the cache of closures it
+    # already holds is emptied
     p, _ = envelope_cover(chain_lattice(3))
     assert [p.members(bits) for bits in p._rules[p._base_index["b"]]] == [
         ("1",)]
     p._rules[p._base_index["b"]] = []
-    p._closed = {}
+    p._group_rules()
     assert check_formal_cover_axioms(p) == failed("meet-left fails",
                                                   ("b", "1"))
 
@@ -186,7 +189,7 @@ def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
     head, pair = p._base_index["11"], p.mask(("01", "10"))
     assert pair in p._rules[head]
     p._rules[head] = [bits for bits in p._rules[head] if bits != pair]
-    p._closed = {}
+    p._group_rules()
     assert check_formal_cover_axioms(p) == failed(
         "stability fails", ("11", "11", ("01", "10")))
 
@@ -199,6 +202,7 @@ def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
     head, pair = p._base_index["110"], p.mask(("010", "100"))
     assert pair in p._rules[head]
     p._rules[head] = [bits for bits in p._rules[head] if bits != pair]
+    p._group_rules()
     assert check_formal_cover_axioms(p) == failed(
         "stability fails", ("111", "110", cover))
 
@@ -220,9 +224,9 @@ def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
 
 def drop_one_rule(p, rng, copy):
     """p with one seeded rule removed, one of the localized axiom copies
-    when copy is set, and its closure cache emptied; None when p has no
-    such rule.  Dropping a meet-below rule y <| {a} mostly breaks
-    meet-left, dropping a copy mostly stability."""
+    when copy is set, and closure's table rebuilt from what is left;
+    None when p has no such rule.  Dropping a meet-below rule y <| {a}
+    mostly breaks meet-left, dropping a copy mostly stability."""
     meet = p.meet_table
     rules = [(h, bits) for h, covers in enumerate(p._rules)
              for bits in covers
@@ -232,7 +236,7 @@ def drop_one_rule(p, rng, copy):
         return None
     h, bits = rng.choice(rules)
     p._rules[h] = [rule for rule in p._rules[h] if rule != bits]
-    p._closed = {}
+    p._group_rules()
     return p
 
 
@@ -319,10 +323,11 @@ def test_closure_does_not_depend_on_query_order():
 
 
 def test_cover_laws_check_reuses_closures(monkeypatch):
-    # one count is one fixpoint pass of closure; the exhaustive sweep
-    # chains only from a closed set plus one bit, and stability closes
-    # each localized copy of each distinct raw cover once
-    class Passes(list):
+    # one count is one fixpoint pass of closure over its grouped table;
+    # the exhaustive sweep chains only from a closed set plus one bit,
+    # and stability closes each localized copy of each distinct raw
+    # cover once
+    class Passes(tuple):
         count = 0
 
         def __iter__(self):
@@ -330,10 +335,10 @@ def test_cover_laws_check_reuses_closures(monkeypatch):
             return super().__iter__()
 
     p, _ = envelope_cover(chain_lattice(11))
-    p._rules = Passes(p._rules)
+    p._groups = Passes(p._groups)
     p._closed = {}
     assert check_formal_cover_axioms(p)
-    assert Passes.count <= 200
+    assert 0 < Passes.count <= 200
 
     p, _ = envelope_cover(chain_lattice(11))
     requested = []
@@ -489,6 +494,47 @@ def test_rule_tables_match_the_compile_oracle():
     instances += REDUNDANT + [(name, p) for name, p, _ in CASES]
     for name, p in instances:
         assert compile_rules(p) == p._rules, name
+
+
+def test_closure_groups_give_back_the_rules():
+    # closure passes over _groups, the covers of _rules grouped by the
+    # heads whose rules list them; also on presentations with a seeded
+    # rule dropped after the build and the groups rebuilt
+    rng = random.Random("groups")
+    instances = []
+    for name, lattice in CORPUS:
+        instances.append(("envelope-" + name, envelope_cover(lattice)[0]))
+        instances.append(("random-" + name, random_cover(lattice, rng)))
+        for copy in (False, True):
+            instances.append(("dropped-envelope-%s-%d" % (name, copy),
+                              drop_one_rule(envelope_cover(lattice)[0], rng,
+                                            copy)))
+            instances.append(("dropped-random-%s-%d" % (name, copy),
+                              drop_one_rule(random_cover(lattice, rng), rng,
+                                            copy)))
+    instances += [
+        ("discrete4", discrete_cover(["v%d" % i for i in range(4)])[0]),
+        ("envelope-chain12", envelope_cover(chain_lattice(11))[0]),
+        ("envelope-bool5", envelope_cover(boolean_lattice(5))[0]),
+        ("envelope-bool6", envelope_cover(boolean_lattice(6))[0])]
+    checked = 0
+    for name, p in instances:
+        if p is None:
+            continue
+        grouped = [bits for _heads, covers in p._groups for bits in covers]
+        assert len(grouped) == len(set(grouped)), name
+        assert set(grouped) == {bits for covers in p._rules
+                                for bits in covers}, name
+        for h, covers in enumerate(p._rules):
+            assert {bits for heads, group in p._groups if heads >> h & 1
+                    for bits in group} == set(covers), (name, h)
+        saturate = rule_table_saturation(p)
+        for subset in sample_subsets(p):
+            sat = saturate(subset)
+            assert p.members(p.closure(p.mask(subset))) == tuple(
+                x for x in p.base if x in sat), (name, subset)
+        checked += 1
+    assert checked >= 4 * len(CORPUS)
 
 
 def downward_chain(k):
