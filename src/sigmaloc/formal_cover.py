@@ -14,8 +14,9 @@ Subsets of a finite base are int bitmasks over base indices, and
 closure is the one saturation: saturate, the frame, the cover laws
 and the overt and overlap cover checks all read it.  It caches every
 closure and starts a new one from the cached closure of the mask less
-its lowest bit, so the cover laws' sweep over every subset chains
-from about n masks per closed set, not from each of the 2^n.
+its lowest bit.  So a sweep over every subset in increasing order
+would close only the distinct starts, at most n per closed set, and
+the cover laws check closes just those, exactly, at any base size.
 Being a closure operator, it lists its closed sets by Ganter's
 NextClosure (CoverPresentation.closed_sets), with at most n closures
 per closed set, so the frame is built without visiting every subset.
@@ -35,7 +36,6 @@ is the goal cover itself; the engine is sound but deliberately
 incomplete there, and budget exhaustion reports Unknown, never false.
 """
 
-import random
 from functools import cache
 from itertools import combinations
 
@@ -257,24 +257,17 @@ class CoverPresentation:
         (_group_rules).
         The copy at y depends on U and y alone, so the y to visit are
         gathered per distinct cover, as the union of its heads'
-        down-sets, and each cover is localized once per y.
+        down-sets, and each cover is localized once per y (_localized,
+        which the cover laws check reads too).
         """
-        idx, meet, n = self._base_index, self.meet_table, len(self.base)
-        below = [sum(1 << y for y in range(n) if meet[a][y] == y)
-                 for a in range(n)]
+        meet, n = self.meet_table, len(self.base)
+        self._below = below = [
+            sum(1 << y for y in range(n) if meet[a][y] == y)
+            for a in range(n)]
         covers = [{1 << a for a in range(n) if below[a] >> y & 1}
                   for y in range(n)]
-        below_heads = {}
-        for head, cover in self.axioms:
-            below_heads[cover] = below_heads.get(cover, 0) | below[idx[head]]
-        for cover, ys in below_heads.items():
-            members = [idx[c] for c in cover]
-            for c in members:
-                ys &= ~below[c]
-            while ys:
-                y = (ys & -ys).bit_length() - 1
-                ys ^= 1 << y
-                covers[y].add(sum({1 << meet[c][y] for c in members}))
+        for y, bits in self._localized():
+            covers[y].add(bits)
 
         def order(bits):
             members = [i for i in range(n) if bits >> i & 1]
@@ -286,6 +279,23 @@ class CoverPresentation:
                 if not (bits >> h & 1 or any(not k & ~bits for k in kept)):
                     kept.append(bits)
         self._group_rules()
+
+    def _localized(self):
+        """(y, bits) for each distinct raw axiom cover U and each y
+        below one of U's heads and below no member of U: bits is U
+        localized at y, {c∧y : c in U}, as a bitmask."""
+        idx, meet, below = self._base_index, self.meet_table, self._below
+        below_heads = {}
+        for head, cover in self.axioms:
+            below_heads[cover] = below_heads.get(cover, 0) | below[idx[head]]
+        for cover, ys in below_heads.items():
+            members = [idx[c] for c in cover]
+            for c in members:
+                ys &= ~below[c]
+            while ys:
+                y = (ys & -ys).bit_length() - 1
+                ys ^= 1 << y
+                yield y, sum({1 << meet[c][y] for c in members})
 
     def _group_rules(self):
         """closure's table, built from _rules, and an empty closure cache.
@@ -581,87 +591,84 @@ def envelope_cover(lattice):
     return p, embedding
 
 
-@cache
-def _sample_masks(n):
-    """Every subset of an n-element base when n <= 12; above that the
-    empty set, the whole base, each singleton and 512 seeded random
-    subsets.  Memoized per n, so the result is immutable: a range or
-    a tuple."""
-    if n <= 12:
-        return range(1 << n)
-    rng = random.Random(0)
-    masks = [0, (1 << n) - 1]
-    masks.extend(1 << i for i in range(n))
-    for _ in range(512):
-        masks.append(sum(1 << i for i in range(n) if rng.random() < 0.5))
-    return tuple(masks)
+# the most saturated subsets the frame lists at its default base cap
+_MAX_CLOSED = 1 << 15
 
 
-def _stable_per_cover(p):
-    """Stability, one mask test per distinct raw cover U and element b:
-    every head∧b, for the heads of U, lies in the closure of U
-    localized at b.  The heads of each cover are folded into a
-    bitmask, and their meets with each b are cached per bitmask; in an
-    envelope the heads of U are the down-set of its join, so there are
-    at most n such bitmasks."""
-    n, idx = len(p.base), p._base_index
-    # bit of a∧b at meet_bits[a][b]
-    meet_bits = [[1 << m for m in row] for row in p.meet_table]
-    heads = {}
-    for head, cover in p.axioms:
-        heads[cover] = heads.get(cover, 0) | 1 << idx[head]
-    images = {}
-    for cover, mask in heads.items():
-        image = images.get(mask)
-        if image is None:
-            image = images[mask] = [0] * n
-            for h in range(n):
-                if mask >> h & 1:
-                    for b, bit in enumerate(meet_bits[h]):
-                        image[b] |= bit
-        rows = [meet_bits[idx[x]] for x in cover]
-        for b in range(n):
-            localized = 0
-            for row in rows:
-                localized |= row[b]
-            if image[b] & ~p.closure(localized):
-                return False
-    return True
+def _walk_starts(p):
+    """Reflexivity and idempotence on the closure starts of every
+    subset (see check_formal_cover_axioms): the failed report of the
+    first mask that breaks one, or None.  The keys of closed are F,
+    each closure once, in the order found; more than _MAX_CLOSED of
+    them is refused as too large."""
+    s = p.closure(0)
+    if p.closure(s) != s:
+        return failed("saturation not idempotent", ((),))
+    closed = {s: None}
+    for i in range(len(p.base) - 1, -1, -1):
+        bit = 1 << i
+        for s in list(closed):
+            if s & bit:
+                continue
+            mask = s | bit
+            sat = p.closure(mask)
+            missing = mask & ~sat
+            if missing:
+                return failed("reflexivity fails",
+                              (p.first(missing), p.members(mask)))
+            if sat not in closed:
+                if p.closure(sat) != sat:
+                    return failed("saturation not idempotent",
+                                  (p.members(mask),))
+                closed[sat] = None
+        if len(closed) > _MAX_CLOSED:
+            raise BaseTooLarge("more than %d saturated subsets"
+                               % (_MAX_CLOSED,))
+    return None
 
 
 def check_formal_cover_axioms(p):
     """Verify the generated cover satisfies the formal cover laws.
 
     Reflexivity and transitivity (idempotent saturation) are checked on
-    every subset when the base has at most 12 elements, else on a fixed
-    seeded sample.  Meet-left and stability are checked exactly: the
-    latter per raw axiom, which propagates to the whole cover by
-    induction on derivations.  The every-subset sweep goes in
-    increasing order, so closure always finds the closure of a mask
-    less its lowest bit cached and chains from about n masks per
-    closed set.  Stability makes one mask test per distinct raw cover
-    and b, for all the cover's heads at once (_stable_per_cover).
-    Only when one fails are the axioms checked one by one, in order,
-    each distinct cover's localized copies closed once, so the first
-    failing (head, b, cover) is the witness.
+    every subset, through the closure starts.  closure closes a mask M
+    with lowest bit i from the start cl(M - i) | i and caches the
+    answer under that start, so a sweep over every subset in increasing
+    order closes only the distinct starts.  As M - i ranges over the
+    subsets of the bits above i, cl(M - i) ranges over F_i, the
+    closures of those subsets: F_n is {cl(0)}, and F_i is F_i+1 with
+    the closures of S | i for each S in F_i+1 without i (when i is in
+    S the start is S, closed already).  _walk_starts builds F_0 so,
+    from i = n - 1 down to 0: it closes every start that sweep would,
+    each once, tests each for reflexivity and each new closure once for
+    idempotence, so at most n + 1 closures per saturated subset.  A
+    presentation with more than 2^15 saturated subsets is refused
+    (BaseTooLarge).
+
+    Meet-left is checked exactly, and stability per raw axiom a <| U,
+    which propagates to the whole cover by induction on derivations.
+    For any b put y = a∧b: each c∧y lies below c∧b, so by meet-left
+    and transitivity y in cl(U∧y) gives y in cl(U∧b).  So it is enough
+    to test y in cl(U∧y) once per distinct U and y below one of its
+    heads, and a y below a member c holds by reflexivity, c∧y being y:
+    the y and the localized copies are those _compile adds
+    (CoverPresentation._localized).  Only when one fails are the axioms
+    checked one by one, in order, at every b, each distinct cover's
+    localized copies closed once, so the first failing (head, b, cover)
+    is the witness.
     """
     _needs_finite(p, "check_formal_cover_axioms")
-    masks = _sample_masks(len(p.base))
-    for mask in masks:
-        s = p.closure(mask)
-        missing = mask & ~s
-        if missing:
-            return failed("reflexivity fails",
-                          (p.first(missing), p.members(mask)))
-        if p.closure(s) != s:
-            return failed("saturation not idempotent", (p.members(mask),))
+    report = _walk_starts(p)
+    if report is not None:
+        return report
     n = len(p.base)
     meet, idx = p.meet_table, p._base_index
+    ups = [p.closure(1 << b) for b in range(n)]
     for a in range(n):
         for b in range(n):
-            if meet[a][b] == a and not p.closure(1 << b) >> a & 1:
+            if meet[a][b] == a and not ups[b] >> a & 1:
                 return failed("meet-left fails", (p.base[a], p.base[b]))
-    if not _stable_per_cover(p):
+    if not all(p.closure(bits) >> y & 1 for y, bits in p._localized()):
         localized = {}
         for head, cover in p.axioms:
             if cover not in localized:
@@ -672,7 +679,7 @@ def check_formal_cover_axioms(p):
                 if not sat >> meet[idx[head]][b] & 1:
                     return failed("stability fails",
                                   (head, p.base[b], cover))
-    return passed("cover laws hold (%d subsets checked)" % (len(masks),))
+    return passed("cover laws hold (%d subsets checked)" % (1 << n,))
 
 
 def check_compactness(p, u):

@@ -450,9 +450,10 @@ def frame_sweep(p):
 
 
 def sample_subsets(p):
-    """The subsets check_formal_cover_axioms tries: all of them up to 12
-    base elements, else the empty set, the base, the singletons and 512
-    seeded random subsets."""
+    """All the subsets up to 12 base elements, else the empty set, the
+    base, the singletons and 512 seeded random subsets.  Only the
+    oracles sample: check_formal_cover_axioms covers every subset at
+    any base size, through the closure starts."""
     base = p.base
     if len(base) <= 12:
         return [tuple(s) for s in subsets(base)]
@@ -489,12 +490,16 @@ def rule_table_saturation(p):
     return saturate
 
 
-def cover_laws_sweep(p, saturate=None):
-    """check_formal_cover_axioms on names.  saturate, if given, replaces
+def cover_laws_sweep(p, saturate=None, every=False):
+    """check_formal_cover_axioms on names, over sample_subsets(p), or
+    over every subset when every is set.  saturate, if given, replaces
     name_saturation(p), as rule_table_saturation(p) does for a
     presentation broken after it was built."""
     saturate = saturate or name_saturation(p)
-    checked = sample_subsets(p)
+    if every:
+        checked = [tuple(s) for s in subsets(p.base)]
+    else:
+        checked = sample_subsets(p)
     for subset in checked:
         s = saturate(subset)
         for x in subset:

@@ -366,13 +366,20 @@ def test_main_survives_mutated_examples(tmp_path, capsys):
         assert "Traceback" not in err, text
 
 
-def test_cover_sweeps_honour_max_base(tmp_path, capsys):
-    atoms = ["a%d" % i for i in range(3)]
+def flat_cover(k):
+    """A cover block C: bot below k pairwise disjoint atoms below t,
+    every element but bot positive, and bot <| {}.  Each set of atoms
+    with bot is saturated, so its frame has 2^k + 1 elements."""
+    atoms = ["a%d" % i for i in range(k)]
     meets = ", ".join(["%s*%s=bot" % (x, y) for i, x in enumerate(atoms)
                        for y in atoms[i + 1:]]
                       + ["bot*%s=bot" % x for x in atoms + ["t"]])
-    text = ("cover C { base: bot t %s; top: t; meet: %s; pos: t %s;"
+    return ("cover C { base: bot t %s; top: t; meet: %s; pos: t %s;"
             " axiom: bot <| ; }\n" % (" ".join(atoms), meets, " ".join(atoms)))
+
+
+def test_cover_sweeps_honour_max_base(tmp_path, capsys):
+    text = flat_cover(3)
     doc = tmp_path / "doc.cov"
     for aspect, verdict, code in (("overt", "pass", 0), ("overlap", "FAIL", 1)):
         doc.write_text(text + "check C %s\n" % aspect)
@@ -384,10 +391,25 @@ def test_cover_sweeps_honour_max_base(tmp_path, capsys):
         assert main(["--input", str(doc), "--max-base", "5"]) == code
         assert capsys.readouterr().out.startswith(
             "check C %s: %s" % (aspect, verdict))
-    # formalcover samples above 12 elements, so the cap does not apply
+    # formalcover is capped by its saturated subsets, not by the base
     doc.write_text(text + "check C formalcover\n")
     assert main(["--input", str(doc), "--max-base", "4"]) == 0
     capsys.readouterr()
+
+
+def test_formalcover_refuses_more_than_2_15_saturated_subsets(tmp_path,
+                                                              capsys):
+    doc = tmp_path / "doc.cov"
+    doc.write_text(flat_cover(14) + "check C formalcover\n")
+    assert main(["--input", str(doc)]) == 0
+    assert capsys.readouterr().out == ("check C formalcover: pass (cover "
+                                       "laws hold (65536 subsets checked))\n")
+    doc.write_text(flat_cover(15) + "check C formalcover\n")
+    assert main(["--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("%s: check C formalcover: more than 32768 "
+                            "saturated subsets\n" % (doc,))
 
 
 def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):

@@ -25,8 +25,10 @@ of the cover laws check, and on seeded broken ones (a rule dropped,
 or raw axioms the rule table does not enforce) the report, witness
 included, is compared with the sweep over the rule table as it stands.
 Closures on fresh presentations are compared with the oracle's in
-decreasing and in shuffled query order, and the laws check gets a
-work bound in fixpoint passes and stability closures.
+decreasing and in shuffled query order.  The laws check must close
+every closure start of the increasing sweep, fail as the sweep does
+under a closure broken at one mask, and keep within a work bound in
+fixpoint passes and in the closures of each of its phases.
 """
 
 import random
@@ -53,6 +55,7 @@ from sigmaloc import (
     validate_lattice,
 )
 
+from sigmaloc import formal_cover
 from sigmaloc.reports import failed
 from sigmaloc.semidecision import Confirmed
 
@@ -143,34 +146,103 @@ def test_frame_matches_the_name_sweep():
 
 
 def test_cover_laws_match_the_name_sweep():
-    # each wide presentation has more than 12 base elements, so the
-    # check samples its subsets
-    wide = [("discrete4", discrete_cover(["v%d" % i for i in range(4)])[0]),
-            ("envelope-chain13", envelope_cover(chain_lattice(12))[0]),
-            ("envelope-bool5", envelope_cover(boolean_lattice(5))[0]),
-            ("envelope-chain31", envelope_cover(chain_lattice(30))[0])]
-    for name, p in [(name, p) for name, p, _ in CASES] + REDUNDANT + wide:
+    for name, p in [(name, p) for name, p, _ in CASES] + REDUNDANT:
         assert check_formal_cover_axioms(p) == cover_laws_sweep(p), name
+    # each wide presentation has more than 12 base elements, where the
+    # oracle samples its subsets unless told to sweep every one, and the
+    # check covers every subset
+    wide = [("discrete4", discrete_cover(["v%d" % i for i in range(4)])[0],
+             True),
+            ("envelope-chain13", envelope_cover(chain_lattice(12))[0], True),
+            ("envelope-bool5", envelope_cover(boolean_lattice(5))[0], False),
+            ("envelope-chain31", envelope_cover(chain_lattice(30))[0], False)]
+    for name, p, every in wide:
+        report = check_formal_cover_axioms(p)
+        sweep = cover_laws_sweep(p, every=every)
+        assert (report.ok, report.witnesses) == (sweep.ok, sweep.witnesses)
+        assert report.detail == "cover laws hold (%d subsets checked)" % (
+            1 << len(p.base),), name
+        if every:
+            assert report == sweep, name
 
 
-def test_cover_laws_sample_draws_the_oracle_subsets(monkeypatch):
-    # above 12 base elements the sample must be the same seeded subsets
-    # in the same order: each is closed, then its closure is closed
-    p, _pos = discrete_cover(["v%d" % i for i in range(4)])
-    requested = []
-    closure = CoverPresentation.closure
+def sweep_starts(p):
+    """The closure starts of the increasing sweep over every subset M
+    that it does not find closed already, as masks: cl(M - i) | i for
+    the lowest bit i of M, when i is outside cl(M - i); cl is the name
+    saturation."""
+    saturate = name_saturation(p)
+    n = len(p.base)
+    cl = [p.mask(saturate(p.members(mask))) for mask in range(1 << n)]
+    return {cl[mask & (mask - 1)] | (mask & -mask) for mask in range(1, 1 << n)
+            if not cl[mask & (mask - 1)] & mask & -mask}
 
-    def recording(self, mask):
-        requested.append(mask)
-        return closure(self, mask)
 
-    monkeypatch.setattr(CoverPresentation, "closure", recording)
-    report = check_formal_cover_axioms(p)
-    expected = sample_subsets(p)
-    assert report.detail == "cover laws hold (%d subsets checked)" % (
-        len(expected),)
-    sampled = requested[:2 * len(expected):2]
-    assert [p.members(mask) for mask in sampled] == expected
+def test_cover_laws_walk_requests_every_start_of_the_sweep():
+    starts = masks = 0
+    for name, p, _ in CASES:
+        if len(p.base) > 12:
+            continue
+        expected = sweep_starts(p)
+        requested = set()
+        closure = p.closure
+        p.closure = lambda mask: requested.add(mask) or closure(mask)
+        try:
+            assert formal_cover._walk_starts(p) is None, name
+        finally:
+            del p.closure
+        assert expected <= requested, name
+        starts += len(expected)
+        masks += 1 << len(p.base)
+    assert 0 < starts < masks
+
+
+def test_cover_laws_catch_a_closure_broken_at_one_mask():
+    # closure drops a seeded bit of one start of the sweep that is not
+    # closed, or grows one seeded closed set by a bit whose closure adds
+    # more; the check and the sweep read closure through the same wrapper
+    rng = random.Random("faults")
+    faults = 0
+    for name, p, _ in CASES:
+        n = len(p.base)
+        if n > 12:
+            continue
+        closure = p.closure
+        starts = [t for t in sorted(sweep_starts(p)) if closure(t) != t]
+        grown = rng.choice(p.closed_sets())
+        extra = [1 << i for i in range(n) if not grown >> i & 1
+                 and closure(grown | 1 << i) != grown | 1 << i]
+        wrappers = []
+        if starts:
+            target = rng.choice(starts)
+            bit = 1 << rng.choice([i for i in range(n) if target >> i & 1])
+
+            def dropping(mask, target=target, bit=bit):
+                sat = closure(mask)
+                return sat & ~bit if mask == target else sat
+
+            wrappers.append(("reflexivity fails", dropping))
+        if extra:
+            bit = rng.choice(extra)
+
+            def growing(mask, grown=grown, bit=bit):
+                sat = closure(mask)
+                return sat | bit if sat == grown else sat
+
+            wrappers.append(("saturation not idempotent", growing))
+        for detail, wrapper in wrappers:
+            p.closure = wrapper
+            try:
+                report = check_formal_cover_axioms(p)
+            finally:
+                del p.closure
+            sweep = cover_laws_sweep(p, lambda subset: frozenset(
+                p.members(wrapper(p.mask(subset)))))
+            assert report.detail == sweep.detail == detail, (name, detail)
+            if detail == "reflexivity fails":
+                assert report == sweep, name
+            faults += 1
+    assert faults > len(CASES)
 
 
 def test_cover_laws_name_the_first_failure_of_a_broken_presentation():
@@ -324,9 +396,8 @@ def test_closure_does_not_depend_on_query_order():
 
 def test_cover_laws_check_reuses_closures(monkeypatch):
     # one count is one fixpoint pass of closure over its grouped table;
-    # the exhaustive sweep chains only from a closed set plus one bit,
-    # and stability closes each localized copy of each distinct raw
-    # cover once
+    # the bounds sit near the measured 34 and 656 passes, which a
+    # closure adding one head of a group per pass exceeds (79 on chain12)
     class Passes(tuple):
         count = 0
 
@@ -334,26 +405,47 @@ def test_cover_laws_check_reuses_closures(monkeypatch):
             Passes.count += 1
             return super().__iter__()
 
-    p, _ = envelope_cover(chain_lattice(11))
-    p._groups = Passes(p._groups)
-    p._closed = {}
-    assert check_formal_cover_axioms(p)
-    assert 0 < Passes.count <= 200
+    for lattice, bound in ((chain_lattice(11), 40), (boolean_lattice(5), 700)):
+        p, _ = envelope_cover(lattice)
+        p._groups = Passes(p._groups)
+        p._closed = {}
+        Passes.count = 0
+        assert check_formal_cover_axioms(p)
+        assert 0 < Passes.count <= bound, len(p.base)
 
-    p, _ = envelope_cover(chain_lattice(11))
-    requested = []
-    closure = CoverPresentation.closure
+    # the walk closes at most n + 1 masks per closed set, meet-left each
+    # singleton once, and stability each distinct raw cover once per y
+    # below one of its heads and below none of its members
+    for lattice in (chain_lattice(11), boolean_lattice(4)):
+        p, _ = envelope_cover(lattice)
+        n, closed = len(p.base), len(p.closed_sets())
+        requested, ends = [], []
+        closure = CoverPresentation.closure
+        walk = formal_cover._walk_starts
 
-    def recording(self, mask):
-        requested.append(mask)
-        return closure(self, mask)
+        def recording(self, mask):
+            requested.append(mask)
+            return closure(self, mask)
 
-    monkeypatch.setattr(CoverPresentation, "closure", recording)
-    assert check_formal_cover_axioms(p)
-    n = len(p.base)
-    below = sum(p.meet_table[a][b] == a for a in range(n) for b in range(n))
-    stability = len(requested) - 2 * (1 << n) - below
-    assert stability <= len({cover for _head, cover in p.axioms}) * n
+        def walking(p):
+            report = walk(p)
+            ends.append(len(requested))
+            return report
+
+        monkeypatch.setattr(CoverPresentation, "closure", recording)
+        monkeypatch.setattr(formal_cover, "_walk_starts", walking)
+        assert check_formal_cover_axioms(p)
+        monkeypatch.undo()
+        [end] = ends
+        assert 0 < end <= (n + 1) * closed
+        assert requested[end:end + n] == [1 << b for b in range(n)]
+        heads = {}
+        for head, cover in p.axioms:
+            heads.setdefault(cover, set()).add(head)
+        ys = sum(1 for cover, hs in heads.items() for y in p.base
+                 if any(p.meet(y, h) == y for h in hs)
+                 and not any(p.meet(y, c) == y for c in cover))
+        assert len(requested) - end - n == ys < len(heads) * n
 
 
 def test_overt_cover_matches_the_name_sweep():
