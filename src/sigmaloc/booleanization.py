@@ -6,11 +6,11 @@ Birkhoff down-set masks: a finite distributive lattice is the lattice
 of down-sets of its join-irreducibles J(L) (Birkhoff), so the overt
 laws, congruence compatibility and the list of all 2^|J(L)|
 congruences are direct computations, not subset or partition sweeps.
-The Booleanization congruence relates x and y when no test element z
-tells them apart through positivity of the meet; its quotient is the
-smallest strongly dense quotient, and smallest_strongly_dense_oracle
-re-derives that minimum over all congruences so the two can be
-compared on every instance.
+The Booleanization congruence relates x and y when they lie above
+the same atoms (no test z tells them apart by positivity of the
+meet); its quotient is the smallest strongly dense quotient, and
+smallest_strongly_dense_oracle re-derives that minimum over all
+congruences so the two can be compared on every instance.
 """
 
 from collections import namedtuple
@@ -252,11 +252,15 @@ def bool_congruence(lattice, pos):
     """The congruence relating elements no positivity test separates.
 
     x ~ y iff positivity of x meet z and of y meet z agree for every z.
-    Requires the overt laws to hold.
+    Requires the overt laws, so Pos is the nonzero elements; x meet z
+    is nonzero iff an atom (down-set: itself and the bottom) lies below
+    both, so x ~ y iff x and y lie above the same atoms.
     """
     _require_overt(check_overt(lattice, pos))
-    sigs = _signatures(lattice.elements, lattice.meet_table, pos)
-    return Congruence.from_class_ids(lattice.elements, sigs)
+    atoms = sum(1 << i for i, down in enumerate(lattice.down)
+                if down.bit_count() == 2)
+    return Congruence.from_class_ids(
+        lattice.elements, [down & atoms for down in lattice.down])
 
 
 def quotient(lattice, c, pos=None):
@@ -327,7 +331,7 @@ def is_overlap_cover(p, pos):
 
     The premise only grows with U, so a failing U can be replaced by
     its closure: the law holds iff it holds on every closed set, which
-    NextClosure lists.  Only after a closed set fails are the subsets
+    closed_sets lists.  Only after a closed set fails are the subsets
     up to it swept, in bitmask order, to name the first witness.
     """
     _require_overt(check_overt_cover(p, pos), CoverError, " on the base")

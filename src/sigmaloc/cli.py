@@ -712,9 +712,9 @@ def _pair_report(check, errors, holds, fails):
 # whether it needs a pos field, and whether --max-base caps the base of
 # its cover check.  overt and overlap keep that cap on the base, though
 # neither visits every subset: overt takes at most n + 1 closures and
-# overlap lists the closed sets, sweeping subsets only to name the
-# witness of a failure.  Insertion order is the order the parser lists
-# the aspects in.
+# overlap lists the closed sets by the closure-start walk, sweeping
+# subsets only to name the witness of a failure.  Insertion order is
+# the order the parser lists the aspects in.
 _Aspect = namedtuple("_Aspect", "lattice cover needs_pos caps_base")
 _ASPECTS = {
     "overt": _Aspect(check_overt, check_overt_cover, True, True),

@@ -15,11 +15,12 @@ closure is the one saturation: saturate, the frame, the cover laws
 and the overt and overlap cover checks all read it.  It caches every
 closure and starts a new one from the cached closure of the mask less
 its lowest bit.  So a sweep over every subset in increasing order
-would close only the distinct starts, at most n per closed set, and
-the cover laws check closes just those, exactly, at any base size.
-Being a closure operator, it lists its closed sets by Ganter's
-NextClosure (CoverPresentation.closed_sets), with at most n closures
-per closed set, so the frame is built without visiting every subset.
+would close only the distinct starts, at most n per closed set.
+CoverPresentation.closure_starts walks just those, each once, level
+by level from the highest bit, and is the one lister of the closed
+sets: the frame and the overlap cover check read its closures, and
+the cover laws check tests every subset on its starts, exactly, at
+any base size, without visiting every subset.
 
 Countable presentations (Cantor, Baire) are CountablePresentations:
 the base is a membership predicate, with axioms_of / uppers_of
@@ -71,7 +72,7 @@ class BaseTooLarge(CoverError):
 
         The cap the frame and the overt and overlap cover checks
         honour.  It is a cap on the base, though none of them visits
-        every subset: the frame lists closed sets, and overlap sweeps
+        every subset: the frame walks closure_starts, and overlap sweeps
         subsets only to name the witness of a failure it has found.
         """
         n = len(p.base)
@@ -371,27 +372,35 @@ class CoverPresentation:
             self._closed[mask] = self._closed[start] = sat
         return sat
 
-    def closed_sets(self):
-        """Every closed bitmask, in increasing order (Ganter's
-        NextClosure; for masks, lectic order is numeric order).
+    def closure_starts(self):
+        """(start, closure) for each closure start of the increasing
+        sweep over every subset, each start once.
 
-        The closed set after A is the closure of bit i together with the
-        bits of A above i, for the lowest i outside A whose closure adds
-        no bit above i: at most n closures per closed set.
+        closure closes a mask M with lowest bit i from the start
+        cl(M - i) | i, so as M - i ranges over the subsets of the bits
+        above i, cl(M - i) ranges over F_i, the closures of those
+        subsets: F_n is {cl(0)}, and F_i is F_i+1 with the closures of
+        S | i for each S in F_i+1 without i (when i is in S the start
+        is S, closed already).  The walk yields (0, cl(0)), then builds
+        F_0 so, from i = n - 1 down to 0.  F_0 is every saturated
+        subset, and the walk closes at most n starts per saturated
+        subset: none from the whole base.
         """
-        n = len(self.base)
-        a = self.closure(0)
-        out = [a]
-        while a != (1 << n) - 1:
-            for i in range(n):
-                above = -(2 << i)
-                if not a >> i & 1:
-                    b = self.closure((a & above) | 1 << i)
-                    if (b & above) == (a & above):
-                        break
-            a = b
-            out.append(a)
-        return out
+        sat = self.closure(0)
+        closed = {sat: None}
+        yield 0, sat
+        for i in range(len(self.base) - 1, -1, -1):
+            bit = 1 << i
+            for s in list(closed):
+                if not s & bit:
+                    sat = self.closure(s | bit)
+                    closed[sat] = None
+                    yield s | bit, sat
+
+    def closed_sets(self):
+        """Every closed bitmask, in increasing order: the distinct
+        closures of closure_starts."""
+        return sorted({sat for _start, sat in self.closure_starts()})
 
 
 def saturate(p, members):
@@ -550,7 +559,7 @@ def derive_with_trace(p, a, u, at_step):
 def frame_of_presentation(p, max_base=15):
     """The frame presented: all saturated subsets ordered by inclusion.
 
-    The saturated subsets are the closed sets NextClosure lists, at
+    The saturated subsets are the closed sets closure_starts lists, at
     most n closures each, in base bitmask order; elements of the result
     are frozensets of base elements in that order.  A base above
     max_base is refused.  The result is validated as a distributive
@@ -591,39 +600,30 @@ def envelope_cover(lattice):
     return p, embedding
 
 
-# the most saturated subsets the frame lists at its default base cap
+# the most saturated subsets the frame lists at its default base cap,
+# and the most the cover laws check walks
 _MAX_CLOSED = 1 << 15
 
 
 def _walk_starts(p):
-    """Reflexivity and idempotence on the closure starts of every
-    subset (see check_formal_cover_axioms): the failed report of the
-    first mask that breaks one, or None.  The keys of closed are F,
-    each closure once, in the order found; more than _MAX_CLOSED of
-    them is refused as too large."""
-    s = p.closure(0)
-    if p.closure(s) != s:
-        return failed("saturation not idempotent", ((),))
-    closed = {s: None}
-    for i in range(len(p.base) - 1, -1, -1):
-        bit = 1 << i
-        for s in list(closed):
-            if s & bit:
-                continue
-            mask = s | bit
-            sat = p.closure(mask)
-            missing = mask & ~sat
-            if missing:
-                return failed("reflexivity fails",
-                              (p.first(missing), p.members(mask)))
-            if sat not in closed:
-                if p.closure(sat) != sat:
-                    return failed("saturation not idempotent",
-                                  (p.members(mask),))
-                closed[sat] = None
-        if len(closed) > _MAX_CLOSED:
-            raise BaseTooLarge("more than %d saturated subsets"
-                               % (_MAX_CLOSED,))
+    """Reflexivity on every closure start of p.closure_starts() and
+    idempotence on each new closure, in the order walked: the failed
+    report of the first mask that breaks one, or None.  More than
+    _MAX_CLOSED new closures are refused as too large."""
+    seen = set()
+    for mask, sat in p.closure_starts():
+        missing = mask & ~sat
+        if missing:
+            return failed("reflexivity fails",
+                          (p.first(missing), p.members(mask)))
+        if sat not in seen:
+            if p.closure(sat) != sat:
+                return failed("saturation not idempotent",
+                              (p.members(mask),))
+            seen.add(sat)
+            if len(seen) > _MAX_CLOSED:
+                raise BaseTooLarge("more than %d saturated subsets"
+                                   % (_MAX_CLOSED,))
     return None
 
 
@@ -631,19 +631,10 @@ def check_formal_cover_axioms(p):
     """Verify the generated cover satisfies the formal cover laws.
 
     Reflexivity and transitivity (idempotent saturation) are checked on
-    every subset, through the closure starts.  closure closes a mask M
-    with lowest bit i from the start cl(M - i) | i and caches the
-    answer under that start, so a sweep over every subset in increasing
-    order closes only the distinct starts.  As M - i ranges over the
-    subsets of the bits above i, cl(M - i) ranges over F_i, the
-    closures of those subsets: F_n is {cl(0)}, and F_i is F_i+1 with
-    the closures of S | i for each S in F_i+1 without i (when i is in
-    S the start is S, closed already).  _walk_starts builds F_0 so,
-    from i = n - 1 down to 0: it closes every start that sweep would,
-    each once, tests each for reflexivity and each new closure once for
-    idempotence, so at most n + 1 closures per saturated subset.  A
-    presentation with more than 2^15 saturated subsets is refused
-    (BaseTooLarge).
+    every subset, through the closure starts of closure_starts
+    (_walk_starts), in at most n + 1 closures per saturated subset, all
+    cached once the frame has walked them.  A presentation with more
+    than 2^15 saturated subsets is refused (BaseTooLarge).
 
     Meet-left is checked exactly, and stability per raw axiom a <| U,
     which propagates to the whole cover by induction on derivations.

@@ -3,9 +3,11 @@ kernels.
 
 These are the sweeps that booleanization.py no longer runs: join
 splitting over every subset (2^n), every partition of the carrier
-filtered by compatibility (Bell(n)), and the compatibility check keyed
-by element rather than by index.  For lattices they are also the
-validation on an n x n bool matrix, with the Warshall closure of order
+filtered by compatibility (Bell(n)), the compatibility check keyed by
+element rather than by index, and the Booleanization congruence by
+each element's positive meets with every test element rather than by
+the atoms below it.  For lattices they are also the validation on an
+n x n bool matrix, with the Warshall closure of order
 pairs, distributivity as the O(n^3) triple loop and the
 join-irreducibles as a fold of joins, and the isomorphism search
 over every bijection.  For covers they are the name-based forms of
@@ -253,6 +255,15 @@ def overt_sweep(lattice, pos):
         if a != lattice.bottom and not pos.holds(a):
             return failed("positivity axiom fails", (a,))
     return passed("overt laws hold")
+
+
+def signature_congruence(lattice, pos):
+    """bool_congruence by its definition: the class of x is the set of
+    test elements z whose meet with x is positive, n^2 meets in all."""
+    elements = lattice.elements
+    return Congruence.from_class_ids(elements, [
+        frozenset(z for z in elements if pos.holds(lattice.meet(x, z)))
+        for x in elements])
 
 
 def is_congruence_by_element(lattice, c):

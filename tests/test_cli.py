@@ -404,12 +404,21 @@ def test_formalcover_refuses_more_than_2_15_saturated_subsets(tmp_path,
     assert main(["--input", str(doc)]) == 0
     assert capsys.readouterr().out == ("check C formalcover: pass (cover "
                                        "laws hold (65536 subsets checked))\n")
-    doc.write_text(flat_cover(15) + "check C formalcover\n")
-    assert main(["--input", str(doc)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("%s: check C formalcover: more than 32768 "
-                            "saturated subsets\n" % (doc,))
+    # the overlap check walks the same 2^15 + 1 saturated subsets under
+    # the base cap alone, and formalcover still refuses them
+    doc.write_text(flat_cover(15) + "check C overlap\n")
+    assert main(["--input", str(doc), "--max-base", "17"]) == 1
+    atoms = " ".join("a%d" % i for i in range(15))
+    assert capsys.readouterr().out == (
+        "check C overlap: FAIL (not an overlap cover; witness: (t (%s)))\n"
+        % (atoms,))
+    for flags in ([], ["--max-base", "17"]):
+        doc.write_text(flat_cover(15) + "check C formalcover\n")
+        assert main(["--input", str(doc)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("%s: check C formalcover: more than 32768 "
+                                "saturated subsets\n" % (doc,))
 
 
 def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):

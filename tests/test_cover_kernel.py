@@ -18,17 +18,20 @@ each head's rules, and closure to match chaining over the rules as
 they stand, on whole and on seeded broken presentations.  The
 envelope's axioms are compared with their name-based construction,
 and its presentation, built on the lattice's own tables, with the one
-CoverPresentation.finite validates; the closed-set kernel (NextClosure
-frames, the greedy overt check and the closed-set overlap test) gets a
-time bound.  Presentations broken on purpose pin each failing report
+CoverPresentation.finite validates; the closed-set kernel (frames
+listed by the closure-start walk, the greedy overt check and the
+closed-set overlap test) gets a time bound.  Presentations broken on purpose pin each failing report
 of the cover laws check, and on seeded broken ones (a rule dropped,
 or raw axioms the rule table does not enforce) the report, witness
 included, is compared with the sweep over the rule table as it stands.
 Closures on fresh presentations are compared with the oracle's in
-decreasing and in shuffled query order.  The laws check must close
-every closure start of the increasing sweep, fail as the sweep does
-under a closure broken at one mask, and keep within a work bound in
-fixpoint passes and in the closures of each of its phases.
+decreasing and in shuffled query order.  The laws check and the
+closed-set listing must close every closure start of the increasing
+sweep, the listing give every name saturation once, in order, and the
+laws check fail as the sweep does under a closure broken at one mask,
+keep within a work bound in fixpoint passes and in the closures of
+each of its phases, and add no passes after the frame has walked the
+same starts.
 """
 
 import random
@@ -179,19 +182,26 @@ def sweep_starts(p):
 
 
 def test_cover_laws_walk_requests_every_start_of_the_sweep():
+    # the laws check and closed_sets read the one walk; closed_sets
+    # gives every name saturation, each once, in increasing order
     starts = masks = 0
     for name, p, _ in CASES:
         if len(p.base) > 12:
             continue
         expected = sweep_starts(p)
-        requested = set()
+        saturate = name_saturation(p)
+        frame = sorted({p.mask(saturate(p.members(mask)))
+                        for mask in range(1 << len(p.base))})
         closure = p.closure
-        p.closure = lambda mask: requested.add(mask) or closure(mask)
-        try:
-            assert formal_cover._walk_starts(p) is None, name
-        finally:
-            del p.closure
-        assert expected <= requested, name
+        for walk, result in ((formal_cover._walk_starts, None),
+                             (CoverPresentation.closed_sets, frame)):
+            requested = set()
+            p.closure = lambda mask: requested.add(mask) or closure(mask)
+            try:
+                assert walk(p) == result, (name, walk.__name__)
+            finally:
+                del p.closure
+            assert expected <= requested, (name, walk.__name__)
         starts += len(expected)
         masks += 1 << len(p.base)
     assert 0 < starts < masks
@@ -412,6 +422,19 @@ def test_cover_laws_check_reuses_closures(monkeypatch):
         Passes.count = 0
         assert check_formal_cover_axioms(p)
         assert 0 < Passes.count <= bound, len(p.base)
+    alone = Passes.count  # bool5's envelope, the last above
+
+    # the frame walks the starts the laws check walks, so after the
+    # frame the check adds no more passes than it takes alone on a
+    # fresh presentation: 656 in all on bool5's envelope, where a frame
+    # listing its closed sets by other masks would add its own
+    p, _ = envelope_cover(boolean_lattice(5))
+    p._groups = Passes(p._groups)
+    p._closed = {}
+    Passes.count = 0
+    assert len(frame_of_presentation(p, max_base=32)) == 32
+    assert check_formal_cover_axioms(p)
+    assert 0 < Passes.count <= alone
 
     # the walk closes at most n + 1 masks per closed set, meet-left each
     # singleton once, and stability each distinct raw cover once per y

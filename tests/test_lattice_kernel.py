@@ -1,10 +1,12 @@
 """The Birkhoff lattice kernel against the exhaustive sweeps it replaces.
 
 Every fast path in booleanization.py is compared with its reference
-sweep from oracles.py over the whole corpus, validate_lattice and
-lattice_from_leq_pairs with the bool-matrix validation on the corpus
-and on seeded random relations, and a wall-clock guard fails if an
-exponential sweep returns to a production path.
+sweep from oracles.py over the whole corpus (the Booleanization
+congruence by atoms also on chain31, bool6 and seeded down-set
+lattices), validate_lattice and lattice_from_leq_pairs with the
+bool-matrix validation on the corpus and on seeded random relations,
+and a wall-clock guard fails if an exponential sweep returns to a
+production path.
 """
 
 import random
@@ -29,7 +31,7 @@ from sigmaloc import (
     with_nonzero_pos,
 )
 
-from corpus import corpus
+from corpus import corpus, downset_lattice
 from oracles import (
     density_by_pairs,
     is_congruence_by_element,
@@ -38,6 +40,7 @@ from oracles import (
     overt_sweep,
     partition_sweep,
     partitions,
+    signature_congruence,
     subsets,
     upward_closed_sets,
     warshall_validation,
@@ -102,6 +105,22 @@ def test_density_matches_the_pairwise_definitions():
                 assert (is_dense(lattice, c), is_strongly_dense(
                     lattice, c, pos)) == density_by_pairs(lattice, c, pos), \
                     (name, c.class_of)
+
+
+def test_bool_congruence_matches_the_signature_oracle():
+    # the corpus, chain31, bool6 and seeded posets of 3-6 points
+    rng = random.Random(5)
+    lattices = CORPUS + [("chain31", chain_lattice(30)),
+                         ("bool6", boolean_lattice(6))]
+    for k in range(8):
+        points = "abcdef"[:rng.randint(3, 6)]
+        pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1:]
+                 if rng.random() < 0.3]
+        lattices.append(("down-%d" % k, downset_lattice(list(points), pairs)))
+    for name, lattice in lattices:
+        pos = Positivity.nonzero(lattice)
+        assert bool_congruence(lattice, pos) == signature_congruence(
+            lattice, pos), name
 
 
 def test_lattice_pipeline_stays_polynomial():
