@@ -329,38 +329,49 @@ def is_overlap_cover(p, pos):
     bitmask order and the first element in base order.  The overt
     cover laws are a precondition; their failure raises CoverError.
 
-    The premise only grows with U, so a failing U can be replaced by
-    its closure: the law holds iff it holds on every closed set, which
-    closed_sets lists.  Only after a closed set fails are the subsets
-    up to it swept, in bitmask order, to name the first witness.
+    The premise only grows with U.  So if U fails, so does its closure
+    C, and a subset of a closed set C fails iff its premise leaves C.
+    The law holds iff no closed set fails (closed_sets lists them), and
+    the first failing U is the least, over the failing C, of the least
+    subset of C whose premise leaves C.  Those subsets are upward closed
+    in C, so the least is found by dropping bits from the top while the
+    premise still leaves C, and only the bits of C up to the top bit of
+    the least U found so far can give a smaller one.  Premises are
+    memoized by their union.
     """
     _require_overt(check_overt_cover(p, pos), CoverError, " on the base")
     n = len(p.base)
     sig = _signatures(p.base, p.meet_table, pos)
+    premises = {}
 
-    def premise(union):
-        """The elements whose sig lies within union."""
-        return sum(1 << a for a in range(n) if not sig[a] & ~union)
-
-    for closed in p.closed_sets():
+    def premise(mask):
+        """The elements whose sig lies within the union of sig over
+        mask."""
         union = 0
-        for a in range(n):
-            if closed >> a & 1:
-                union |= sig[a]
-        if premise(union) & ~closed:
-            break
-    else:
-        return True, None
-    # closed itself fails, so the sweep returns by then
-    union = [0]
-    for mask in range(closed + 1):
-        if mask:
+        while mask:
             low = mask & -mask
-            union.append(union[mask ^ low] | sig[low.bit_length() - 1])
-        candidates = premise(union[mask]) & ~mask
-        missed = candidates & ~p.closure(mask) if candidates else 0
-        if missed:
-            return False, (p.first(missed), p.members(mask))
+            union |= sig[low.bit_length() - 1]
+            mask ^= low
+        if union not in premises:
+            premises[union] = sum(1 << a for a in range(n)
+                                  if not sig[a] & ~union)
+        return premises[union]
+
+    best = None
+    for closed in p.closed_sets():
+        mask = closed if best is None else closed & (
+            (1 << best.bit_length()) - 1)
+        if not premise(mask) & ~closed:
+            continue
+        for i in reversed(range(mask.bit_length())):
+            if mask >> i & 1 and premise(mask & ~(1 << i)) & ~closed:
+                mask &= ~(1 << i)
+        if best is None or mask < best:
+            best = mask
+    if best is None:
+        return True, None
+    return False, (p.first(premise(best) & ~p.closure(best)),
+                   p.members(best))
 
 
 def is_dense(lattice, c):
@@ -382,12 +393,12 @@ def enumerate_congruences(lattice):
     below y agree on S, one for each S, all distinct (Con L is the
     Boolean lattice 2^|J|).  They are listed in the lexicographic order
     of their class ids (restricted growth strings), as a sweep over all
-    partitions would list them.  Capped at 10 elements.
+    partitions would list them.  More than 2^15 of them are refused,
+    before any is listed.
     """
-    n = len(lattice.elements)
-    if n > 10:
-        raise SizeCapExceeded("congruence enumeration capped at 10 elements")
     j_mask = lattice.join_irreducibles
+    if j_mask.bit_count() > 15:
+        raise SizeCapExceeded("more than %d congruences" % (1 << 15))
     j_below = [d & j_mask for d in lattice.down]
     out = []
     s = 0

@@ -538,9 +538,8 @@ def _trace_lines(trace, depth, out):
 class _Runner:
     """Executes a document's commands against its built blocks."""
 
-    def __init__(self, document, budget_default, max_base):
+    def __init__(self, document, budget_default):
         self.budget_default = budget_default
-        self.max_base = max_base
         self.blocks = {}
         self.commands = []
         for item in document.items:
@@ -592,10 +591,7 @@ class _Runner:
         return lines, records, all(record["ok"] for record in records)
 
     def run_check(self, cmd, kind, structure, pos):
-        aspect = _ASPECTS[cmd.aspect]
-        if kind == "cover" and aspect.caps_base:
-            BaseTooLarge.guard(structure, self.max_base)
-        report = getattr(aspect, kind)(structure, pos)
+        report = getattr(_ASPECTS[cmd.aspect], kind)(structure, pos)
         line = "check %s %s: %s" % (cmd.target, cmd.aspect,
                                     _report_text(report))
         return [line], {"aspect": cmd.aspect, "ok": report.ok,
@@ -661,7 +657,7 @@ class _Runner:
 
     def run_envelope(self, cmd, _kind, lattice, _pos):
         p, _embedding = envelope_cover(lattice)
-        frame = frame_of_presentation(p, max_base=self.max_base)
+        frame = frame_of_presentation(p)
         iso = find_isomorphism(frame, lattice) is not None
         line = ("envelope %s: %d axioms; frame has %d elements; "
                 "isomorphic to source: %s"
@@ -695,10 +691,13 @@ def _validate_derive(cmd, _kind, p, _pos):
 
 def _pair_report(check, errors, holds, fails):
     """A CheckReport check from one that returns (ok, witness) and
-    raises errors when its preconditions fail."""
+    raises errors when its preconditions fail.  BaseTooLarge, a
+    CoverError too, is a size guard and passes through to run_all."""
     def report(structure, pos):
         try:
             ok, witness = check(structure, pos)
+        except BaseTooLarge:
+            raise
         except errors as err:
             return failed(str(err))
         witnesses = (witness,) if witness is not None else ()
@@ -708,27 +707,23 @@ def _pair_report(check, errors, holds, fails):
 
 # A check aspect gives its check on a lattice and on a cover (the
 # fields are named after the block kinds; None where the aspect does not
-# apply), each taking (structure, pos) and returning a CheckReport,
-# whether it needs a pos field, and whether --max-base caps the base of
-# its cover check.  overt and overlap keep that cap on the base, though
-# neither visits every subset: overt takes at most n + 1 closures and
-# overlap lists the closed sets by the closure-start walk, sweeping
-# subsets only to name the witness of a failure.  Insertion order is
-# the order the parser lists the aspects in.
-_Aspect = namedtuple("_Aspect", "lattice cover needs_pos caps_base")
+# apply), each taking (structure, pos) and returning a CheckReport, and
+# whether it needs a pos field.  Insertion order is the order the
+# parser lists the aspects in.
+_Aspect = namedtuple("_Aspect", "lattice cover needs_pos")
 _ASPECTS = {
-    "overt": _Aspect(check_overt, check_overt_cover, True, True),
+    "overt": _Aspect(check_overt, check_overt_cover, True),
     "overlap": _Aspect(
         _pair_report(is_sigma_overlap_algebra, ValueError,
                      "sigma-overlap algebra", "not a sigma-overlap algebra"),
         _pair_report(is_overlap_cover, CoverError,
                      "overlap cover", "not an overlap cover"),
-        True, True),
+        True),
     "formalcover": _Aspect(
-        None, lambda p, _pos: check_formal_cover_axioms(p), False, False),
+        None, lambda p, _pos: check_formal_cover_axioms(p), False),
     "lattice": _Aspect(
         lambda lattice, _pos: passed("%d elements" % len(lattice)), None,
-        False, False),
+        False),
 }
 
 
@@ -766,10 +761,10 @@ _KEYWORDS = {entry.keyword: entry for entry in (
 _ENTRY_OF = {entry.cls: entry for entry in _KEYWORDS.values()}
 
 
-def run_document(text, budget=1000, max_base=15):
+def run_document(text, budget=1000):
     """Parse and execute; returns (lines, records, exit_code)."""
     document = parse(text)
-    runner = _Runner(document, budget, max_base)
+    runner = _Runner(document, budget)
     lines, records, all_ok = runner.run_all()
     return lines, records, 0 if all_ok else 1
 
@@ -787,15 +782,10 @@ def main(argv=None):
                         help="text lines or one JSON record per command")
     parser.add_argument("--budget", type=int, default=1000,
                         help="default probe budget for derive commands")
-    parser.add_argument("--max-base", type=int, default=15,
-                        help="largest base size for envelope frames and for "
-                             "overt and overlap cover checks")
     args = parser.parse_args(argv)
-    for flag, value in (("--budget", args.budget),
-                        ("--max-base", args.max_base)):
-        if value < 0:
-            parser.error("argument %s: must be a natural number, got %d"
-                         % (flag, value))
+    if args.budget < 0:
+        parser.error("argument --budget: must be a natural number, got %d"
+                     % args.budget)
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -806,8 +796,7 @@ def main(argv=None):
         print("cannot read %s: %s" % (args.input, err), file=sys.stderr)
         return 2
     try:
-        lines, records, code = run_document(text, budget=args.budget,
-                                            max_base=args.max_base)
+        lines, records, code = run_document(text, budget=args.budget)
     except (ParseError, DocumentError) as err:
         print("%s: %s" % (args.input, err), file=sys.stderr)
         return 2

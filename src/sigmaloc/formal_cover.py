@@ -20,7 +20,8 @@ CoverPresentation.closure_starts walks just those, each once, level
 by level from the highest bit, and is the one lister of the closed
 sets: the frame and the overlap cover check read its closures, and
 the cover laws check tests every subset on its starts, exactly, at
-any base size, without visiting every subset.
+any base size, without visiting every subset.  It refuses more than
+2^15 saturated subsets, the one guard on all three.
 
 Countable presentations (Cantor, Baire) are CountablePresentations:
 the base is a membership predicate, with axioms_of / uppers_of
@@ -66,19 +67,13 @@ class CoverError(Exception):
 
 
 class BaseTooLarge(CoverError):
-    @staticmethod
-    def guard(p, max_base):
-        """Refuse a base of more than max_base elements.
+    """More saturated subsets than closure_starts walks, or a base
+    larger than frame_of_presentation's max_base."""
 
-        The cap the frame and the overt and overlap cover checks
-        honour.  It is a cap on the base, though none of them visits
-        every subset: the frame walks closure_starts, and overlap sweeps
-        subsets only to name the witness of a failure it has found.
-        """
-        n = len(p.base)
-        if n > max_base:
-            raise BaseTooLarge("base has %d elements, cap is %d"
-                               % (n, max_base))
+
+# the most saturated subsets closure_starts walks, as many as the frame
+# lists at its default base cap
+_MAX_CLOSED = 1 << 15
 
 
 class CountablePresentation:
@@ -373,34 +368,44 @@ class CoverPresentation:
         return sat
 
     def closure_starts(self):
-        """(start, closure) for each closure start of the increasing
-        sweep over every subset, each start once.
+        """(start, closure, new) for each closure start of the increasing
+        sweep over every subset, each start once; new is True where the
+        walk finds that closure first.
 
         closure closes a mask M with lowest bit i from the start
         cl(M - i) | i, so as M - i ranges over the subsets of the bits
         above i, cl(M - i) ranges over F_i, the closures of those
         subsets: F_n is {cl(0)}, and F_i is F_i+1 with the closures of
         S | i for each S in F_i+1 without i (when i is in S the start
-        is S, closed already).  The walk yields (0, cl(0)), then builds
-        F_0 so, from i = n - 1 down to 0.  F_0 is every saturated
+        is S, closed already).  The walk yields (0, cl(0), True), then
+        builds F_0 so, from i = n - 1 down to 0.  F_0 is every saturated
         subset, and the walk closes at most n starts per saturated
-        subset: none from the whole base.
+        subset: none from the whole base.  More than 2^15 saturated
+        subsets are refused (BaseTooLarge), so this bounds every walk:
+        the frame's, the overlap cover check's and the cover laws
+        check's.
         """
         sat = self.closure(0)
         closed = {sat: None}
-        yield 0, sat
+        yield 0, sat, True
         for i in range(len(self.base) - 1, -1, -1):
             bit = 1 << i
             for s in list(closed):
                 if not s & bit:
                     sat = self.closure(s | bit)
-                    closed[sat] = None
-                    yield s | bit, sat
+                    new = sat not in closed
+                    if new:
+                        closed[sat] = None
+                        if len(closed) > _MAX_CLOSED:
+                            raise BaseTooLarge("more than %d saturated subsets"
+                                               % (_MAX_CLOSED,))
+                    yield s | bit, sat, new
 
     def closed_sets(self):
         """Every closed bitmask, in increasing order: the distinct
         closures of closure_starts."""
-        return sorted({sat for _start, sat in self.closure_starts()})
+        return sorted(sat for _start, sat, new in self.closure_starts()
+                      if new)
 
 
 def saturate(p, members):
@@ -566,7 +571,9 @@ def frame_of_presentation(p, max_base=15):
     lattice.
     """
     _needs_finite(p, "frame_of_presentation")
-    BaseTooLarge.guard(p, max_base)
+    n = len(p.base)
+    if n > max_base:
+        raise BaseTooLarge("base has %d elements, cap is %d" % (n, max_base))
     closed = p.closed_sets()
     return validate_lattice([frozenset(p.members(s)) for s in closed],
                             [[not s & ~t for t in closed] for s in closed])
@@ -600,30 +607,17 @@ def envelope_cover(lattice):
     return p, embedding
 
 
-# the most saturated subsets the frame lists at its default base cap,
-# and the most the cover laws check walks
-_MAX_CLOSED = 1 << 15
-
-
 def _walk_starts(p):
     """Reflexivity on every closure start of p.closure_starts() and
     idempotence on each new closure, in the order walked: the failed
-    report of the first mask that breaks one, or None.  More than
-    _MAX_CLOSED new closures are refused as too large."""
-    seen = set()
-    for mask, sat in p.closure_starts():
+    report of the first mask that breaks one, or None."""
+    for mask, sat, new in p.closure_starts():
         missing = mask & ~sat
         if missing:
             return failed("reflexivity fails",
                           (p.first(missing), p.members(mask)))
-        if sat not in seen:
-            if p.closure(sat) != sat:
-                return failed("saturation not idempotent",
-                              (p.members(mask),))
-            seen.add(sat)
-            if len(seen) > _MAX_CLOSED:
-                raise BaseTooLarge("more than %d saturated subsets"
-                                   % (_MAX_CLOSED,))
+        if new and p.closure(sat) != sat:
+            return failed("saturation not idempotent", (p.members(mask),))
     return None
 
 

@@ -165,12 +165,20 @@ def test_enumerate_congruences_chain3():
     ]
 
 
-def test_enumerate_congruences_cap():
-    class Big:
-        elements = list(range(11))
+def test_enumerate_congruences_cap(monkeypatch):
+    # the guard is on the 2^|J(L)| congruences, not on the elements:
+    # bool4 (16 elements, |J| = 4) and the 16-element chain (|J| = 15)
+    # answer, and the 17-element chain is refused before any is listed
+    assert len(enumerate_congruences(boolean_lattice(4))) == 16
+    assert len(enumerate_congruences(chain_lattice(15))) == 1 << 15
 
-    with pytest.raises(SizeCapExceeded):
-        enumerate_congruences(Big())
+    def listing(*_args):
+        raise AssertionError("a congruence was listed")
+
+    monkeypatch.setattr(Congruence, "from_class_ids", listing)
+    with pytest.raises(SizeCapExceeded,
+                       match="^more than 32768 congruences$"):
+        enumerate_congruences(chain_lattice(16))
 
 
 def test_smallest_strongly_dense_matches_bool_congruence():

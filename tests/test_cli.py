@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from sigmaloc import BaseTooLarge, frame_of_presentation, is_overlap_cover
 from sigmaloc.cli import (
     BooleanizeCommand,
     CheckCommand,
@@ -378,23 +379,21 @@ def flat_cover(k):
             " axiom: bot <| ; }\n" % (" ".join(atoms), meets, " ".join(atoms)))
 
 
-def test_cover_sweeps_honour_max_base(tmp_path, capsys):
-    text = flat_cover(3)
+def test_cover_checks_answer_on_a_base_past_the_old_cap(tmp_path, capsys):
+    # overt and overlap on a cover are bounded by what they walk, not by
+    # the base: flat_cover(14) has 16 base elements and 2^14 + 1
+    # saturated subsets, and both answer at default flags
     doc = tmp_path / "doc.cov"
-    for aspect, verdict, code in (("overt", "pass", 0), ("overlap", "FAIL", 1)):
-        doc.write_text(text + "check C %s\n" % aspect)
-        assert main(["--input", str(doc), "--max-base", "4"]) == 2
+    atoms = " ".join("a%d" % i for i in range(14))
+    for aspect, code, text in (
+            ("overt", 0, "pass (overt cover laws hold)"),
+            ("overlap", 1,
+             "FAIL (not an overlap cover; witness: (t (%s)))" % atoms)):
+        doc.write_text(flat_cover(14) + "check C %s\n" % aspect)
+        assert main(["--input", str(doc)]) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("%s: check C %s: base has 5 elements, "
-                                "cap is 4\n" % (doc, aspect))
-        assert main(["--input", str(doc), "--max-base", "5"]) == code
-        assert capsys.readouterr().out.startswith(
-            "check C %s: %s" % (aspect, verdict))
-    # formalcover is capped by its saturated subsets, not by the base
-    doc.write_text(text + "check C formalcover\n")
-    assert main(["--input", str(doc), "--max-base", "4"]) == 0
-    capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "check C %s: %s\n" % (aspect, text)
 
 
 def test_formalcover_refuses_more_than_2_15_saturated_subsets(tmp_path,
@@ -404,21 +403,34 @@ def test_formalcover_refuses_more_than_2_15_saturated_subsets(tmp_path,
     assert main(["--input", str(doc)]) == 0
     assert capsys.readouterr().out == ("check C formalcover: pass (cover "
                                        "laws hold (65536 subsets checked))\n")
-    # the overlap check walks the same 2^15 + 1 saturated subsets under
-    # the base cap alone, and formalcover still refuses them
-    doc.write_text(flat_cover(15) + "check C overlap\n")
-    assert main(["--input", str(doc), "--max-base", "17"]) == 1
-    atoms = " ".join("a%d" % i for i in range(15))
-    assert capsys.readouterr().out == (
-        "check C overlap: FAIL (not an overlap cover; witness: (t (%s)))\n"
-        % (atoms,))
-    for flags in ([], ["--max-base", "17"]):
-        doc.write_text(flat_cover(15) + "check C formalcover\n")
-        assert main(["--input", str(doc)] + flags) == 2
+    # the laws check, overlap and the frame share the one guard of the
+    # closure-start walk on 2^15 + 1 saturated subsets
+    for aspect in ("formalcover", "overlap"):
+        doc.write_text(flat_cover(15) + "check C %s\n" % aspect)
+        assert main(["--input", str(doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("%s: check C formalcover: more than 32768 "
-                                "saturated subsets\n" % (doc,))
+        assert captured.err == ("%s: check C %s: more than 32768 "
+                                "saturated subsets\n" % (doc, aspect))
+    p, _pos = build_cover(parse(flat_cover(15)).items[0])
+    with pytest.raises(BaseTooLarge, match="^more than 32768 saturated"):
+        frame_of_presentation(p, max_base=17)
+
+
+def test_overlap_cover_closes_only_the_walk_and_a_few_more_masks():
+    # the witness is found from the failing closed sets, with no subset
+    # sweep: beyond the walk's starts, the overt precondition and the
+    # witness ask for at most n + 3 closures
+    p, pos = build_cover(parse(flat_cover(12)).items[0])
+    starts = sum(1 for _ in p.closure_starts())
+    p, pos = build_cover(parse(flat_cover(12)).items[0])
+    requested = []
+    closure = p.closure
+    p.closure = lambda mask: requested.append(mask) or closure(mask)
+    ok, (a, subset) = is_overlap_cover(p, pos)
+    assert (ok, a, subset) == (False, "t",
+                               tuple("a%d" % i for i in range(12)))
+    assert starts < len(requested) <= starts + len(p.base) + 3
 
 
 def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):
@@ -432,17 +444,16 @@ def test_negative_budget_flag_is_a_usage_error(tmp_path, capsys):
     assert "argument --budget: must be a natural number" in captured.err
 
 
-def test_negative_max_base_flag_is_a_usage_error(tmp_path, capsys):
+def test_max_base_flag_is_an_unrecognized_argument(tmp_path, capsys):
     doc = tmp_path / "doc.cov"
     doc.write_text("cover C { base: t; top: t; }\ncheck C formalcover\n")
     with pytest.raises(SystemExit) as exit_:
-        main(["--input", str(doc), "--max-base", "-1"])
+        main(["--input", str(doc), "--max-base", "15"])
     assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("argument --max-base: must be a natural number, got -1"
-            in captured.err)
-    assert main(["--input", str(doc), "--max-base", "0"]) == 0
+    assert "unrecognized arguments: --max-base 15" in captured.err
+    assert main(["--input", str(doc)]) == 0
 
 
 def test_build_lattice_errors():
