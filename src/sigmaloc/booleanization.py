@@ -229,8 +229,8 @@ def congruence_leq(c1, c2):
 
 
 def _signatures(elements, meet_table, pos):
-    """Per element index of a lattice or a finite cover's base, the
-    bitmask of the test elements z whose meet with it is positive."""
+    """Per element index of a finite cover's base, the bitmask of the
+    test elements z whose meet with it is positive."""
     positive = [pos.holds(x) for x in elements]
     out = []
     for row in meet_table:
@@ -240,6 +240,14 @@ def _signatures(elements, meet_table, pos):
                 sig |= 1 << k
         out.append(sig)
     return out
+
+
+def _atoms_below(lattice):
+    """Per element index, the bitmask of the atoms below it; an atom's
+    down-set is itself and the bottom."""
+    atoms = sum(1 << i for i, down in enumerate(lattice.down)
+                if down.bit_count() == 2)
+    return [down & atoms for down in lattice.down]
 
 
 def _require_overt(report, error=ValueError, where=""):
@@ -257,10 +265,7 @@ def bool_congruence(lattice, pos):
     both, so x ~ y iff x and y lie above the same atoms.
     """
     _require_overt(check_overt(lattice, pos))
-    atoms = sum(1 << i for i, down in enumerate(lattice.down)
-                if down.bit_count() == 2)
-    return Congruence.from_class_ids(
-        lattice.elements, [down & atoms for down in lattice.down])
+    return Congruence.from_class_ids(lattice.elements, _atoms_below(lattice))
 
 
 def quotient(lattice, c, pos=None):
@@ -305,11 +310,13 @@ def is_sigma_overlap_algebra(lattice, pos):
 
     Returns (True, None) or (False, (x, y)) for the first pair, in
     element order, where x overlaps no more than y yet x is not below
-    y.  Requires the overt laws.
+    y.  Requires the overt laws, so Pos is the nonzero elements and, as
+    in bool_congruence, x overlaps no more than y iff every atom below
+    x is below y.
     """
     _require_overt(check_overt(lattice, pos))
     elements, down = lattice.elements, lattice.down
-    sigs = _signatures(elements, lattice.meet_table, pos)
+    sigs = _atoms_below(lattice)
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
             if not sigs[i] & ~sigs[j] and not down[j] >> i & 1:
@@ -324,7 +331,8 @@ def is_overlap_cover(p, pos):
     is matched by some cover member's positive meet, then a must be
     derivably covered by U.  With sig[x] the set of b whose meet with
     x is positive, the premise is sig[a] within the union of sig[u]
-    over U, the same signature test as is_sigma_overlap_algebra.
+    over U.  is_sigma_overlap_algebra tests the same on a lattice, where
+    the atoms below x stand for sig[x].
     Returns (True, None) or (False, (a, U)) for the first subset in
     bitmask order and the first element in base order.  The overt
     cover laws are a precondition; their failure raises CoverError.

@@ -1,10 +1,12 @@
 """Formal covers: presentations, saturation, derivation search, frames.
 
 A cover presentation is a meet-semilattice base together with axioms
-``head <| cover``.  A finite presentation is compiled to one rule
+``head <| cover``.  A finite presentation has one rule
 table: meet-below (a∧b <| {a}, the top law among them) and each raw
 axiom localized below its head, reduced per head to the covers that
-contain no other.  derive searches it head by head, and
+contain no other.  CoverPresentation.finite compiles that table from
+the raw axioms; envelope_cover writes it in closed form from its
+lattice's join table.  derive searches it head by head, and
 CoverPresentation.closure chains over its inversion, the covers
 grouped by the heads that list them, to a least fixpoint, in at most
 n + 1 passes.  That fixpoint is the generated cover relation; it
@@ -147,7 +149,8 @@ class CoverPresentation:
         associativity, top neutral) are checked exhaustively.  Covers
         are normalized to deduplicated base-index-sorted tuples.  The
         checked tables go to _trusted, which envelope_cover also calls,
-        on a validated lattice's own tables.
+        on a validated lattice's own tables, and the raw axioms are
+        compiled to the rule table (_compile).
         """
         base = list(base)
         if not base:
@@ -199,7 +202,9 @@ class CoverPresentation:
             if head not in index:
                 raise CoverError("axiom head %r not in base" % (head,))
             normalized.append((head, _sorted_cover(index, cover)))
-        return CoverPresentation._trusted(base, index, top, table, normalized)
+        p = CoverPresentation._trusted(base, index, top, table, normalized)
+        p._compile()
+        return p
 
     @staticmethod
     def _trusted(base, index, top, meet_table, axioms):
@@ -207,12 +212,14 @@ class CoverPresentation:
         them: index maps each base element to its position, meet_table
         is an index table of a meet-semilattice with top, and each axiom
         is (head, cover) with head in the base and cover a deduplicated
-        tuple of base elements in base order.  Nothing is checked."""
+        tuple of base elements in base order.  Nothing is checked, and
+        no rule table is built: the caller sets _below and _rules and
+        groups them, by _compile or, for an envelope, from the
+        lattice's tables."""
         p = CoverPresentation()
         p.base, p._base_index, p.top = base, index, top
         p.meet_table = meet_table
         p.axioms = tuple(axioms)
-        p._compile()
         return p
 
     def _norm_cover(self, cover):
@@ -235,7 +242,9 @@ class CoverPresentation:
             yield self.members(bits), x
 
     def _compile(self):
-        """The rule table, built once: per head, cover bitmasks.
+        """The rule table of finite(), built once from the raw axioms:
+        per head, cover bitmasks.  envelope_cover writes the same table
+        in closed form from its lattice's join table instead.
 
         Subsets of the base are int bitmasks, bit i standing for base[i].
         The rules are meet-below (y <| {a} for y <= a, the top law among
@@ -590,19 +599,39 @@ def envelope_cover(lattice):
     base order, so the presentation is built on the lattice's own
     meet_table without the checks of CoverPresentation.finite, which
     keeps them for every other caller.
+
+    The rule table is written from the join table, in the pass that
+    lists the axioms, and is the one _compile would build from them.
+    The bottom's empty cover subsumes every other cover of the bottom.
+    Any other head h has meet-below's singletons {a}, a strictly above
+    h, and the pairs {u, v} with u, v strictly below h and u∨v = h, in
+    index order.  These are the localized copies: at any y <= a below
+    neither b nor c, the copy of a <| {b, c} is {b∧y, c∧y}, which is
+    such a pair for y, since both lie strictly below y and they join
+    to y∧(b∨c) = y by distributivity.  Conversely {u, v} is the copy
+    of h <| {u, v} at h.  No singleton of h lies below h, and two
+    distinct pairs do not contain each other, so nothing is dropped.
     """
     base, n = list(lattice.elements), len(lattice)
-    join = lattice.join_table
+    join, up = lattice.join_table, lattice.up
     below = [[x for a, x in enumerate(base) if down >> a & 1]
              for down in lattice.down]
     axioms = [(lattice.bottom, ())]
+    rules = [[1 << a for a in range(n) if up[h] >> a & 1 and a != h]
+             for h in range(n)]
     for i in range(n):
         for j in range(i, n):
+            h = join[i][j]
             cover = (base[i],) if i == j else (base[i], base[j])
-            axioms.extend((a, cover) for a in below[join[i][j]])
+            axioms.extend((a, cover) for a in below[h])
+            if h != i and h != j:
+                rules[h].append(1 << i | 1 << j)
+    rules[lattice.bottom_index] = [0]
     index = {x: i for i, x in enumerate(base)}
     p = CoverPresentation._trusted(base, index, lattice.top,
                                    lattice.meet_table, axioms)
+    p._below, p._rules = lattice.down, rules
+    p._group_rules()
     embedding = {a: saturate(p, (a,)) for a in base}
     return p, embedding
 
@@ -637,10 +666,12 @@ def check_formal_cover_axioms(p):
     to test y in cl(U∧y) once per distinct U and y below one of its
     heads, and a y below a member c holds by reflexivity, c∧y being y:
     the y and the localized copies are those _compile adds
-    (CoverPresentation._localized).  Only when one fails are the axioms
-    checked one by one, in order, at every b, each distinct cover's
-    localized copies closed once, so the first failing (head, b, cover)
-    is the witness.
+    (CoverPresentation._localized).  They are read from p.axioms as it
+    stands, so on an envelope, whose table is written in closed form,
+    this tests that table against the raw axioms by separate code.
+    Only when one fails are the axioms checked one by one, in order, at
+    every b, each distinct cover's localized copies closed once, so the
+    first failing (head, b, cover) is the witness.
     """
     _needs_finite(p, "check_formal_cover_axioms")
     report = _walk_starts(p)

@@ -6,11 +6,11 @@ splitting over every subset (2^n), every partition of the carrier
 filtered by compatibility (Bell(n)), the compatibility check keyed by
 element rather than by index, and the Booleanization congruence by
 each element's positive meets with every test element rather than by
-the atoms below it.  For lattices they are also the validation on an
-n x n bool matrix, with the Warshall closure of order
-pairs, distributivity as the O(n^3) triple loop and the
-join-irreducibles as a fold of joins, and the isomorphism search
-over every bijection.  For covers they are the name-based forms of
+the atoms below it, and the overlap algebra test likewise.  For
+lattices they are also the validation on an n x n bool matrix, with
+the Warshall closure of order pairs, distributivity as the O(n^3)
+triple loop and the join-irreducibles as a fold of joins, and the
+isomorphism search over every bijection.  For covers they are the name-based forms of
 saturation, the frame, the cover laws and the overt and overlap cover
 checks, which pass frozensets and tuples of base elements where the
 kernel passes bitmasks, saturation by the rule table read as names,
@@ -264,6 +264,20 @@ def signature_congruence(lattice, pos):
     return Congruence.from_class_ids(elements, [
         frozenset(z for z in elements if pos.holds(lattice.meet(x, z)))
         for x in elements])
+
+
+def overlap_algebra_by_signatures(lattice, pos):
+    """is_sigma_overlap_algebra by its definition: x overlaps no more
+    than y when every test element z whose meet with x is positive
+    meets y positively too, n^2 meets in all."""
+    elements = lattice.elements
+    sigs = [frozenset(z for z in elements if pos.holds(lattice.meet(x, z)))
+            for x in elements]
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            if sigs[i] <= sigs[j] and not lattice.leq(x, y):
+                return False, (x, y)
+    return True, None
 
 
 def is_congruence_by_element(lattice, c):

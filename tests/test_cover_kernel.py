@@ -18,7 +18,11 @@ each head's rules, and closure to match chaining over the rules as
 they stand, on whole and on seeded broken presentations.  The
 envelope's axioms are compared with their name-based construction,
 and its presentation, built on the lattice's own tables, with the one
-CoverPresentation.finite validates; the closed-set kernel (frames
+CoverPresentation.finite validates; its rule table, written from the
+join table without compiling or localizing the axioms, is compared
+with the compiled one on shuffled corpus, bool6, chain31 and seeded
+down-set lattices, and a rule dropped from it, a pair or a singleton,
+still fails the laws check.  The closed-set kernel (frames
 listed by the closure-start walk, the greedy overt check and the
 closed-set overlap test) gets a time bound.  Presentations broken on purpose pin each failing report
 of the cover laws check, and on seeded broken ones (a rule dropped,
@@ -62,7 +66,7 @@ from sigmaloc import formal_cover
 from sigmaloc.reports import failed
 from sigmaloc.semidecision import Confirmed
 
-from corpus import corpus
+from corpus import corpus, downset_lattice
 from oracles import (
     compile_rules,
     compiled_by_name,
@@ -754,6 +758,67 @@ def test_envelope_matches_the_validated_presentation():
                                      envelope_axioms_by_name(lattice))
         for field in ("base", "top", "meet_table", "axioms", "_rules"):
             assert getattr(p, field) == getattr(q, field), (name, field)
+
+
+def test_envelope_rules_match_the_compiler():
+    # envelope_cover writes its rule table from the join table; finite
+    # compiles the same raw axioms, on a shuffled element order each
+    rng = random.Random("closed-form")
+    lattices = CORPUS + [("bool6", boolean_lattice(6)),
+                         ("chain31", chain_lattice(30))]
+    for k in range(300):
+        points = "abcde"[:rng.randint(1, 5)]
+        pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1:]
+                 if rng.random() < 0.3]
+        lattices.append(("down-%d" % k, downset_lattice(list(points), pairs)))
+    for name, lattice in lattices:
+        lattice = shuffled(lattice, rng)
+        p, _embedding = envelope_cover(lattice)
+        q = CoverPresentation.finite(lattice.elements, lattice.meet,
+                                     lattice.top,
+                                     envelope_axioms_by_name(lattice))
+        for field in ("axioms", "_rules", "_below", "_groups"):
+            assert getattr(p, field) == getattr(q, field), (name, field)
+        assert compile_rules(p) == p._rules, name
+
+
+class FirstOfSize:
+    """A stand-in for drop_one_rule's rng: its choice is the first rule
+    whose cover has size members."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def choice(self, rules):
+        return next(rule for rule in rules
+                    if rule[1].bit_count() == self.size)
+
+
+def test_envelope_builds_without_compiling(monkeypatch):
+    # the raw axioms are neither compiled nor localized; a pair rule or
+    # a singleton rule dropped from the table so built still fails the
+    # laws check, as the sweep over what is left does
+    def refuse(self):
+        raise AssertionError("envelope_cover compiled its axioms")
+
+    named = dict(CORPUS)
+    lattices = [("bool2", named["bool2"]), ("2x3", named["2x3"]),
+                ("down_y_up", named["down_y_up"]),
+                ("bool4", boolean_lattice(4))]
+    with monkeypatch.context() as patched:
+        patched.setattr(CoverPresentation, "_compile", refuse)
+        patched.setattr(CoverPresentation, "_localized", refuse)
+        built = [(name, size, envelope_cover(lattice)[0])
+                 for name, lattice in lattices for size in (1, 2)]
+    details = set()
+    for name, size, p in built:
+        p = drop_one_rule(p, FirstOfSize(size), copy=False)
+        report = check_formal_cover_axioms(p)
+        assert not report.ok, (name, size)
+        assert report == cover_laws_sweep(p, rule_table_saturation(p)), (
+            name, size)
+        details.add(report.detail)
+    assert details == {"meet-left fails", "stability fails"}
 
 
 def overt_in_base_order(p, pos, saturate):

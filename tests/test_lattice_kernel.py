@@ -3,10 +3,11 @@
 Every fast path in booleanization.py is compared with its reference
 sweep from oracles.py over the whole corpus (the Booleanization
 congruence by atoms also on chain31, bool6 and seeded down-set
-lattices), validate_lattice and lattice_from_leq_pairs with the
-bool-matrix validation on the corpus and on seeded random relations,
-and a wall-clock guard fails if an exponential sweep returns to a
-production path.
+lattices, the overlap algebra test by atoms also on quotients and
+seeded down-set lattices), validate_lattice and lattice_from_leq_pairs
+with the bool-matrix validation on the corpus and on seeded random
+relations, and a wall-clock guard fails if an exponential sweep
+returns to a production path.
 """
 
 import random
@@ -37,6 +38,7 @@ from oracles import (
     is_congruence_by_element,
     join_irreducible_fold,
     matrix_validation,
+    overlap_algebra_by_signatures,
     overt_sweep,
     partition_sweep,
     partitions,
@@ -121,6 +123,31 @@ def test_bool_congruence_matches_the_signature_oracle():
         pos = Positivity.nonzero(lattice)
         assert bool_congruence(lattice, pos) == signature_congruence(
             lattice, pos), name
+
+
+def test_overlap_algebra_matches_the_signature_oracle():
+    # the corpus and a few quotients of each, and seeded posets of 1-5
+    # points, under their one overt positivity
+    rng = random.Random(26)
+    lattices = []
+    for name, lattice in CORPUS:
+        lattices.append((name, lattice))
+        congruences = enumerate_congruences(lattice)
+        for k, c in enumerate(rng.sample(congruences,
+                                         min(2, len(congruences)))):
+            lattices.append(("%s/%d" % (name, k), quotient(lattice, c)[0]))
+    for k in range(300):
+        points = "abcde"[:rng.randint(1, 5)]
+        pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1:]
+                 if rng.random() < 0.3]
+        lattices.append(("down-%d" % k, downset_lattice(list(points), pairs)))
+    verdicts = []
+    for name, lattice in lattices:
+        pos = Positivity.nonzero(lattice)
+        verdict = is_sigma_overlap_algebra(lattice, pos)
+        assert verdict == overlap_algebra_by_signatures(lattice, pos), name
+        verdicts.append(verdict[0])
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20
 
 
 def test_lattice_pipeline_stays_polynomial():
