@@ -53,6 +53,7 @@ from .formal_cover import (
     BaseTooLarge,
     CoverError,
     CoverPresentation,
+    _check_base,
     check_formal_cover_axioms,
     derive,
     derive_with_trace,
@@ -61,7 +62,7 @@ from .formal_cover import (
 )
 from .reports import CheckReport, Record, failed, passed
 from .semidecision import Confirmed
-from .sigma_frame import LatticeError, find_isomorphism, lattice_from_leq_pairs
+from .sigma_frame import LatticeError, lattice_from_leq_pairs
 
 
 class ParseError(Exception):
@@ -656,9 +657,9 @@ class _Runner:
         return ["%s: unknown (budget exhausted)" % header], fields
 
     def run_envelope(self, cmd, _kind, lattice, _pos):
-        p, _embedding = envelope_cover(lattice)
+        p, embedding = envelope_cover(lattice)
         frame = frame_of_presentation(p)
-        iso = find_isomorphism(frame, lattice) is not None
+        iso = set(embedding.values()) == set(frame.elements)
         line = ("envelope %s: %d axioms; frame has %d elements; "
                 "isomorphic to source: %s"
                 % (cmd.target, len(p.axioms), len(frame),
@@ -687,6 +688,15 @@ def _validate_derive(cmd, _kind, p, _pos):
         if not p.contains(w):
             raise DocumentError("derive mentions unknown base element %r"
                                 % (w,))
+
+
+def _validate_envelope(cmd, _kind, lattice, _pos):
+    """The frame's base cap, checked before envelope_cover lists the
+    envelope's n^3/3 raw axioms."""
+    try:
+        _check_base(len(lattice))
+    except BaseTooLarge as err:
+        raise DocumentError("%s: %s" % (_show_name(cmd), err))
 
 
 def _pair_report(check, errors, holds, fails):
@@ -756,7 +766,8 @@ _KEYWORDS = {entry.keyword: entry for entry in (
              kind="cover", validate=_validate_derive,
              run=_Runner.run_derive),
     _Keyword("envelope", EnvelopeCommand, _Parser.parse_name, _show_name,
-             kind="lattice", run=_Runner.run_envelope),
+             kind="lattice", validate=_validate_envelope,
+             run=_Runner.run_envelope),
 )}
 _ENTRY_OF = {entry.cls: entry for entry in _KEYWORDS.values()}
 

@@ -73,9 +73,16 @@ class BaseTooLarge(CoverError):
     larger than frame_of_presentation's max_base."""
 
 
-# the most saturated subsets closure_starts walks, as many as the frame
-# lists at its default base cap
-_MAX_CLOSED = 1 << 15
+# the largest base frame_of_presentation lists by default, and the most
+# saturated subsets closure_starts walks, as many as that base has subsets
+_MAX_BASE = 15
+_MAX_CLOSED = 1 << _MAX_BASE
+
+
+def _check_base(n, max_base=_MAX_BASE):
+    """Refuse a base of n elements above max_base (BaseTooLarge)."""
+    if n > max_base:
+        raise BaseTooLarge("base has %d elements, cap is %d" % (n, max_base))
 
 
 class CountablePresentation:
@@ -570,7 +577,7 @@ def derive_with_trace(p, a, u, at_step):
     return outcome
 
 
-def frame_of_presentation(p, max_base=15):
+def frame_of_presentation(p, max_base=_MAX_BASE):
     """The frame presented: all saturated subsets ordered by inclusion.
 
     The saturated subsets are the closed sets closure_starts lists, at
@@ -580,9 +587,7 @@ def frame_of_presentation(p, max_base=15):
     lattice.
     """
     _needs_finite(p, "frame_of_presentation")
-    n = len(p.base)
-    if n > max_base:
-        raise BaseTooLarge("base has %d elements, cap is %d" % (n, max_base))
+    _check_base(len(p.base), max_base)
     closed = p.closed_sets()
     return validate_lattice([frozenset(p.members(s)) for s in closed],
                             [[not s & ~t for t in closed] for s in closed])
@@ -593,12 +598,11 @@ def envelope_cover(lattice):
 
     Base is the lattice itself; one axiom bottom <| {} plus a <| {b,c}
     for every a below b join c, each unordered pair b, c once, so no
-    axiom repeats.  Returns the presentation together with
-    the embedding a -> saturate({a}).  The lattice's tables are
-    validated already and its covers are one or two base elements in
-    base order, so the presentation is built on the lattice's own
-    meet_table without the checks of CoverPresentation.finite, which
-    keeps them for every other caller.
+    axiom repeats.  The lattice's tables are validated already and its
+    covers are one or two base elements in base order, so the
+    presentation is built on the lattice's own meet_table without the
+    checks of CoverPresentation.finite, which keeps them for every
+    other caller.
 
     The rule table is written from the join table, in the pass that
     lists the axioms, and is the one _compile would build from them.
@@ -611,6 +615,8 @@ def envelope_cover(lattice):
     to y∧(b∨c) = y by distributivity.  Conversely {u, v} is the copy
     of h <| {u, v} at h.  No singleton of h lies below h, and two
     distinct pairs do not contain each other, so nothing is dropped.
+    The embedding returned, a -> saturate({a}), is a's down-set D: the
+    singleton rules put D in cl{a}, and none of these rules leads out of D.
     """
     base, n = list(lattice.elements), len(lattice)
     join, up = lattice.join_table, lattice.up
@@ -632,8 +638,7 @@ def envelope_cover(lattice):
                                    lattice.meet_table, axioms)
     p._below, p._rules = lattice.down, rules
     p._group_rules()
-    embedding = {a: saturate(p, (a,)) for a in base}
-    return p, embedding
+    return p, dict(zip(base, map(frozenset, below)))
 
 
 def _walk_starts(p):

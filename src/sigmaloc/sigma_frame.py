@@ -259,38 +259,39 @@ def find_isomorphism(first, second):
     Backtracking over element indices with a (down-set size, up-set
     size) signature filter and the down-set bits of the pairs already
     placed; returns a dict element-of-first -> element-of-second, in
-    placement order.
+    placement order.  The images placed are the backtracking stack: a
+    position with no candidate left pops the last image and resumes
+    its position at the next candidate, so no depth limit applies.
     """
-    if len(first) != len(second):
+    n = len(first)
+    if n != len(second):
         return None
     down1, down2 = first.down, second.down
     sig1 = [(d.bit_count(), u.bit_count()) for d, u in zip(down1, first.up)]
     sig2 = [(d.bit_count(), u.bit_count()) for d, u in zip(down2, second.up)]
-    order = sorted(range(len(first)),
-                   key=lambda i: (sig1[i], str(first.elements[i])))
-    image = []
-
-    def place(used):
-        if len(image) == len(order):
-            return True
+    order = sorted(range(n), key=lambda i: (sig1[i], str(first.elements[i])))
+    image, used, j = [], 0, 0
+    while len(image) < n:
         i = order[len(image)]
-        for j, sig in enumerate(sig2):
-            if used >> j & 1 or sig != sig1[i]:
+        for j in range(j, n):
+            if used >> j & 1 or sig2[j] != sig1[i]:
                 continue
-            if any((down1[i] >> a ^ down2[j] >> b) & 1
-                   or (down1[a] >> i ^ down2[b] >> j) & 1
-                   for a, b in zip(order, image)):
-                continue
-            image.append(j)
-            if place(used | 1 << j):
-                return True
-            image.pop()
-        return False
-
-    if place(0):
-        return {first.elements[i]: second.elements[j]
-                for i, j in zip(order, image)}
-    return None
+            if not any((down1[i] >> a ^ down2[j] >> b) & 1
+                       or (down1[a] >> i ^ down2[b] >> j) & 1
+                       for a, b in zip(order, image)):
+                break
+        else:
+            if not image:
+                return None
+            j = image.pop()
+            used ^= 1 << j
+            j += 1
+            continue
+        image.append(j)
+        used |= 1 << j
+        j = 0
+    return {first.elements[i]: second.elements[j]
+            for i, j in zip(order, image)}
 
 
 class SigmaFrameHom(Record, namedtuple("SigmaFrameHom",

@@ -10,7 +10,12 @@ import sys
 
 import pytest
 
-from sigmaloc import BaseTooLarge, frame_of_presentation, is_overlap_cover
+from sigmaloc import (
+    BaseTooLarge,
+    envelope_cover,
+    frame_of_presentation,
+    is_overlap_cover,
+)
 from sigmaloc.cli import (
     BooleanizeCommand,
     CheckCommand,
@@ -703,6 +708,59 @@ def test_command_and_kind_mismatches_are_usage_errors(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "%s: %s\n" % (doc, message)
+
+
+def chain_doc(n):
+    """A lattice block C on an n-element chain, then `envelope C`."""
+    elements = ["c%d" % i for i in range(n)]
+    return ("lattice C { elements: %s; leq: %s; }\nenvelope C\n"
+            % (" ".join(elements), ", ".join(
+                "%s<=%s" % pair for pair in zip(elements, elements[1:]))))
+
+
+def test_envelope_refuses_a_large_lattice_before_building(
+        monkeypatch, tmp_path, capsys):
+    doc = tmp_path / "doc.cov"
+    doc.write_text(chain_doc(15))
+    assert main(["--input", str(doc)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "frame has 15 elements; isomorphic to source: yes\n")
+
+    def refuse(_lattice):
+        raise AssertionError("envelope_cover ran")
+
+    monkeypatch.setattr("sigmaloc.cli.envelope_cover", refuse)
+    doc.write_text(chain_doc(16))
+    assert main(["--input", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("%s: envelope C: base has 16 elements, "
+                            "cap is 15\n" % doc)
+
+
+def test_envelope_reports_a_frame_that_is_not_the_source(
+        monkeypatch, capsys):
+    # unreachable on valid input: without the top's pair rules the
+    # diamond's atoms no longer cover the top, and the frame gains the
+    # closed set {0, x, y}
+    def without_top_pairs(lattice):
+        p, embedding = envelope_cover(lattice)
+        top = lattice.elements.index(lattice.top)
+        p._rules[top] = [bits for bits in p._rules[top]
+                         if bits.bit_count() < 2]
+        p._group_rules()
+        return p, embedding
+
+    monkeypatch.setattr("sigmaloc.cli.envelope_cover", without_top_pairs)
+    diamond = os.path.join(EXAMPLES, "diamond.cov")
+    assert main(["--input", diamond]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "envelope Diamond: 30 axioms; frame has 5 elements; "
+        "isomorphic to source: no")
+    assert main(["--input", diamond, "--format", "records"]) == 1
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
+        "axioms": 30, "command": "envelope", "frame_size": 5,
+        "isomorphic": False, "ok": False, "target": "Diamond"}
 
 
 BOOLEANIZE_DOC = """

@@ -760,10 +760,9 @@ def test_envelope_matches_the_validated_presentation():
             assert getattr(p, field) == getattr(q, field), (name, field)
 
 
-def test_envelope_rules_match_the_compiler():
-    # envelope_cover writes its rule table from the join table; finite
-    # compiles the same raw axioms, on a shuffled element order each
-    rng = random.Random("closed-form")
+def closed_form_lattices(rng):
+    """The corpus, bool6, chain31 and 300 seeded down-set lattices of
+    at most 5 points, each in a shuffled element order."""
     lattices = CORPUS + [("bool6", boolean_lattice(6)),
                          ("chain31", chain_lattice(30))]
     for k in range(300):
@@ -771,8 +770,13 @@ def test_envelope_rules_match_the_compiler():
         pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1:]
                  if rng.random() < 0.3]
         lattices.append(("down-%d" % k, downset_lattice(list(points), pairs)))
-    for name, lattice in lattices:
-        lattice = shuffled(lattice, rng)
+    return [(name, shuffled(lattice, rng)) for name, lattice in lattices]
+
+
+def test_envelope_rules_match_the_compiler():
+    # envelope_cover writes its rule table from the join table; finite
+    # compiles the same raw axioms, on a shuffled element order each
+    for name, lattice in closed_form_lattices(random.Random("closed-form")):
         p, _embedding = envelope_cover(lattice)
         q = CoverPresentation.finite(lattice.elements, lattice.meet,
                                      lattice.top,
@@ -780,6 +784,16 @@ def test_envelope_rules_match_the_compiler():
         for field in ("axioms", "_rules", "_below", "_groups"):
             assert getattr(p, field) == getattr(q, field), (name, field)
         assert compile_rules(p) == p._rules, name
+
+
+def test_envelope_embedding_is_the_saturation_of_each_element():
+    # the embedding is each element's down-set, read off the lattice;
+    # saturating the element under the closed-form table gives the same
+    for name, lattice in closed_form_lattices(random.Random("down-sets")):
+        p, embedding = envelope_cover(lattice)
+        assert list(embedding) == lattice.elements, name
+        for a in lattice.elements:
+            assert embedding[a] == saturate(p, (a,)), (name, a)
 
 
 class FirstOfSize:
@@ -795,11 +809,12 @@ class FirstOfSize:
 
 
 def test_envelope_builds_without_compiling(monkeypatch):
-    # the raw axioms are neither compiled nor localized; a pair rule or
-    # a singleton rule dropped from the table so built still fails the
-    # laws check, as the sweep over what is left does
-    def refuse(self):
-        raise AssertionError("envelope_cover compiled its axioms")
+    # the raw axioms are neither compiled nor localized, and nothing is
+    # saturated; a pair rule or a singleton rule dropped from the table
+    # so built still fails the laws check, as the sweep over what is
+    # left does
+    def refuse(self, *_args):
+        raise AssertionError("envelope_cover compiled or saturated")
 
     named = dict(CORPUS)
     lattices = [("bool2", named["bool2"]), ("2x3", named["2x3"]),
@@ -808,6 +823,7 @@ def test_envelope_builds_without_compiling(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(CoverPresentation, "_compile", refuse)
         patched.setattr(CoverPresentation, "_localized", refuse)
+        patched.setattr(CoverPresentation, "closure", refuse)
         built = [(name, size, envelope_cover(lattice)[0])
                  for name, lattice in lattices for size in (1, 2)]
     details = set()

@@ -182,6 +182,17 @@ def test_find_isomorphism_backtracks_on_the_grid():
     assert find_isomorphism(first, chain_lattice(8)) is None
 
 
+def test_find_isomorphism_places_a_thousand_elements():
+    # the backtracking keeps its own stack, so its depth is not bounded
+    # by the interpreter's recursion limit
+    chain = list(range(1100))
+    for lattice in (free_lattice(range(10)),
+                    lattice_from_leq_pairs(chain, zip(chain, chain[1:]))):
+        assert len(lattice) > 1000
+        assert_order_isomorphism(lattice, lattice,
+                                 find_isomorphism(lattice, lattice))
+
+
 def test_free_lattice_shape():
     lat = free_lattice(["u", "v"])
     assert len(lat) == 5
