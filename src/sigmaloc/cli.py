@@ -691,8 +691,8 @@ def _validate_derive(cmd, _kind, p, _pos):
 
 
 def _validate_envelope(cmd, _kind, lattice, _pos):
-    """The frame's base cap, checked before envelope_cover lists the
-    envelope's n^3/3 raw axioms."""
+    """The frame's base cap, checked before envelope_cover builds the
+    envelope."""
     try:
         _check_base(len(lattice))
     except BaseTooLarge as err:

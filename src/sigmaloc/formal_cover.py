@@ -40,7 +40,7 @@ is the goal cover itself; the engine is sound but deliberately
 incomplete there, and budget exhaustion reports Unknown, never false.
 """
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 from .enumeration import Enumeration
@@ -130,6 +130,14 @@ def _needs_finite(p, what):
         raise CoverError("%s needs a finite base" % (what,))
 
 
+def _indices(mask):
+    """The indices of a bitmask's set bits, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _sorted_cover(index, cover):
     """A cover as a deduplicated tuple in base order; index maps each
     base element to its position."""
@@ -209,25 +217,38 @@ class CoverPresentation:
             if head not in index:
                 raise CoverError("axiom head %r not in base" % (head,))
             normalized.append((head, _sorted_cover(index, cover)))
-        p = CoverPresentation._trusted(base, index, top, table, normalized)
+        p = CoverPresentation._trusted(base, index, top, table)
+        p.axioms = tuple(normalized)
         p._compile()
         return p
 
     @staticmethod
-    def _trusted(base, index, top, meet_table, axioms):
+    def _trusted(base, index, top, meet_table):
         """A presentation on tables taken as given, as finite() leaves
-        them: index maps each base element to its position, meet_table
-        is an index table of a meet-semilattice with top, and each axiom
-        is (head, cover) with head in the base and cover a deduplicated
-        tuple of base elements in base order.  Nothing is checked, and
-        no rule table is built: the caller sets _below and _rules and
-        groups them, by _compile or, for an envelope, from the
-        lattice's tables."""
+        them: index maps each base element to its position and
+        meet_table is an index table of a meet-semilattice with top.
+        Nothing is checked, and no rule table is built: the caller sets
+        the raw axioms, _raw_covers, _below and _rules and groups them,
+        by _compile or, for an envelope, from the lattice's tables."""
         p = CoverPresentation()
         p.base, p._base_index, p.top = base, index, top
         p.meet_table = meet_table
-        p.axioms = tuple(axioms)
         return p
+
+    @cached_property
+    def axioms(self):
+        """The raw axioms, (head, cover) with head in the base and
+        cover a deduplicated tuple of base elements in base order.
+        finite() sets them as given.  An envelope keeps only
+        _raw_covers, and they are listed from it when first read, each
+        cover's heads in base order: in an envelope the heads of a
+        cover {b, c} are exactly the down-set of b∨c, which is what
+        _raw_covers holds for it."""
+        axioms = []
+        for bits, heads in self._raw_covers.items():
+            cover = self.members(bits)
+            axioms.extend((self.base[a], cover) for a in _indices(heads))
+        return tuple(axioms)
 
     def _norm_cover(self, cover):
         return _sorted_cover(self._base_index, cover)
@@ -269,13 +290,14 @@ class CoverPresentation:
         (_group_rules).
         The copy at y depends on U and y alone, so the y to visit are
         gathered per distinct cover, as the union of its heads'
-        down-sets, and each cover is localized once per y (_localized,
-        which the cover laws check reads too).
+        down-sets (_fold_axioms), and each cover is localized once per y
+        (_localized, which the cover laws check reads too).
         """
         meet, n = self.meet_table, len(self.base)
         self._below = below = [
             sum(1 << y for y in range(n) if meet[a][y] == y)
             for a in range(n)]
+        self._fold_axioms()
         covers = [{1 << a for a in range(n) if below[a] >> y & 1}
                   for y in range(n)]
         for y, bits in self._localized():
@@ -292,21 +314,28 @@ class CoverPresentation:
                     kept.append(bits)
         self._group_rules()
 
+    def _fold_axioms(self):
+        """_raw_covers, the raw axioms folded per distinct cover:
+        {cover bitmask: the union of its heads' down-sets}, in the order
+        the covers are first listed.  envelope_cover writes the same map
+        from its lattice's tables.  A presentation whose axioms are
+        edited after it is built needs this call again."""
+        idx, below, raw = self._base_index, self._below, {}
+        for head, cover in self.axioms:
+            bits = self.mask(cover)
+            raw[bits] = raw.get(bits, 0) | below[idx[head]]
+        self._raw_covers = raw
+
     def _localized(self):
         """(y, bits) for each distinct raw axiom cover U and each y
         below one of U's heads and below no member of U: bits is U
         localized at y, {c∧y : c in U}, as a bitmask."""
-        idx, meet, below = self._base_index, self.meet_table, self._below
-        below_heads = {}
-        for head, cover in self.axioms:
-            below_heads[cover] = below_heads.get(cover, 0) | below[idx[head]]
-        for cover, ys in below_heads.items():
-            members = [idx[c] for c in cover]
+        meet, below = self.meet_table, self._below
+        for cover, ys in self._raw_covers.items():
+            members = list(_indices(cover))
             for c in members:
                 ys &= ~below[c]
-            while ys:
-                y = (ys & -ys).bit_length() - 1
-                ys ^= 1 << y
+            for y in _indices(ys):
                 yield y, sum({1 << meet[c][y] for c in members})
 
     def _group_rules(self):
@@ -602,10 +631,13 @@ def envelope_cover(lattice):
     covers are one or two base elements in base order, so the
     presentation is built on the lattice's own meet_table without the
     checks of CoverPresentation.finite, which keeps them for every
-    other caller.
+    other caller.  The n^3/3 raw axioms are not listed: each cover
+    {b, c} is kept once, in _raw_covers, with its heads, the down-set
+    of b∨c, and p.axioms lists them from there only when read.
 
     The rule table is written from the join table, in the pass that
-    lists the axioms, and is the one _compile would build from them.
+    writes _raw_covers, and is the one _compile would build from the
+    raw axioms.
     The bottom's empty cover subsumes every other cover of the bottom.
     Any other head h has meet-below's singletons {a}, a strictly above
     h, and the pairs {u, v} with u, v strictly below h and u∨v = h, in
@@ -619,26 +651,23 @@ def envelope_cover(lattice):
     singleton rules put D in cl{a}, and none of these rules leads out of D.
     """
     base, n = list(lattice.elements), len(lattice)
-    join, up = lattice.join_table, lattice.up
-    below = [[x for a, x in enumerate(base) if down >> a & 1]
-             for down in lattice.down]
-    axioms = [(lattice.bottom, ())]
+    join, up, down = lattice.join_table, lattice.up, lattice.down
+    raw = {0: down[lattice.bottom_index]}
     rules = [[1 << a for a in range(n) if up[h] >> a & 1 and a != h]
              for h in range(n)]
     for i in range(n):
         for j in range(i, n):
-            h = join[i][j]
-            cover = (base[i],) if i == j else (base[i], base[j])
-            axioms.extend((a, cover) for a in below[h])
+            h, cover = join[i][j], 1 << i | 1 << j
+            raw[cover] = down[h]
             if h != i and h != j:
-                rules[h].append(1 << i | 1 << j)
+                rules[h].append(cover)
     rules[lattice.bottom_index] = [0]
     index = {x: i for i, x in enumerate(base)}
     p = CoverPresentation._trusted(base, index, lattice.top,
-                                   lattice.meet_table, axioms)
-    p._below, p._rules = lattice.down, rules
+                                   lattice.meet_table)
+    p._raw_covers, p._below, p._rules = raw, down, rules
     p._group_rules()
-    return p, dict(zip(base, map(frozenset, below)))
+    return p, {x: frozenset(p.members(d)) for x, d in zip(base, down)}
 
 
 def _walk_starts(p):
@@ -671,12 +700,15 @@ def check_formal_cover_axioms(p):
     to test y in cl(U∧y) once per distinct U and y below one of its
     heads, and a y below a member c holds by reflexivity, c∧y being y:
     the y and the localized copies are those _compile adds
-    (CoverPresentation._localized).  They are read from p.axioms as it
-    stands, so on an envelope, whose table is written in closed form,
-    this tests that table against the raw axioms by separate code.
-    Only when one fails are the axioms checked one by one, in order, at
-    every b, each distinct cover's localized copies closed once, so the
-    first failing (head, b, cover) is the witness.
+    (CoverPresentation._localized).  They are read from the per-cover
+    map _raw_covers, {U: the union of U's heads' down-sets}, which
+    states the raw axiom a <| U for each head a; on an envelope,
+    a <| {b, c} for each a <= b∨c.  So on an envelope, whose rule table is written in
+    closed form, this still tests that table against the raw axioms,
+    by separate code.  Only when one fails are the axioms (p.axioms,
+    listed from that map on an envelope) checked one by one, in order,
+    at every b, each distinct cover's localized copies closed once, so
+    the first failing (head, b, cover) is the witness.
     """
     _needs_finite(p, "check_formal_cover_axioms")
     report = _walk_starts(p)

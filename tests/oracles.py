@@ -15,7 +15,8 @@ saturation, the frame, the cover laws and the overt and overlap cover
 checks, which pass frozensets and tuples of base elements where the
 kernel passes bitmasks, saturation by the rule table read as names,
 the meet-table validation on a dict keyed by name pairs, the
-envelope's axioms built through lattice.join and lattice.leq, the
+envelope's axioms built through lattice.join and lattice.leq, raw
+axioms folded per cover on names, the
 rule table built from a localized copy of every axiom
 at every element below its head, and derive over the full compiled
 axiom list.  For enumerations it is the image listed by a scan that
@@ -462,6 +463,19 @@ def envelope_axioms_by_name(lattice):
             seen.add(key)
             deduped.append((head, cover))
     return deduped
+
+
+def fold_by_cover(p, axioms):
+    """A list of raw axioms folded per distinct cover, on names: for
+    each cover, in first-listed order, the base elements below one of
+    its heads, as bitmasks over base indices."""
+    idx = {x: i for i, x in enumerate(p.base)}
+    out = {}
+    for head, cover in axioms:
+        key = sum(1 << idx[c] for c in set(cover))
+        below = sum(1 << idx[y] for y in p.base if p.meet(y, head) == y)
+        out[key] = out.get(key, 0) | below
+    return out
 
 
 def frame_sweep(p):

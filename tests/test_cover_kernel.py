@@ -22,7 +22,9 @@ CoverPresentation.finite validates; its rule table, written from the
 join table without compiling or localizing the axioms, is compared
 with the compiled one on shuffled corpus, bool6, chain31 and seeded
 down-set lattices, and a rule dropped from it, a pair or a singleton,
-still fails the laws check.  The closed-set kernel (frames
+still fails the laws check.  Its raw axioms are kept as one entry per
+cover, its heads' down-sets, compared with a fold of the name-based
+list, and the list itself is made only when p.axioms is read.  The closed-set kernel (frames
 listed by the closure-start walk, the greedy overt check and the
 closed-set overlap test) gets a time bound.  Presentations broken on purpose pin each failing report
 of the cover laws check, and on seeded broken ones (a rule dropped,
@@ -72,6 +74,7 @@ from oracles import (
     compiled_by_name,
     cover_laws_sweep,
     envelope_axioms_by_name,
+    fold_by_cover,
     frame_sweep,
     full_list_derive,
     name_pair_meet,
@@ -328,7 +331,8 @@ def drop_one_rule(p, rng, copy):
 
 def add_unenforced_axioms(p, rng, count):
     """p with count seeded raw axioms inserted among its axioms after its
-    rule table was built, about half of them on covers p already has.
+    rule table was built, about half of them on covers p already has,
+    and the per-cover map the laws check reads refolded from them.
     The rule table does not enforce them, so most fail stability, and
     several failures in one presentation are common."""
     axioms = list(p.axioms)
@@ -341,6 +345,7 @@ def add_unenforced_axioms(p, rng, count):
         axioms.insert(rng.randrange(len(axioms) + 1),
                       (rng.choice(p.base), cover))
     p.axioms = tuple(axioms)
+    p._fold_axioms()
     return p
 
 
@@ -781,9 +786,26 @@ def test_envelope_rules_match_the_compiler():
         q = CoverPresentation.finite(lattice.elements, lattice.meet,
                                      lattice.top,
                                      envelope_axioms_by_name(lattice))
-        for field in ("axioms", "_rules", "_below", "_groups"):
+        for field in ("axioms", "_raw_covers", "_rules", "_below",
+                      "_groups"):
             assert getattr(p, field) == getattr(q, field), (name, field)
         assert compile_rules(p) == p._rules, name
+
+
+def test_envelope_lists_its_raw_axioms_only_when_read():
+    # the envelope keeps one entry per cover, its heads' down-sets;
+    # the frame, the laws check and a derive read that map or the rule
+    # table, and p.axioms is listed from the map on the first read
+    for name, lattice in closed_form_lattices(random.Random("per-cover")):
+        p, _embedding = envelope_cover(lattice)
+        frame_of_presentation(p, max_base=len(p.base))
+        assert check_formal_cover_axioms(p), name
+        derive(p, lattice.top, (lattice.bottom,)).probe(BUDGET)
+        assert "axioms" not in vars(p), name
+        axioms = envelope_axioms_by_name(lattice)
+        assert list(p.axioms) == axioms, name
+        assert list(p._raw_covers.items()) == list(
+            fold_by_cover(p, axioms).items()), name
 
 
 def test_envelope_embedding_is_the_saturation_of_each_element():
