@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .formal_cover import CoverError, _needs_finite
 from .reports import Record, failed, passed
-from .sigma_frame import SigmaFrameHom, validate_lattice
+from .sigma_frame import SigmaFrameHom, _lattice_of_up_masks
 
 __all__ = [
     "Congruence",
@@ -194,13 +194,28 @@ class Congruence(Record, namedtuple("Congruence", "elements class_of")):
 
 
 def is_congruence(lattice, c):
-    """Compatibility of a partition with meet and join."""
+    """Compatibility of a partition with meet and join.
+
+    Compatibility is transitive within a class, so a partition is a
+    congruence iff each element's meet and join rows agree, class by
+    class, with those of the first element of its class: an O(n^2)
+    test.  Only when it fails does the pair loop run, to name the first
+    failing (x, y, z) in element order.
+    """
     elements = lattice.elements
     if tuple(c.elements) != tuple(elements):
         return failed("partition is over different elements", ())
     cls = c.class_of
     meet = lattice.meet_table
     join = lattice.join_table
+    class_at = cls.__getitem__
+    first_rows = {}
+    for k, meet_i, join_i in zip(cls, meet, join):
+        rows = (list(map(class_at, meet_i)), list(map(class_at, join_i)))
+        if first_rows.setdefault(k, rows) != rows:
+            break
+    else:
+        return passed("congruence laws hold")
     n = len(elements)
     for i in range(n):
         for j in range(i + 1, n):
@@ -215,7 +230,6 @@ def is_congruence(lattice, c):
                 if cls[join_i[k]] != cls[join_j[k]]:
                     return failed("join compatibility fails",
                                   (elements[i], elements[j], elements[k]))
-    return passed("congruence laws hold")
 
 
 def congruence_leq(c1, c2):
@@ -271,9 +285,11 @@ def bool_congruence(lattice, pos):
 def quotient(lattice, c, pos=None):
     """Quotient lattice, projection hom, and (optional) inherited pos.
 
-    Class labels are frozensets of member labels; the order descends
-    from representatives (well defined for valid congruences, which is
-    checked).  Inherited positivity must agree across each class,
+    Class labels are frozensets of member labels.  The order descends
+    from representatives, the first element of each class: the up-set
+    of a class is the classes of the elements above its representative
+    (for a congruence, which is checked, [x] <= [y] iff x∨y, above x,
+    lies in [y]).  Inherited positivity must agree across each class,
     otherwise RepresentativeDependentPos is raised rather than guessing
     a canonical representative.
     """
@@ -283,10 +299,16 @@ def quotient(lattice, c, pos=None):
     groups = c.classes()
     labels = [frozenset(g) for g in groups]
     cls = c.class_of
-    reps = [cls.index(i) for i in range(len(groups))]
-    meet = lattice.meet_table
-    leq = [[cls[meet[x][y]] == cls[x] for y in reps] for x in reps]
-    quotient_lattice = validate_lattice(labels, leq)
+    up = [0] * len(groups)
+    for r, up_r in enumerate(lattice.up):
+        k = cls[r]
+        if up[k]:
+            continue
+        while up_r:
+            low = up_r & -up_r
+            up[k] |= 1 << cls[low.bit_length() - 1]
+            up_r ^= low
+    quotient_lattice = _lattice_of_up_masks(labels, up)
     mapping = {x: labels[i] for x, i in zip(c.elements, c.class_of)}
     projection = SigmaFrameHom(lattice, quotient_lattice, mapping)
 
@@ -399,25 +421,28 @@ def enumerate_congruences(lattice):
     A finite distributive lattice is the down-sets of J = J(L), and its
     congruences are exactly x ~ y iff the join-irreducibles below x and
     below y agree on S, one for each S, all distinct (Con L is the
-    Boolean lattice 2^|J|).  They are listed in the lexicographic order
-    of their class ids (restricted growth strings), as a sweep over all
-    partitions would list them.  More than 2^15 of them are refused,
-    before any is listed.
+    Boolean lattice 2^|J|).  Each one's class ids are numbered in
+    first-appearance order as they are made, so they are its restricted
+    growth string, and the congruences are listed in the lexicographic
+    order of those strings, as a sweep over all partitions would list
+    them.  More than 2^15 of them are refused, before any is listed.
     """
     j_mask = lattice.join_irreducibles
     if j_mask.bit_count() > 15:
         raise SizeCapExceeded("more than %d congruences" % (1 << 15))
     j_below = [d & j_mask for d in lattice.down]
-    out = []
+    strings = []
     s = 0
     while True:
-        out.append(Congruence.from_class_ids(
-            lattice.elements, [b & s for b in j_below]))
+        ids = {}
+        strings.append(tuple(
+            [ids.setdefault(b & s, len(ids)) for b in j_below]))
         if s == j_mask:
             break
         s = (s - j_mask) & j_mask
-    out.sort(key=lambda c: c.class_of)
-    return out
+    strings.sort()
+    elements = tuple(lattice.elements)
+    return [Congruence(elements, class_of) for class_of in strings]
 
 
 def smallest_strongly_dense_oracle(lattice, pos):

@@ -46,7 +46,11 @@ from itertools import combinations
 from .enumeration import Enumeration
 from .reports import failed, passed
 from .semidecision import SemiDecision
-from .sigma_frame import SigmaFrameHom, check_sigma_hom, validate_lattice
+from .sigma_frame import (
+    SigmaFrameHom,
+    _lattice_of_up_masks,
+    check_sigma_hom,
+)
 
 __all__ = [
     "BaseTooLarge",
@@ -612,14 +616,21 @@ def frame_of_presentation(p, max_base=_MAX_BASE):
     The saturated subsets are the closed sets closure_starts lists, at
     most n closures each, in base bitmask order; elements of the result
     are frozensets of base elements in that order.  A base above
-    max_base is refused.  The result is validated as a distributive
-    lattice.
+    max_base is refused.  Each closed set's up mask, the closed sets
+    containing it, goes to the lattice constructor, which checks the
+    lattice laws and distributivity on the masks.
     """
     _needs_finite(p, "frame_of_presentation")
     _check_base(len(p.base), max_base)
     closed = p.closed_sets()
-    return validate_lattice([frozenset(p.members(s)) for s in closed],
-                            [[not s & ~t for t in closed] for s in closed])
+    up = []
+    for s in closed:
+        mask = 0
+        for j, t in enumerate(closed):
+            if not s & ~t:
+                mask |= 1 << j
+        up.append(mask)
+    return _lattice_of_up_masks([frozenset(p.members(s)) for s in closed], up)
 
 
 def envelope_cover(lattice):
@@ -667,7 +678,8 @@ def envelope_cover(lattice):
                                    lattice.meet_table)
     p._raw_covers, p._below, p._rules = raw, down, rules
     p._group_rules()
-    return p, {x: frozenset(p.members(d)) for x, d in zip(base, down)}
+    return p, {x: frozenset(map(base.__getitem__, _indices(d)))
+               for x, d in zip(base, down)}
 
 
 def _walk_starts(p):

@@ -159,19 +159,34 @@ def validate_lattice(elements, leq):
 def _lattice_of_up_masks(elements, up):
     """The lattice whose order has up-set masks up.
 
-    Once the order laws hold, the meet of i and j exists iff some
-    element's down-set is the intersection of their down-sets, and it
-    is that element; joins likewise with up-sets.  So meets and joins
-    are mask lookups.  j is join-irreducible iff the elements strictly
-    below it have a greatest one, whose down-set is down[j] without j.
-    The lattice is distributive iff x -> J(x), the join-irreducibles
-    below x, sends binary joins to unions (Birkhoff), an O(n^2) test;
-    only when it fails does the O(n^3) loop run, to name the first
-    failing triple.
+    down is up transposed, by walking the set bits of each up-set.  The
+    same walk tests transitivity, each up-set holding the up-sets of
+    its members; only when that fails does the pair loop run, to name
+    the first failing triple.  Once the order laws hold, a comparable
+    pair's meet and join are its ends, and otherwise the meet of i and
+    j exists iff some element's down-set is the intersection of their
+    down-sets, and it is that element; joins likewise with up-sets.  So
+    meets and joins are mask lookups.  j is join-irreducible iff the
+    elements strictly below it have a greatest one, whose down-set is
+    down[j] without j.  The lattice is distributive iff x -> J(x), the
+    join-irreducibles below x, sends binary joins to unions (Birkhoff),
+    an O(n^2) test made as the tables are filled, and trivially true of
+    comparable pairs; only when it fails, and every meet and join
+    exists, does the O(n^3) loop run, to name the first failing triple.
     """
     n = len(elements)
-    down = [sum(1 << i for i in range(n) if up[i] >> j & 1)
-            for j in range(n)]
+    down = [0] * n
+    transitive = True
+    for i, up_i in enumerate(up):
+        bit, above, reach = 1 << i, up_i, up_i
+        while above:
+            low = above & -above
+            j = low.bit_length() - 1
+            down[j] |= bit
+            reach |= up[j]
+            above ^= low
+        if reach != up_i:
+            transitive = False
 
     for i in range(n):
         if not up[i] >> i & 1:
@@ -182,31 +197,44 @@ def _lattice_of_up_masks(elements, up):
             j = (both & -both).bit_length() - 1
             raise NotAPartialOrder(
                 "leq is not antisymmetric", (elements[i], elements[j]))
-    for i in range(n):
-        for j in range(n):
-            missing = up[j] & ~up[i] if up[i] >> j & 1 else 0
-            if missing:
-                k = (missing & -missing).bit_length() - 1
-                raise NotAPartialOrder(
-                    "leq is not transitive",
-                    (elements[i], elements[j], elements[k]))
+    if not transitive:
+        for i in range(n):
+            for j in range(n):
+                missing = up[j] & ~up[i] if up[i] >> j & 1 else 0
+                if missing:
+                    k = (missing & -missing).bit_length() - 1
+                    raise NotAPartialOrder(
+                        "leq is not transitive",
+                        (elements[i], elements[j], elements[k]))
 
     by_down = {mask: i for i, mask in enumerate(down)}
     by_up = {mask: i for i, mask in enumerate(up)}
+    irreducible = sum(1 << j for j in range(n)
+                      if down[j] ^ 1 << j in by_down)
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
+    distributive = True
     for i in range(n):
+        down_i, up_i, meet_i, join_i = down[i], up[i], meet[i], join[i]
         for j in range(i, n):
-            glb = by_down.get(down[i] & down[j])
-            if glb is None:
-                raise MissingMeetOrJoin(
-                    "no meet", (elements[i], elements[j]))
-            meet[i][j] = meet[j][i] = glb
-            lub = by_up.get(up[i] & up[j])
-            if lub is None:
-                raise MissingMeetOrJoin(
-                    "no join", (elements[i], elements[j]))
-            join[i][j] = join[j][i] = lub
+            if up_i >> j & 1:
+                glb, lub = i, j
+            elif down_i >> j & 1:
+                glb, lub = j, i
+            else:
+                down_j = down[j]
+                glb = by_down.get(down_i & down_j)
+                if glb is None:
+                    raise MissingMeetOrJoin(
+                        "no meet", (elements[i], elements[j]))
+                lub = by_up.get(up_i & up[j])
+                if lub is None:
+                    raise MissingMeetOrJoin(
+                        "no join", (elements[i], elements[j]))
+                if (down[lub] ^ (down_i | down_j)) & irreducible:
+                    distributive = False
+            meet_i[j] = meet[j][i] = glb
+            join_i[j] = join[j][i] = lub
 
     bottom = 0
     top = 0
@@ -214,10 +242,7 @@ def _lattice_of_up_masks(elements, up):
         bottom = meet[bottom][i]
         top = join[top][i]
 
-    irreducible = sum(1 << j for j in range(n)
-                      if down[j] ^ 1 << j in by_down)
-    if any((down[join[i][j]] ^ (down[i] | down[j])) & irreducible
-           for i in range(n) for j in range(i + 1, n)):
+    if not distributive:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -246,9 +271,8 @@ def lattice_from_leq_pairs(elements, pairs):
             raise LatticeError("unknown element in order pair: %r" % (y,), (y,))
         up[index[x]] |= 1 << index[y]
     for k in range(len(up)):
-        for i in range(len(up)):
-            if up[i] >> k & 1:
-                up[i] |= up[k]
+        bit, up_k = 1 << k, up[k]
+        up = [u | up_k if u & bit else u for u in up]
     _check_carrier(elements)
     return _lattice_of_up_masks(elements, up)
 

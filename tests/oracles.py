@@ -9,23 +9,25 @@ each element's positive meets with every test element rather than by
 the atoms below it, and the overlap algebra test likewise.  For
 lattices they are also the validation on an n x n bool matrix, with
 the Warshall closure of order pairs, distributivity as the O(n^3)
-triple loop and the join-irreducibles as a fold of joins, and the
-isomorphism search over every bijection.  For covers they are the name-based forms of
-saturation, the frame, the cover laws and the overt and overlap cover
-checks, which pass frozensets and tuples of base elements where the
-kernel passes bitmasks, saturation by the rule table read as names,
-the meet-table validation on a dict keyed by name pairs, the
-envelope's axioms built through lattice.join and lattice.leq, raw
-axioms folded per cover on names, the
-rule table built from a localized copy of every axiom
-at every element below its head, and derive over the full compiled
-axiom list.  For enumerations it is the image listed by a scan that
-keeps each value not == to one kept before, quadratic in the number
-of distinct values.  For the countable searches they are the probe
-that calls its stage at every step, the cover prefix listed anew by
-that scan at every request, and the search that tries the {top} step
-again after the uppers have listed it.  They are kept here
-only to compare the direct computations with, on small instances.
+triple loop and the join-irreducibles as a fold of joins, the quotient
+by a congruence validated on a matrix over its class representatives,
+and the isomorphism search over every bijection.  For covers they are
+the name-based forms of saturation, the frame, the cover laws and the
+overt and overlap cover checks, which pass frozensets and tuples of
+base elements where the kernel passes bitmasks, saturation by the rule
+table read as names, the frame's closed sets validated on their
+inclusion matrix, the meet-table validation on a dict keyed by name
+pairs, the envelope's axioms built through lattice.join and
+lattice.leq, raw axioms folded per cover on names, the rule table
+built from a localized copy of every axiom at every element below its
+head, and derive over the full compiled axiom list.  For enumerations
+it is the image listed by a scan that keeps each value not == to one
+kept before, quadratic in the number of distinct values.  For the
+countable searches they are the probe that calls its stage at every
+step, the cover prefix listed anew by that scan at every request, and
+the search that tries the {top} step again after the uppers have
+listed it.  They are kept here only to compare the direct computations
+with, on small instances.
 """
 
 import random
@@ -301,6 +303,19 @@ def is_congruence_by_element(lattice, c):
     return passed("congruence laws hold")
 
 
+def quotient_by_matrix(lattice, c):
+    """The quotient lattice of a congruence by matrix_validation on a
+    k x k bool matrix over the class representatives, the first element
+    of each class: [x] <= [y] iff x meet y lies in [x].  Returns
+    LatticeTables, with frozensets of members as elements."""
+    groups = c.classes()
+    cls = c.class_of
+    reps = [cls.index(i) for i in range(len(groups))]
+    meet = lattice.meet_table
+    leq = [[cls[meet[x][y]] == cls[x] for y in reps] for x in reps]
+    return matrix_validation([frozenset(g) for g in groups], leq)
+
+
 def density_by_pairs(lattice, c, pos):
     """(is_dense, is_strongly_dense) through Congruence.relates on
     every pair of elements."""
@@ -486,6 +501,15 @@ def frame_sweep(p):
     distinct = {saturate(subset) for subset in subsets(p.base)}
     ordered = sorted(distinct, key=lambda s: sum(1 << idx[x] for x in s))
     return validate_lattice(ordered, lambda s, t: s <= t)
+
+
+def frame_by_matrix(p):
+    """frame_of_presentation's closed sets through matrix_validation
+    on the m x m inclusion matrix; returns LatticeTables or raises its
+    LatticeError."""
+    closed = p.closed_sets()
+    return matrix_validation([frozenset(p.members(s)) for s in closed],
+                             [[not s & ~t for t in closed] for s in closed])
 
 
 def sample_subsets(p):

@@ -175,7 +175,11 @@ def test_enumerate_congruences_cap(monkeypatch):
     def listing(*_args):
         raise AssertionError("a congruence was listed")
 
-    monkeypatch.setattr(Congruence, "from_class_ids", listing)
+    # every Congruence is made through its constructor, so this trips
+    # on a listing, as the 2-element chain shows
+    monkeypatch.setattr(Congruence, "__new__", listing)
+    with pytest.raises(AssertionError, match="^a congruence was listed$"):
+        enumerate_congruences(chain_lattice(1))
     with pytest.raises(SizeCapExceeded,
                        match="^more than 32768 congruences$"):
         enumerate_congruences(chain_lattice(16))

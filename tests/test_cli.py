@@ -738,6 +738,30 @@ def test_envelope_refuses_a_large_lattice_before_building(
                             "cap is 15\n" % doc)
 
 
+def test_envelope_counts_its_axioms_without_listing_them(monkeypatch,
+                                                         capsys):
+    # the count is read off the per-cover map, so p.axioms is never
+    # listed; the goldens pin the counts
+    built = []
+
+    def recording(lattice):
+        p, embedding = envelope_cover(lattice)
+        built.append(p)
+        return p, embedding
+
+    monkeypatch.setattr("sigmaloc.cli.envelope_cover", recording)
+    for example, code, line in (
+            ("chain.cov", 1, "envelope Chain3: 15 axioms; frame has 3 "
+                             "elements; isomorphic to source: yes"),
+            ("diamond.cov", 0, "envelope Diamond: 30 axioms; frame has 4 "
+                               "elements; isomorphic to source: yes")):
+        assert main(["--input", os.path.join(EXAMPLES, example)]) == code
+        assert line in capsys.readouterr().out.splitlines()
+        p = built.pop()
+        assert "axioms" not in vars(p), example
+        assert len(p.axioms) == int(line.split()[2]), example
+
+
 def test_envelope_reports_a_frame_that_is_not_the_source(
         monkeypatch, capsys):
     # unreachable on valid input: without the top's pair rules the

@@ -4,7 +4,9 @@ saturate, frame_of_presentation, check_formal_cover_axioms,
 check_overt_cover and is_overlap_cover all read
 CoverPresentation.closure; each is compared with its name-based
 oracle from oracles.py on corpus envelopes, discrete covers and seeded
-random axiom sets, under several seeded positivities each.  The index
+random axiom sets, under several seeded positivities each.  The
+frame's tables, and its errors on seeded families of closed sets, are
+compared with validation on the inclusion matrix.  The index
 meet table of CoverPresentation.finite is compared with the name-pair
 validation on seeded, mutated meet tables.  The rule table, which
 keeps meet-below and axioms localized below their heads, less
@@ -49,6 +51,7 @@ import pytest
 from sigmaloc import (
     CoverError,
     CoverPresentation,
+    LatticeError,
     Positivity,
     boolean_lattice,
     chain_lattice,
@@ -75,6 +78,7 @@ from oracles import (
     cover_laws_sweep,
     envelope_axioms_by_name,
     fold_by_cover,
+    frame_by_matrix,
     frame_sweep,
     full_list_derive,
     name_pair_meet,
@@ -153,6 +157,49 @@ def test_frame_matches_the_name_sweep():
         slow = frame_sweep(p)
         assert fast.elements == slow.elements, name
         assert fast.down == slow.down, name
+
+
+def frame_outcome(build, p):
+    """The error class, message and witnesses, or the frame's tables."""
+    try:
+        frame = build(p)
+    except LatticeError as err:
+        return type(err), err.args[0], err.witnesses
+    if isinstance(frame, tuple):
+        return frame
+    return (frame.elements, frame.down, frame.meet_table,
+            frame.join_table, frame.bottom, frame.top)
+
+
+def test_frame_matches_the_matrix_build():
+    # the frame's tables on every case, then seeded families of masks
+    # standing in for the closed sets, with the base or without it and
+    # closed under intersection or not, so the constructor meets
+    # missing meets and joins and non-distributive lattices
+    for name, p, _positivities in CASES:
+        assert frame_outcome(frame_of_presentation, p) == \
+            frame_outcome(frame_by_matrix, p), name
+    rng = random.Random("frame-families")
+    seen = set()
+    for name, p, _positivities in CASES:
+        n = len(p.base)
+        full = (1 << n) - 1
+        for _ in range(6):
+            family = {rng.getrandbits(n) for _ in range(6)}
+            if rng.random() < 0.7:
+                family.add(full)
+            if rng.random() < 0.7:
+                family |= {s & t for s in family for t in family}
+                family |= {s & t for s in family for t in family}
+            p.closed_sets = lambda family=sorted(family): family
+            try:
+                expected = frame_outcome(frame_by_matrix, p)
+                assert frame_outcome(frame_of_presentation, p) == \
+                    expected, (name, family)
+            finally:
+                del p.closed_sets
+            seen.add(expected[1] if isinstance(expected[0], type) else "ok")
+    assert seen == {"no meet", "no join", "distributivity fails", "ok"}
 
 
 def test_cover_laws_match_the_name_sweep():

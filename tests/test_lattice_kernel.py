@@ -4,10 +4,14 @@ Every fast path in booleanization.py is compared with its reference
 sweep from oracles.py over the whole corpus (the Booleanization
 congruence by atoms also on chain31, bool6 and seeded down-set
 lattices, the overlap algebra test by atoms also on quotients and
-seeded down-set lattices), validate_lattice and lattice_from_leq_pairs
-with the bool-matrix validation on the corpus and on seeded random
-relations, and a wall-clock guard fails if an exponential sweep
-returns to a production path.
+seeded down-set lattices, the congruence check by class representative
+also on lattices of 7-17 elements, on congruences and on partitions
+one element away from one, and the quotient also against the
+bool-matrix build over its representatives), validate_lattice and
+lattice_from_leq_pairs with the bool-matrix validation on the corpus
+and on seeded random relations of 1-8 and of 9-20 elements, and a
+wall-clock guard fails if an exponential sweep returns to a production
+path.
 """
 
 import random
@@ -15,6 +19,7 @@ import time
 from itertools import combinations
 
 from sigmaloc import (
+    Congruence,
     LatticeError,
     Positivity,
     bool_congruence,
@@ -32,7 +37,7 @@ from sigmaloc import (
     with_nonzero_pos,
 )
 
-from corpus import corpus, downset_lattice
+from corpus import corpus, downset_lattice, product_lattice
 from oracles import (
     density_by_pairs,
     is_congruence_by_element,
@@ -42,6 +47,7 @@ from oracles import (
     overt_sweep,
     partition_sweep,
     partitions,
+    quotient_by_matrix,
     signature_congruence,
     subsets,
     upward_closed_sets,
@@ -94,6 +100,92 @@ def test_is_congruence_matches_the_element_keyed_loop():
         for c in partitions(lattice.elements):
             assert is_congruence(lattice, c) == \
                 is_congruence_by_element(lattice, c), (name, c.class_of)
+
+
+def larger_lattices(rng):
+    """Lattices of 7-17 elements: the corpus's, chains, bool4, products
+    of chains and seeded down-set lattices, every other one on a
+    shuffled element order."""
+    out = [(name, lattice) for name, lattice in CORPUS if len(lattice) >= 7]
+    out += [("chain%d" % (n + 1), chain_lattice(n)) for n in range(6, 17)]
+    out += [("bool4", boolean_lattice(4)),
+            ("3x4", product_lattice([chain_lattice(2), chain_lattice(3)])),
+            ("2x2x4", product_lattice([chain_lattice(1), chain_lattice(1),
+                                       chain_lattice(3)]))]
+    while len(out) < 40:
+        points = "abcde"[:rng.randint(3, 5)]
+        pairs = [(x, y) for i, x in enumerate(points) for y in points[i + 1:]
+                 if rng.random() < 0.3]
+        lattice = downset_lattice(list(points), pairs)
+        if 7 <= len(lattice) <= 17:
+            out.append(("down-%d" % len(out), lattice))
+    for k in range(1, len(out), 2):
+        name, lattice = out[k]
+        elements = list(lattice.elements)
+        rng.shuffle(elements)
+        out[k] = (name + "-shuffled", validate_lattice(elements, lattice.leq))
+    return out
+
+
+def some_congruences(lattice, rng):
+    """Every congruence when there are at most 2^8, else 64 of them,
+    each relating the elements whose join-irreducibles agree on a
+    seeded set of join-irreducibles."""
+    if lattice.join_irreducibles.bit_count() <= 8:
+        return enumerate_congruences(lattice)
+    j = [1 << i for i in range(len(lattice))
+         if lattice.join_irreducibles >> i & 1]
+    out = []
+    for _ in range(64):
+        s = sum(bit for bit in j if rng.random() < 0.5)
+        out.append(Congruence.from_class_ids(
+            lattice.elements, [d & s for d in lattice.down]))
+    return out
+
+
+def near_misses(congruences, rng, count):
+    """Seeded partitions made from the congruences by moving one element
+    to another class or to a class of its own."""
+    out = []
+    for _ in range(count):
+        c = rng.choice(congruences)
+        ids = list(c.class_of)
+        i = rng.randrange(len(ids))
+        others = [k for k in range(c.class_count() + 1) if k != ids[i]]
+        ids[i] = rng.choice(others)
+        out.append(Congruence.from_class_ids(c.elements, ids))
+    return out
+
+
+def test_is_congruence_matches_the_element_keyed_loop_on_larger_lattices():
+    rng = random.Random("larger")
+    details = []
+    for name, lattice in larger_lattices(rng):
+        congruences = some_congruences(lattice, rng)
+        for c in congruences + near_misses(congruences, rng, 40):
+            report = is_congruence(lattice, c)
+            assert report == is_congruence_by_element(lattice, c), \
+                (name, c.class_of)
+            details.append(report.detail)
+    # the members pass, and near misses fail on meets and on joins
+    assert details.count("congruence laws hold") >= 1000
+    assert details.count("meet compatibility fails") >= 100
+    assert details.count("join compatibility fails") >= 100
+
+
+def test_quotient_matches_the_matrix_build():
+    rng = random.Random("quotient")
+    lattices = CORPUS + larger_lattices(rng)
+    for name, lattice in lattices:
+        congruences = some_congruences(lattice, rng)
+        for c in rng.sample(congruences, min(8, len(congruences))):
+            q, projection, _ = quotient(lattice, c)
+            tables = quotient_by_matrix(lattice, c)
+            assert outcome(lambda: q) == tables, (name, c.class_of)
+            assert q.join_irreducibles == join_irreducible_fold(tables), \
+                (name, c.class_of)
+            assert all(projection(x) in q.elements and x in projection(x)
+                       for x in lattice.elements), (name, c.class_of)
 
 
 def test_density_matches_the_pairwise_definitions():
@@ -184,13 +276,14 @@ def order_matrix(elements, pairs):
     return m
 
 
-def random_closure_lattice(rng):
-    """The sets of a random family on a ground set of 2-4 points, closed
-    under intersection, with the whole ground set: a lattice under
-    inclusion, often not distributive (M3 and N5 are of this form)."""
-    ground = frozenset(range(rng.randint(2, 4)))
+def random_closure_lattice(rng, ground=(2, 4), sets=(1, 5)):
+    """The sets of a random family of 1-5 sets (by default) on a ground
+    set of 2-4 points, closed under intersection, with the whole ground
+    set: a lattice under inclusion, often not distributive (M3 and N5
+    are of this form)."""
+    ground = frozenset(range(rng.randint(*ground)))
     family = {ground}
-    for _ in range(rng.randint(1, 5)):
+    for _ in range(rng.randint(*sets)):
         family.add(frozenset(x for x in ground if rng.random() < 0.5))
     changed = True
     while changed:
@@ -202,9 +295,10 @@ def random_closure_lattice(rng):
     return sorted(family, key=sorted), lambda s, t: s <= t
 
 
-def random_downset_lattice(rng):
-    """The down-sets of a random order on 1-3 points: distributive."""
-    n = rng.randint(1, 3)
+def random_downset_lattice(rng, points=(1, 3)):
+    """The down-sets of a random order on 1-3 points (by default):
+    distributive."""
+    n = rng.randint(*points)
     below = [{i} | {j for j in range(i) if rng.random() < 0.5}
              for i in range(n)]
     for i in range(n):
@@ -216,18 +310,19 @@ def random_downset_lattice(rng):
     return sorted(downsets, key=sorted), lambda s, t: s <= t
 
 
-def random_order(rng):
+def random_order(rng, sizes=(1, 8)):
     """The transitive closure of random pairs along a hidden linear
-    order: a partial order, often with missing meets or joins."""
-    elements = list(range(rng.randint(1, 8)))
+    order on 1-8 elements (by default): a partial order, often with
+    missing meets or joins."""
+    elements = list(range(rng.randint(*sizes)))
     m = order_matrix(elements, [(i, j) for i in elements for j in elements
                                 if i < j and rng.random() < 0.3])
     return elements, lambda x, y: m[x][y]
 
 
-def random_relation(rng):
-    """Any relation, reflexive or not."""
-    n = rng.randint(1, 8)
+def random_relation(rng, sizes=(1, 8)):
+    """Any relation on 1-8 elements (by default), reflexive or not."""
+    n = rng.randint(*sizes)
     density = rng.random()
     m = [[rng.random() < density for _ in range(n)] for _ in range(n)]
     if rng.random() < 0.5:
@@ -236,27 +331,38 @@ def random_relation(rng):
     return list(range(n)), lambda x, y: m[x][y]
 
 
-def random_cases(rng, count):
-    """(elements, matrix) pairs on 1-8 elements, each shuffled and
-    relabelled: relations, orders, distributive and closure lattices,
-    M3 and N5, and lattices with one entry of the matrix flipped."""
-    def fixed(elements, pairs):
-        m = order_matrix(elements, pairs)
-        index = {x: i for i, x in enumerate(elements)}
-        return lambda rng: (elements,
-                            lambda x, y: m[index[x]][index[y]])
+def fixed(elements, pairs):
+    """A maker that returns the order the pairs generate."""
+    m = order_matrix(elements, pairs)
+    index = {x: i for i, x in enumerate(elements)}
+    return lambda rng: (elements, lambda x, y: m[index[x]][index[y]])
 
-    makers = [random_relation, random_order, random_downset_lattice,
-              random_closure_lattice, fixed(*M3), fixed(*N5)]
+
+SMALL_MAKERS = [random_relation, random_order, random_downset_lattice,
+                random_closure_lattice, fixed(*M3), fixed(*N5)]
+# makers whose cases often land on 9-20 elements
+LARGER_MAKERS = [
+    lambda rng: random_relation(rng, (9, 20)),
+    lambda rng: random_order(rng, (9, 20)),
+    lambda rng: random_downset_lattice(rng, (4, 5)),
+    lambda rng: random_closure_lattice(rng, (4, 5), (3, 8)),
+]
+
+
+def random_cases(rng, count, makers=SMALL_MAKERS, sizes=(1, 8), flip=0.15):
+    """(elements, matrix) pairs of sizes[0]-sizes[1] elements drawn from
+    the makers, each shuffled and relabelled, with one entry of the
+    matrix flipped at rate flip: by default on 1-8 elements, relations,
+    orders, distributive and closure lattices, M3 and N5."""
     out = []
     while len(out) < count:
         elements, leq = rng.choice(makers)(rng)
-        if len(elements) > 8:
+        if not sizes[0] <= len(elements) <= sizes[1]:
             continue
         order = list(elements)
         rng.shuffle(order)
         m = [[bool(leq(x, y)) for y in order] for x in order]
-        if rng.random() < 0.15:
+        if rng.random() < flip:
             i, j = rng.randrange(len(m)), rng.randrange(len(m))
             m[i][j] = not m[i][j]
         labels = ["e%d" % i for i in range(len(order))]
@@ -310,13 +416,25 @@ def test_validation_matches_the_matrix_oracle_on_the_corpus():
             elements, order_matrix(elements, pairs), rng)
 
 
+# every verdict of the validation
+VERDICTS = {"leq is not reflexive", "leq is not antisymmetric",
+            "leq is not transitive", "no meet", "no join",
+            "distributivity fails", "ok"}
+
+
 def test_validation_matches_the_matrix_oracle_on_random_relations():
     rng = random.Random(2024)
     seen = set()
     for elements, m in random_cases(rng, 5000):
         expected = check_against_the_matrix_validation(elements, m, rng)
         seen.add(expected[1] if isinstance(expected[0], type) else "ok")
-    # every verdict of the validation is exercised
-    assert seen == {"leq is not reflexive", "leq is not antisymmetric",
-                    "leq is not transitive", "no meet", "no join",
-                    "distributivity fails", "ok"}
+    assert seen == VERDICTS
+
+
+def test_validation_matches_the_matrix_oracle_on_larger_relations():
+    rng = random.Random("larger-validation")
+    seen = set()
+    for elements, m in random_cases(rng, 400, LARGER_MAKERS, (9, 20), 0.35):
+        expected = check_against_the_matrix_validation(elements, m, rng)
+        seen.add(expected[1] if isinstance(expected[0], type) else "ok")
+    assert seen == VERDICTS
