@@ -313,14 +313,22 @@ def member_semidecide(x, e, eq):
 
     Stage k decodes to (n, b): index n is probed for equality with x
     inside budget b, so every (index, equality budget) pair is
-    eventually tried.  When e's bound and eq's max_confirm_budget are
-    both known, every pair that could confirm has been tried by stage
-    pair_encode(bound, max_confirm_budget), and the stages past it
-    refute.
+    eventually tried.  When eq's max_confirm_budget M is known, the
+    probe tries only the pairs with b <= M.  Codes run along the Cantor
+    diagonals n + b = d with b = 0, 1, ..., d, and a stage that fires
+    at (n, b) with b > M has already fired at the earlier code (n, M),
+    since a true equality confirms within M; so next_step passes from
+    (n, M) to the next diagonal, and the probe calls the stage at the
+    first M + 1 codes of each diagonal.  When e's bound is known too,
+    every pair that could confirm has been tried by stage
+    last = pair_encode(bound, M), the stages past it refute, and
+    next_step stops at last + 1: the probe refutes there, after
+    bound + 1 equality tests when M is 0.
     """
+    max_budget = eq.max_confirm_budget
     last = None
-    if e.bound is not None and eq.max_confirm_budget is not None:
-        last = pair_encode(e.bound, eq.max_confirm_budget)
+    if e.bound is not None and max_budget is not None:
+        last = pair_encode(e.bound, max_budget)
 
     def stage(k):
         if last is not None and k > last:
@@ -331,7 +339,19 @@ def member_semidecide(x, e, eq):
             return False
         return eq.psi(v, x).confirmed(b)
 
-    return SemiDecision(stage)
+    if max_budget is None:
+        return SemiDecision(stage)
+
+    def next_step(k):
+        n, b = pair_decode(k)
+        if b < max_budget:
+            return k + 1
+        step = pair_encode(n + b + 1, 0)  # the next diagonal's first code
+        if last is not None and k <= last:
+            return min(step, last + 1)
+        return step
+
+    return SemiDecision(stage, next_step)
 
 
 def ext_equal_finite(e1, e2):

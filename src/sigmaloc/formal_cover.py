@@ -99,9 +99,12 @@ class CountablePresentation:
     every element strictly above a, and so the top for every a but
     the top itself.  The one exception is an absurd element below
     everything: it may list no uppers, since its own empty axiom
-    proves it before any upper step is tried.  Both are memoized, so
-    the cover objects stay stable across calls, which derive's
-    identity discharge relies on.
+    proves it before any upper step is tried.  Both are memoized.
+    axioms_of must be: derive discharges a goal by identity, when the
+    goal is the very cover object axioms_of lists at its element, so
+    each cover must stay the same object across calls.  uppers_of
+    needs no identity; its memo saves each search from listing the
+    same uppers again, in time and in memory.
     """
 
     def __init__(self, contains, meet, top, axioms_of, uppers_of):

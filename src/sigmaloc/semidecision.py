@@ -8,16 +8,24 @@ or Unknown.  Unknown is not a negative answer; a later, larger budget
 may still confirm, unless a stage has returned None: that says the
 search is refuted, no later stage fires, and every later probe answers
 Unknown without calling the stage again.  The ``refuted`` attribute
-says whether a probe has seen such a stage.
+says whether the search is known to be refuted: whether a probe has
+seen such a stage, or, for a decided false, from the start.
 
-A stage may be constant on runs of steps.  The optional
-``next_step(k)`` names the next step at which the stage can change
-(k + 1 by default); the probe calls the stage only at k and then
-skips to next_step(k), so a stage that is constant on power-of-two
-buckets costs one call per bucket, about log2(budget) in all.  Each
-stage is called at most once per SemiDecision no matter how many times
-it is probed, so repeated probing with growing budgets costs the same
-as one probe with the largest budget.
+A stage may be constant on runs of steps, or may have steps that
+cannot matter.  The optional ``next_step(k)`` names the next step the
+probe needs after k (k + 1 by default): no step before next_step(k)
+can be the first to fire or to refute.  The probe calls the stage
+only at k and then skips to next_step(k), so a stage that is constant
+on power-of-two buckets costs one call per bucket, about log2(budget)
+in all.  Each stage is called at most once per SemiDecision no matter
+how many times it is probed, so repeated probing with growing budgets
+costs the same as one probe with the largest budget.
+
+A decided truth is settled when it is built: from_boolean(True) is
+one shared SemiDecision confirmed at step 0, and from_boolean(False)
+and never() are one shared SemiDecision that is refuted from the
+start.  Probing either calls no stage and changes no state, so a
+decidable equality test builds no SemiDecision.
 """
 
 from collections import namedtuple
@@ -95,14 +103,31 @@ def run(p, budget):
     return p.probe(budget)
 
 
+def _settled(fired):
+    """A SemiDecision whose stage 0 has already answered ``fired``: it
+    is confirmed at step 0 (True) or refuted (None)."""
+    sd = SemiDecision(lambda k: fired)
+    sd._scanned = 0
+    if fired:
+        sd._first = 0
+    else:
+        sd.refuted = True
+    return sd
+
+
+_TRUE = _settled(True)
+_FALSE = _settled(None)
+
+
 def from_boolean(value):
-    """Decidable truth as a semi-decision: confirms at step 0 or is
-    refuted there."""
-    return SemiDecision(lambda k: True if value else None)
+    """Decidable truth as a semi-decision: the shared one confirmed at
+    step 0, or the shared refuted one."""
+    return _TRUE if value else _FALSE
 
 
 def never():
-    return SemiDecision(lambda k: None)
+    """The semi-decision that never confirms: the shared refuted one."""
+    return _FALSE
 
 
 def and_binary(p, q):

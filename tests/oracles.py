@@ -641,17 +641,23 @@ def compile_rules(p):
     return rules
 
 
-def linear_probe(stage, budget):
-    """The probe that calls the stage at every step 0..budget: Confirmed
-    at the first that fires, UNKNOWN if none does or one refutes
-    first."""
+def linear_scan(stage, budget):
+    """The probe that calls the stage at every step 0..budget, until
+    one fires or refutes: (Confirmed at the first that fires, or
+    UNKNOWN; the step that refuted first, or None)."""
     for k in range(budget + 1):
         fired = stage(k)
         if fired:
-            return Confirmed(k)
+            return Confirmed(k), None
         if fired is None:
-            break
-    return UNKNOWN
+            return UNKNOWN, k
+    return UNKNOWN, None
+
+
+def linear_probe(stage, budget):
+    """linear_scan's answer: Confirmed at the first step that fires,
+    UNKNOWN if none does or one refutes first."""
+    return linear_scan(stage, budget)[0]
 
 
 def list_elements(e):

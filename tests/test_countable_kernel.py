@@ -1,12 +1,15 @@
 """The countable semi-decisions against the linear oracles they replace.
 
 derive calls its stage once per power-of-two effort bucket, and
-member_semidecide refutes once a bounded, decidable search has tried
-every pair.  Both are compared with linear_probe, which calls the
-stage at every step.  The comparison runs on Cantor slices and proper
+member_semidecide calls it only at the (index, budget) pairs within
+its equality's max_confirm_budget and refutes once a bounded search
+has tried them.  Both are compared with linear_probe, which calls the
+stage at every step, and the member search's refuted flag with
+linear_scan's.  The comparison runs on Cantor slices and proper
 subcovers, on Baire questions, on corpus envelopes and on seeded
-enumerations, over every budget up to 300 and over growing, shrinking
-and repeated probe sequences.  The members a search sees of a cover
+enumerations, over every budget up to 300 (a member search's to 3
+past its last pair, and 10**9) and over growing, shrinking and
+repeated probe sequences.  The members a search sees of a cover
 are compared with cover_prefix, which lists them with a list
 membership test, and each search lists an enumerated goal once.  A
 bounded enumerated axiom is listed once the horizon covers its bound.
@@ -21,6 +24,7 @@ over every code.
 
 import os
 import random
+import time
 
 from sigmaloc import (
     ABSURD,
@@ -29,6 +33,7 @@ from sigmaloc import (
     Confirmed,
     Enumeration,
     SemiDecidableEquality,
+    SemiDecision,
     baire_cover,
     cantor_cover,
     derive,
@@ -43,7 +48,7 @@ from sigmaloc.pairing import pair_encode
 
 from corpus import corpus
 from oracles import TopRetrySearch, cover_prefix, linear_probe, \
-    relisting, relisting_trace
+    linear_scan, relisting, relisting_trace
 
 BUDGETS = range(301)
 EQ = SemiDecidableEquality.from_decidable()
@@ -102,11 +107,11 @@ def linear_outcomes(stage, budgets):
             else UNKNOWN for b in budgets}
 
 
-def probe_sequences(rng):
+def probe_sequences(rng, budgets=BUDGETS):
     """Growing, shrinking and seeded repeated budget sequences."""
-    repeated = [rng.choice(BUDGETS) for _ in range(40)]
+    repeated = [rng.choice(budgets) for _ in range(40)]
     repeated += repeated[::-1]
-    return [list(BUDGETS), list(BUDGETS)[::-1], repeated]
+    return [list(budgets), list(budgets)[::-1], repeated]
 
 
 # Budgets probed on a fresh derive: every budget to 16, then each
@@ -267,26 +272,65 @@ def test_a_bounded_decidable_non_member_is_refuted():
         alpha = CountedAlpha(values)
         sd = member_semidecide(99, Enumeration(alpha, bound=bound), EQ)
         assert sd.probe(10 ** 9) is UNKNOWN
-        assert alpha.calls <= pair_encode(bound, 0) + 1, values
+        # one equality test per index: the budget-0 code of each diagonal
+        assert alpha.calls <= bound + 1, values
         assert sd.refuted
+
+
+def test_a_large_non_member_is_refuted_without_a_scan():
+    e = Enumeration.from_iterable(range(1000))
+    t0 = time.perf_counter()
+    sd = member_semidecide(-1, e, EQ)
+    assert sd.probe(10 ** 9) is UNKNOWN
+    assert time.perf_counter() - t0 < 0.1
+    assert sd.refuted
+
+
+def slow_equality(max_budget):
+    """Equality on ints that confirms x == x at step x % (max_budget + 1)
+    and never answers for unequal values."""
+
+    def psi(x, y):
+        if x != y:
+            return SemiDecision(lambda k: False)
+        return SemiDecision(lambda k: k >= x % (max_budget + 1))
+
+    return SemiDecidableEquality(psi, max_confirm_budget=max_budget)
 
 
 def test_member_steps_match_the_linear_scan():
     rng = random.Random(23)
-    confirmed = 0
+    confirmed = refuted = 0
     for _ in range(60):
         e = seeded_enumeration(rng)
         # the same search with no bound, which never refutes
         unbounded = Enumeration(e.alpha)
-        for x in (rng.randrange(12), rng.randrange(16), 99):
-            expected = linear_outcomes(
-                member_semidecide(x, unbounded, EQ)._stage, BUDGETS)
-            confirmed += isinstance(expected[300], Confirmed)
-            for sequence in probe_sequences(rng):
-                sd = member_semidecide(x, e, EQ)
-                for budget in sequence:
-                    assert sd.probe(budget) == expected[budget], (x, budget)
-    assert confirmed > 20
+        for eq in (EQ, slow_equality(1), slow_equality(3)):
+            if e.bound is None:
+                budgets = list(BUDGETS)
+            else:
+                last = pair_encode(e.bound, eq.max_confirm_budget)
+                budgets = list(range(last + 4)) + [10 ** 9]
+            for x in (rng.randrange(12), rng.randrange(16), 99):
+                stage = member_semidecide(x, e, eq)._stage
+                assert linear_outcomes(stage, BUDGETS) == linear_outcomes(
+                    member_semidecide(x, unbounded, eq)._stage, BUDGETS)
+                expected = linear_outcomes(stage, budgets)
+                refuted_at = linear_scan(stage, max(budgets))[1]
+                confirmed += isinstance(expected[max(budgets)], Confirmed)
+                refuted += refuted_at is not None
+                for sequence in probe_sequences(rng, budgets):
+                    sd = member_semidecide(x, e, eq)
+                    reach = -1
+                    for budget in sequence:
+                        reach = max(reach, budget)
+                        assert sd.probe(budget) == expected[budget], \
+                            (x, budget)
+                        assert sd.refuted == (refuted_at is not None
+                                              and refuted_at <= reach), \
+                            (x, budget)
+    assert confirmed > 60
+    assert refuted > 60
 
 
 def test_member_search_without_both_bounds_is_not_refuted():

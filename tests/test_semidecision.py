@@ -72,6 +72,22 @@ def test_from_boolean_and_never():
     assert run(from_boolean(True), 0) == Confirmed(0)
     assert run(from_boolean(False), 100) is UNKNOWN
     assert run(never(), 100) is UNKNOWN
+    # decided truths are shared, and settled when built
+    for value in (True, False):
+        assert from_boolean(value) is from_boolean(value)
+    true = from_boolean(True)
+    for budget in (0, 1, 10 ** 9):
+        assert true.probe(budget) == Confirmed(0)
+        assert not true.refuted
+    for false in (from_boolean(False), never()):
+        # a decided false is refuted before any probe
+        assert false.refuted
+        for budget in (0, 1, 10 ** 9):
+            assert false.probe(budget) is UNKNOWN
+            assert false.refuted
+    for sd in (true, never()):
+        with pytest.raises(ValueError):
+            sd.probe(-1)
 
 
 def test_and_binary():
