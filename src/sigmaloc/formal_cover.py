@@ -492,6 +492,12 @@ class _Search:
     cover listed at x, with head x, discharges x outright.  The search
     lists the goal once, to its own horizon, and a goal listed only in
     part cuts it off from the start: its failure is then not definitive.
+
+    A node is tried in this order: a proof already found, then the
+    path, then the goal scan, then the node budget.  A node on the path
+    failed its goal scan when it was entered (the goal is fixed and
+    meet is a function), so it is rejected without scanning again; it
+    still costs one node, or sets the cutoff when none are left.
     """
 
     def __init__(self, p, u, effort):
@@ -510,17 +516,22 @@ class _Search:
     def prove(self, x, depth, path):
         if x in self.proven:
             return self.proven[x]
+        if x in path:
+            if self.nodes <= 0:
+                self.cutoff = True
+            else:
+                self.nodes -= 1
+            return None
+        meet = self.p.meet
         for m in self.members:
             if x == m:
                 return self.done(x, ("refl", x))
-            if self.p.meet(x, m) == x:
+            if meet(x, m) == x:
                 return self.done(x, ("below", x, m))
         if self.nodes <= 0:
             self.cutoff = True
             return None
         self.nodes -= 1
-        if x in path:
-            return None
         path = path | {x}
         for cover, head in self.covers(x):
             # () is one shared object, so only a nonempty cover is

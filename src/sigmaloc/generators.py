@@ -63,10 +63,9 @@ def discrete_cover(values):
 def _tree_meet(x, y):
     if x is ABSURD or y is ABSURD:
         return ABSURD
-    short, long_ = (x, y) if len(x) <= len(y) else (y, x)
-    if long_[:len(short)] == short:
-        return long_
-    return ABSURD
+    if len(x) <= len(y):
+        return y if y[:len(x)] == x else ABSURD
+    return x if x[:len(y)] == y else ABSURD
 
 
 def _tree_cover(top, is_word, children):

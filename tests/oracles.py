@@ -26,8 +26,10 @@ kept before, quadratic in the number of distinct values.  For the
 countable searches they are the probe that calls its stage at every
 step, the cover prefix listed anew by that scan at every request, and
 the search that tries the {top} step again after the uppers have
-listed it.  They are kept here only to compare the direct computations
-with, on small instances.
+listed it, the search that scans the goal at a node before it rejects
+a node on its path, and the prefix-tree meet that orders its two words
+as a (short, long) tuple.  They are kept here only to compare the
+direct computations with, on small instances.
 """
 
 import random
@@ -42,6 +44,7 @@ from sigmaloc.enumeration import BLANK, Enumeration, \
     MissingSurjectivityBound
 from sigmaloc.formal_cover import CoverError, _normalize_cover_argument, \
     _Search
+from sigmaloc.generators import ABSURD
 from sigmaloc.reports import failed, passed
 from sigmaloc.semidecision import UNKNOWN, Confirmed, SemiDecision
 from sigmaloc.sigma_frame import (
@@ -718,3 +721,60 @@ class TopRetrySearch(_Search):
         yield from self.p.local_covers(x)
         if x != self.p.top:
             yield (self.p.top,), x
+
+
+class ScanFirstSearch(_Search):
+    """_Search whose prove scans the goal at every node, a node on its
+    path too, and rejects a node on the path only after the node budget
+    step.  Each goal member is met through self.p.meet."""
+
+    def prove(self, x, depth, path):
+        if x in self.proven:
+            return self.proven[x]
+        for m in self.members:
+            if x == m:
+                return self.done(x, ("refl", x))
+            if self.p.meet(x, m) == x:
+                return self.done(x, ("below", x, m))
+        if self.nodes <= 0:
+            self.cutoff = True
+            return None
+        self.nodes -= 1
+        if x in path:
+            return None
+        path = path | {x}
+        for cover, head in self.covers(x):
+            # () is one shared object, so only a nonempty cover is
+            # taken to be the goal
+            if cover is self.u and cover and head is x:
+                return self.done(x, ("axiom-in-cover", x))
+            if isinstance(cover, Enumeration):
+                if cover.bound is None or cover.bound > self.horizon:
+                    self.cutoff = True
+                    continue
+                cover = tuple(cover.elements())
+            if cover and depth == 0:
+                self.cutoff = True
+                continue
+            if head is not x:
+                cover = tuple(self.p.meet(c, x) for c in cover)
+            children = []
+            for c in cover:
+                child = self.prove(c, depth - 1, path)
+                if child is None:
+                    break
+                children.append(child)
+            else:
+                return self.done(x, ("axiom", x, cover, tuple(children)))
+        return None
+
+
+def tuple_tree_meet(x, y):
+    """The meet of two words of a prefix tree: the longer one when the
+    shorter is its prefix, else ABSURD."""
+    if x is ABSURD or y is ABSURD:
+        return ABSURD
+    short, long_ = (x, y) if len(x) <= len(y) else (y, x)
+    if long_[:len(short)] == short:
+        return long_
+    return ABSURD

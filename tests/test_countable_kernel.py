@@ -42,13 +42,13 @@ from sigmaloc import (
     intersect_binary,
     member_semidecide,
 )
-from sigmaloc import formal_cover, generators
+from sigmaloc import formal_cover, generators, semidecision
 from sigmaloc.cli import CoverBlock, DeriveCommand, build_cover, parse
 from sigmaloc.pairing import pair_encode
 
 from corpus import corpus
-from oracles import TopRetrySearch, cover_prefix, linear_probe, \
-    linear_scan, relisting, relisting_trace
+from oracles import ScanFirstSearch, TopRetrySearch, cover_prefix, \
+    linear_probe, linear_scan, relisting, relisting_trace, tuple_tree_meet
 
 BUDGETS = range(301)
 EQ = SemiDecidableEquality.from_decidable()
@@ -60,11 +60,12 @@ def words(prefix, depth):
             for i in range(1 << depth)]
 
 
-def derive_instances():
-    """(name, make) pairs; make() builds a fresh derive."""
+def derive_questions():
+    """(name, presentation, element, cover) for Cantor slices and
+    proper subcovers, Baire covered nodes and strangers, and corpus
+    envelopes."""
     cantor = cantor_cover()
-    out = [("cantor-slice%d" % depth,
-            lambda depth=depth: derive(cantor, "", words("", depth)))
+    out = [("cantor-slice%d" % depth, cantor, "", words("", depth))
            for depth in range(1, 7)]
     rng = random.Random("proper")
     for depth in (1, 2, 3):
@@ -72,31 +73,33 @@ def derive_instances():
             cover = words(word, depth)
             cover.remove(rng.choice(cover))
             out.append(("cantor-proper-%r-%d" % (word, depth),
-                        lambda word=word, cover=cover:
-                        derive(cantor, word, cover)))
+                        cantor, word, cover))
     baire = baire_cover()
     rng = random.Random("baire")
     for i in range(3):
         node = tuple(rng.randrange(10) for _ in range(rng.randint(0, 2)))
         extra = tuple(rng.randrange(10) for _ in range(rng.randint(0, 2)))
-        out.append(("baire-covered%d" % i,
-                    lambda a=node + extra, node=node:
-                    derive(baire, a, baire.axioms_of(node)[0])))
+        out.append(("baire-covered%d" % i, baire, node + extra,
+                    baire.axioms_of(node)[0]))
     for i in range(2):
         node = (rng.randrange(10),)
         stranger = ((node[0] + 1 + rng.randrange(9)) % 10, rng.randrange(10))
-        out.append(("baire-stranger%d" % i,
-                    lambda a=stranger, node=node:
-                    derive(baire, a, baire.axioms_of(node)[0])))
+        out.append(("baire-stranger%d" % i, baire, stranger,
+                    baire.axioms_of(node)[0]))
     for name, lattice in corpus():
         p, _embedding = envelope_cover(lattice)
         rng = random.Random("envelope-" + name)
         for i in range(2):
             a = rng.choice(p.base)
             u = tuple(rng.sample(p.base, rng.randint(0, min(2, len(p.base)))))
-            out.append(("envelope-%s-%d" % (name, i),
-                        lambda p=p, a=a, u=u: derive(p, a, u)))
+            out.append(("envelope-%s-%d" % (name, i), p, a, u))
     return out
+
+
+def derive_instances():
+    """(name, make) pairs; make() builds a fresh derive."""
+    return [(name, lambda p=p, a=a, u=u: derive(p, a, u))
+            for name, p, a, u in derive_questions()]
 
 
 def linear_outcomes(stage, budgets):
@@ -475,3 +478,71 @@ def test_an_intersect_goal_matches_the_relisting_search():
     assert reach == {True, False}
     assert any(isinstance(results[-1], Confirmed)
                for results, _refuted, _trace in got[1])
+
+
+def test_derive_matches_the_search_that_scans_path_nodes(monkeypatch):
+    cantor, baire = cantor_cover(), baire_cover()
+    questions = [(p, a, u) for _name, p, a, u in derive_questions()]
+    questions += [(p, a, u) for p, a, u, _budget
+                  in cantor_example_derives() + confirmed_questions()]
+    rng = random.Random(31)
+    questions += [seeded_question(rng, cantor, baire) for _ in range(320)]
+    efforts = [1 << j for j in range(11)]
+    budgets = list(BUDGETS) + [10 ** 4]
+    got = (searches_by_bucket(questions, efforts),
+           probes_and_traces(questions, budgets))
+    with monkeypatch.context() as patch:
+        patch.setattr(formal_cover, "_Search", ScanFirstSearch)
+        expected = (searches_by_bucket(questions, efforts),
+                    probes_and_traces(questions, budgets))
+    for mine, reference in zip(got[0], expected[0]):
+        assert mine == reference
+    for (p, a, u), mine, reference in zip(questions, got[1], expected[1]):
+        assert mine == reference, (a, u)
+    # searches that prove, that fail definitively and that are cut off
+    runs = {(outcome is not None, complete)
+            for _members, (outcome, complete), _nodes in got[0]}
+    assert {(True, True), (False, True), (False, False)} <= runs
+
+
+def seeded_words(rng):
+    """Seeded Cantor words and Baire tuples, prefixes of one another
+    among them, with the absurd element."""
+    out = [ABSURD]
+    for _ in range(60):
+        if rng.random() < 0.5:
+            word = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+        else:
+            word = tuple(rng.randrange(3) for _ in range(rng.randint(0, 4)))
+        out += [word, word[:rng.randint(0, len(word))]]
+    return out
+
+
+def test_tree_meet_returns_the_reference_object():
+    values = seeded_words(random.Random(63))
+    for x in values:
+        for y in values:
+            if type(x) is type(y) or ABSURD in (x, y):
+                assert generators._tree_meet(x, y) is tuple_tree_meet(x, y)
+
+
+def test_a_cantor_slice_scans_fewer_meets(monkeypatch):
+    def count_meets(search):
+        calls = []
+
+        def meet(x, y):
+            calls.append(None)
+            return tuple_tree_meet(x, y)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(generators, "_tree_meet", meet)
+            patch.setattr(formal_cover, "_Search", search)
+            cantor = cantor_cover()
+            res = semidecision.run(derive(cantor, "", words("", 6)), 64)
+        assert isinstance(res, Confirmed)
+        return len(calls)
+
+    mine = count_meets(formal_cover._Search)
+    # 9,992 for the search that scans a path node before rejecting it
+    assert mine < count_meets(ScanFirstSearch)
+    assert mine <= 7432
