@@ -62,6 +62,9 @@ class Enumeration(Record, namedtuple("Enumeration", "alpha bound",
         def alpha(n):
             return items[n] if 0 <= n < len(items) else BLANK
 
+        alpha.lister = lambda bound: [(n, v) for n, v in
+                                      enumerate(items[:bound + 1])
+                                      if v is not BLANK]
         return Enumeration(alpha, bound=max(len(items) - 1, 0))
 
     @staticmethod
@@ -77,8 +80,12 @@ class Enumeration(Record, namedtuple("Enumeration", "alpha bound",
         alpha that carries a ``lister`` lists (code, value) pairs
         instead: lister(bound) names, for each non-blank code up to the
         bound, a pair at that code or below it with the same object, and
-        the dict reads the pairs' values in code order.  A dovetail
-        lists one pair per (n, m), not one per code.
+        the dict reads the pairs' values in code order.  Every
+        enumeration this module builds carries one: from_iterable lists
+        its items, a union lists its members' listings and a dovetail
+        one pair per (n, m), so each lists itself in time proportional
+        to its values, not to its codes.  A bare alpha is scanned code
+        by code.
         """
         if self.bound is None:
             raise MissingSurjectivityBound("elements() needs a surjectivity bound")
@@ -196,6 +203,16 @@ def restrict_detachable(e, chi):
     return Enumeration(alpha, bound=e.bound)
 
 
+def _listing(e, last):
+    """e's non-blank (code, value) pairs up to code last, as a lister
+    names them: e's own lister's, or a scan of its alpha."""
+    lister = getattr(e.alpha, "lister", None)
+    if lister is not None:
+        return lister(last)
+    alpha = e.alpha
+    return [(k, v) for k in range(last + 1) if (v := alpha(k)) is not BLANK]
+
+
 def union_countable(index, members):
     """Union of a countable family of enumerations, by dovetailing.
 
@@ -204,6 +221,14 @@ def union_countable(index, members):
     (n, m): the member at index.alpha(n), position m.  The result
     carries a bound exactly when the index and all of its (boundedly
     many) members do.
+
+    alpha's lister reads the index's listing and, for each listed n,
+    the listing of its member up to the last m with pair_encode(n, m)
+    within the bound, so a union of lists reads each value once.  It
+    relies on members mapping one index object to one enumeration,
+    which a dict does and a callable must: an index pair at n stands
+    for every later index with the same object, and so do the member
+    pairs it leads to.
     """
     get = members.__getitem__ if hasattr(members, "__getitem__") else members
 
@@ -214,6 +239,19 @@ def union_countable(index, members):
             return BLANK
         return get(i).alpha(m)
 
+    def lister(bound):
+        a, b = pair_decode(bound)
+        w = a + b  # pair_encode(n, 0) <= bound iff n <= w
+        pairs = []
+        for n, i in _listing(index, w):
+            # the last m is on the bound's diagonal w from n = a on, and
+            # on the diagonal before it below a
+            for m, v in _listing(get(i), w - n if n >= a else w - 1 - n):
+                s = n + m
+                pairs.append((s * (s + 1) // 2 + m, v))
+        return pairs
+
+    alpha.lister = lister
     bound = None
     if index.bound is not None:
         codes = [0]
@@ -240,16 +278,19 @@ def dovetail(e1, e2, eq, pick):
     pick returns a value or BLANK.  The bound needs both input bounds
     plus eq's max_confirm_budget.
 
-    pick must be monotone in b: once pick(x, y, b) returns a value,
-    every larger b returns that same object.  It must also add nothing
-    after eq's max_confirm_budget, when that is known: BLANK at every b
-    up to it means BLANK at every b.  intersect_binary and free_meet
-    hold to this, since a SemiDecision never retracts and
-    max_confirm_budget bounds every confirmation.  So alpha's lister
-    visits the (n, m) pairs within the bound and scans each one's b only
-    up to its first value, instead of every code.  It lists one (code,
-    value) pair per (n, m) that has a value within the bound, at its
-    least code: every later code of that pair holds the same object.
+    pick must return the same object for the same (x, y, b), and be
+    monotone in b: once pick(x, y, b) returns a value, every larger b
+    returns that same object.  It must also add nothing after eq's
+    max_confirm_budget, when that is known: BLANK at every b up to it
+    means BLANK at every b.  intersect_binary and free_meet hold to
+    this, since a SemiDecision never retracts and max_confirm_budget
+    bounds every confirmation.  So alpha's lister reads e1's listing
+    (an e1 pair at n stands for every later n with the same object x,
+    and so do the picks it leads to), reads e2 at each m in reach,
+    and scans each (n, m)'s b only up to its first value, instead of
+    every code.  It lists one (code, value) pair per (n, m) that has a
+    value within the bound, at its least code: every later code of
+    that pair holds the same object.
     """
 
     def alpha(k):
@@ -265,17 +306,19 @@ def dovetail(e1, e2, eq, pick):
         last = eq.max_confirm_budget
         ys = []
         pairs = []
-        n = 0
-        while pair_encode(n, 0) <= bound:
-            x = e1.alpha(n)
-            m = 0
-            while x is not BLANK and pair_encode(n, pair_encode(m, 0)) <= bound:
+        # pair_encode(n, inner) is s(s + 1)/2 + inner with s = n + inner;
+        # start = pair_encode(m, 0) grows by m + 1 to the next m, and
+        # inner = pair_encode(m, b) by m + b + 1 from b - 1 to b
+        for n, x in _listing(e1, sum(pair_decode(bound))):
+            m = start = 0
+            while (n + start) * (n + start + 1) // 2 + start <= bound:
                 if m == len(ys):
                     ys.append(e2.alpha(m))
                 y = ys[m]
-                b = 0
+                b, inner = 0, start
                 while y is not BLANK and (last is None or b <= last):
-                    code = pair_encode(n, pair_encode(m, b))
+                    s = n + inner
+                    code = s * (s + 1) // 2 + inner
                     if code > bound:
                         break
                     v = pick(x, y, b)
@@ -283,8 +326,9 @@ def dovetail(e1, e2, eq, pick):
                         pairs.append((code, v))
                         break
                     b += 1
+                    inner += m + b + 1
                 m += 1
-            n += 1
+                start += m
         return pairs
 
     alpha.lister = lister
@@ -357,10 +401,12 @@ def member_semidecide(x, e, eq):
 def ext_equal_finite(e1, e2):
     """Extensional equality of two bounded enumerations.
 
-    Compares the sets of the two elements() listings, so by the
-    carrier's hash and == (desk-scale instances have decidable
-    equality), in linear time; both surjectivity bounds are required.
+    Compares the sets of the values the two listings name up to their
+    bounds, so by the carrier's hash and == (desk-scale instances have
+    decidable equality), in linear time and with no elements() order to
+    keep; both surjectivity bounds are required.
     """
     if e1.bound is None or e2.bound is None:
         raise MissingSurjectivityBound("ext_equal_finite needs both bounds")
-    return set(e1.elements()) == set(e2.elements())
+    return (set(map(itemgetter(1), _listing(e1, e1.bound)))
+            == set(map(itemgetter(1), _listing(e2, e2.bound))))

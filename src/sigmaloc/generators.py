@@ -157,9 +157,10 @@ def boolean_lattice(k):
     if k == 0:
         return validate_lattice([""], lambda x, y: True)
     elements = [format(mask, "0%db" % k) for mask in range(1 << k)]
+    mask = {x: i for i, x in enumerate(elements)}
 
     def leq(x, y):
-        return int(x, 2) & int(y, 2) == int(x, 2)
+        return mask[x] & mask[y] == mask[x]
 
     return validate_lattice(elements, leq)
 

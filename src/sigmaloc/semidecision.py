@@ -25,7 +25,8 @@ A decided truth is settled when it is built: from_boolean(True) is
 one shared SemiDecision confirmed at step 0, and from_boolean(False)
 and never() are one shared SemiDecision that is refuted from the
 start.  Probing either calls no stage and changes no state, so a
-decidable equality test builds no SemiDecision.
+decidable equality test builds no SemiDecision, and confirmed()
+answers any settled decision, these two included, without a probe.
 """
 
 from collections import namedtuple
@@ -94,7 +95,19 @@ class SemiDecision:
         return UNKNOWN
 
     def confirmed(self, budget):
-        """True iff probing with this budget confirms."""
+        """True iff probing with this budget confirms.
+
+        A settled decision, confirmed or refuted, answers without a
+        probe: the probe would call no stage and change no state, so
+        the shared from_boolean decisions cost one attribute read.
+        """
+        if budget < 0:
+            raise ValueError("budget must be a natural number")
+        first = self._first
+        if first is not None:
+            return first <= budget
+        if self.refuted:
+            return False
         return isinstance(self.probe(budget), Confirmed)
 
 

@@ -180,8 +180,9 @@ def join_irreducible_fold(tables):
 
 def name_pair_meet(base, meet, top):
     """The meet-table validation of CoverPresentation.finite on a dict
-    keyed by name pairs, with the same messages in the same order;
-    returns the dict."""
+    keyed by name pairs, with the same messages in the same order, and
+    associativity by the triple loop, which finite() runs only to name
+    the witness; returns the dict."""
     base = list(base)
     if not base:
         raise CoverError("empty base")

@@ -8,7 +8,9 @@ random axiom sets, under several seeded positivities each.  The
 frame's tables, and its errors on seeded families of closed sets, are
 compared with validation on the inclusion matrix.  The index
 meet table of CoverPresentation.finite is compared with the name-pair
-validation on seeded, mutated meet tables.  The rule table, which
+validation on seeded, mutated meet tables, and its associativity test
+by down-sets with the triple loop on seeded idempotent, commutative
+tables with a unit, associative or not.  The rule table, which
 keeps meet-below and axioms localized below their heads, less
 self-headed and subsumed covers, is compared with the oracle's
 saturation over the full compiled list, on random axiom sets rich in
@@ -44,6 +46,7 @@ same starts.
 
 import random
 import time
+from collections import Counter
 from itertools import combinations, count
 
 import pytest
@@ -612,6 +615,52 @@ def test_meet_validation_matches_the_name_pair_oracle():
                 expected
             seen.add("valid")
     assert seen == {"valid", "KeyError"} | set(FAULTS)
+
+
+def unit_table(rng):
+    """A meet table on 1-7 names that is idempotent and commutative
+    with "t" as its unit: intersection on a random family of subsets
+    of {0, 1, 2} closed under it (associative), with some pairs of
+    other names then given a random name on both sides, or a random
+    name at every such pair."""
+    family = {frozenset(range(3))}
+    for _ in range(rng.randint(0, 6)):
+        family.add(frozenset(rng.sample(range(3), rng.randint(0, 3))))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
+    name = {s: "t" if len(s) == 3 else "s%d" % i for i, s in enumerate(sets)}
+    base = sorted(name.values())
+    table = {(name[a], name[b]): name[a & b] for a in sets for b in sets}
+    mode = rng.randrange(3)
+    for x, y in combinations([x for x in base if x != "t"], 2):
+        if mode == 2 or (mode == 1 and rng.random() < 0.2):
+            table[(x, y)] = table[(y, x)] = rng.choice(base)
+    return base, table
+
+
+def test_associativity_by_down_sets_matches_the_triple_loop():
+    # finite() tests associativity on down-set masks in O(n^2) and runs
+    # the triple loop only to name the witness
+    rng = random.Random(32)
+    outcomes = Counter()
+    for _ in range(1500):
+        base, table = unit_table(rng)
+        try:
+            expected = name_pair_meet(base, table, "t")
+        except CoverError as err:
+            with pytest.raises(CoverError) as raised:
+                CoverPresentation.finite(base, table, "t", [])
+            assert raised.value.args == err.args
+            outcomes["not associative" in str(err)] += 1
+            continue
+        p = CoverPresentation.finite(base, table, "t", [])
+        assert {(x, y): p.meet(x, y) for x in base for y in base} == expected
+        outcomes["valid"] += 1
+    assert outcomes[False] == 0 and min(outcomes.values()) > 300, outcomes
 
 
 def redundant_cover(lattice, rng):

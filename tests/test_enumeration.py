@@ -1,13 +1,17 @@
 """Enumerated countable sets and their operations against set oracles.
 
 elements() is compared with list_elements, the list scan it replaced,
-and the == comparisons it and ext_equal_finite make are counted.  The
-dovetails of intersect_binary and free_meet list themselves by their
-(n, m) pairs; their listings are compared with the scan over every
-code on seeded inputs (budgeted equalities, gaps, values past the
-bound, TOP_GENERATOR, cut bounds), also through map_enumeration and
-restrict_detachable, and the pick and alpha calls of a 26 x 26
-listing, plain, mapped and restricted, are counted.
+and the == comparisons it and ext_equal_finite make are counted.
+Every enumeration built here lists itself by a lister: from_iterable
+by its items, a union by its index's and members' listings, and the
+dovetails of intersect_binary and free_meet by their (n, m) pairs.
+Their listings are compared with the scan over every code on seeded
+inputs (budgeted equalities, gaps, values past the bound,
+TOP_GENERATOR, cut bounds), also through map_enumeration and
+restrict_detachable, and on seeded trees of all of these.  The pick
+and alpha calls of a 26 x 26 listing, plain, mapped and restricted,
+the alpha calls of a union of bare alphas and the probes of an
+intersection under a decided equality are counted.
 """
 
 import random
@@ -323,8 +327,8 @@ def test_a_dovetail_lists_by_its_pairs_not_its_codes():
         counts["psi"] += 1
         return EQ.psi(x, y)
 
-    e = intersect_binary(counted(first), counted(second),
-                         SemiDecidableEquality(psi, max_confirm_budget=0))
+    eq = SemiDecidableEquality(psi, max_confirm_budget=0)
+    e = intersect_binary(counted(first), counted(second), eq)
     assert e.bound == 61750
     common = set(first) & set(second)
     # one pick per pair of values, one alpha call per index in reach,
@@ -338,6 +342,14 @@ def test_a_dovetail_lists_by_its_pairs_not_its_codes():
         assert sorted(listed.elements()) == expected
         assert counts["psi"] <= (len(first) + 1) * (len(second) + 1)
         assert counts["alpha"] <= 2 * isqrt(e.bound) + 2
+    # an e1 that lists itself is read by its listing, not past its bound
+    e1 = counted(first)
+    e1.alpha.lister = Enumeration.from_iterable(first).alpha.lister
+    counts.update(psi=0, alpha=0)
+    e = intersect_binary(e1, counted(second), eq)
+    assert sorted(e.elements()) == sorted(common)
+    assert counts["psi"] <= len(first) * (len(second) + 1)
+    assert counts["alpha"] <= isqrt(e.bound) + 1
 
 
 def test_mapped_and_restricted_dovetails_list_as_the_code_scan():
@@ -377,3 +389,127 @@ def test_mapped_and_restricted_dovetails_list_as_the_code_scan():
         seen["separated"] += len(mapped.elements()) > len(e.elements())
         seen["restricted"] += len(got) < len(e.elements())
     assert min(seen.values()) >= 10, seen
+
+
+MAPPED = {}
+
+
+def mapped(v):
+    """The same object for the same type and value, so a map keeps the
+    ids the scan compares, but 1, True and 1.0 map apart."""
+    return MAPPED.setdefault((type(v), v), (type(v).__name__, v))
+
+
+def odd_length(v):
+    return len(str(v)) % 2 == 1
+
+
+def seeded_tree(rng, depth, top):
+    """An enumeration built by the module's combinators on seeded
+    leaves, to the given depth: a union (dict members, callable
+    members or a family of enumerations, with blank index entries and
+    some members unbounded), an intersection, a free meet, a map or a
+    restriction."""
+    kind = rng.randrange(6) if depth else 0
+    if kind == 0:
+        return seeded_input(rng, top)
+    if kind == 1:
+        children = [seeded_tree(rng, depth - 1, top)
+                    for _ in range(rng.randint(0, 3))]
+        children = [c._replace(bound=None) if rng.random() < 0.15 else c
+                    for c in children]
+        form = rng.randrange(3)
+        items = list(range(len(children))) if form < 2 else children
+        for _ in range(rng.randint(0, 2)):
+            items.insert(rng.randint(0, len(items)), BLANK)
+        index = Enumeration.from_iterable(items)
+        if rng.random() < 0.3:
+            index = Enumeration(index.alpha, bound=rng.randrange(
+                len(items) + 2))
+        if form == 0:
+            return union_countable(index, dict(enumerate(children)))
+        if form == 1:
+            return union_countable(index, lambda i: children[i])
+        return union_countable(index, lambda e: e)
+    if kind in (2, 3):
+        last = rng.choice([0, 1, 2, None])
+        eq = budgeted_equality(rng, last)
+        e1 = seeded_tree(rng, depth - 1, top)
+        e2 = seeded_tree(rng, depth - 1, top)
+        if kind == 2:
+            return intersect_binary(e1, e2, eq)
+        return free_meet(e1, e2, extend_equality_to_free(eq))
+    child = seeded_tree(rng, depth - 1, top)
+    if kind == 4:
+        return map_enumeration(mapped, child)
+    return restrict_detachable(child, odd_length)
+
+
+def test_trees_of_combinators_list_as_the_code_scan():
+    rng = random.Random(32)
+    seen = {"natural": 0, "cut": 0, "zero": 0, "collapsed": 0}
+    for case in range(600):
+        e = seeded_tree(rng, rng.randint(1, 3), case % 2)
+        natural = e.bound
+        if natural is None or natural > 2000 or rng.random() < 0.3:
+            cap = 2000 if natural is None else min(natural, 2000)
+            e = e._replace(bound=0 if rng.random() < 0.15
+                           else rng.randrange(cap + 1))
+            seen["cut"] += 1
+            seen["zero"] += e.bound == 0
+        else:
+            seen["natural"] += 1
+        got, expected = e.elements(), list_elements(e)
+        assert [id(v) for v in got] == [id(v) for v in expected], case
+        shown = {id(e.alpha(k)) for k in range(e.bound + 1)} - {id(BLANK)}
+        seen["collapsed"] += len(got) < len(shown)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_a_union_reads_its_members_by_index_not_by_code():
+    calls = {}
+
+    def counted(name, values):
+        def alpha(n):
+            calls[name] = calls.get(name, 0) + 1
+            return values[n] if n < len(values) else BLANK
+        return Enumeration(alpha, bound=len(values) - 1)
+
+    rng = random.Random(32)
+    sets = [rng.sample(range(200), 40) for _ in range(4)]
+    members = {i: counted(i, s) for i, s in enumerate(sets)}
+    index = counted("index", list(range(4)))
+    union = union_countable(index, members)
+    assert union.bound == 942
+    calls.clear()
+    assert sorted(union.elements()) == sorted(set().union(*sets))
+    # the index up to the bound's diagonal, and each member at every
+    # position in reach of its index: pair_encode(n, m) <= 942 for
+    # m <= 42 - n from n = 3 on, and m <= 41 - n below it
+    assert calls.pop("index") == 43
+    assert calls == {0: 42, 1: 41, 2: 40, 3: 40}
+    # one call per code before
+    assert sum(calls.values()) < (union.bound + 1) / 5
+
+
+def test_an_intersection_under_a_decided_equality_makes_no_probe(
+        monkeypatch):
+    probes = []
+    probe = SemiDecision.probe
+
+    def counted(self, budget):
+        probes.append(budget)
+        return probe(self, budget)
+
+    monkeypatch.setattr(SemiDecision, "probe", counted)
+    rng = random.Random(32)
+    first = rng.sample(range(52), 26)
+    second = rng.sample(range(52), 26)
+    e1, e2 = Enumeration.from_iterable(first), Enumeration.from_iterable(second)
+    common = sorted(set(first) & set(second))
+    assert sorted(intersect_binary(e1, e2, EQ).elements()) == common
+    free = extend_equality_to_free(EQ)
+    top = Enumeration.from_iterable([TOP_GENERATOR])
+    assert sorted(free_meet(e1, e2, free).elements()) == common
+    assert free_meet(top, e2, free).elements() == second
+    assert probes == []

@@ -18,6 +18,7 @@ from sigmaloc import (
     find_isomorphism,
     run,
     saturate,
+    validate_lattice,
     with_nonzero_pos,
 )
 
@@ -153,6 +154,22 @@ def test_boolean_lattice_shape():
         boolean_lattice(-1)
     with pytest.raises(ValueError):
         boolean_lattice(7)
+
+
+def test_boolean_lattice_matches_the_parsed_order():
+    # the order that parses each bitstring label at every comparison
+    def parsed_leq(x, y):
+        return int(x, 2) & int(y, 2) == int(x, 2)
+
+    for k in range(7):
+        lat = boolean_lattice(k)
+        labels = [format(mask, "0%db" % k) for mask in range(1 << k)]
+        expected = validate_lattice(labels if k else [""],
+                                    parsed_leq if k else lambda x, y: True)
+        assert lat.elements == expected.elements
+        assert lat.down == expected.down and lat.up == expected.up
+        assert lat.meet_table == expected.meet_table
+        assert lat.join_table == expected.join_table
 
 
 def test_with_nonzero_pos():

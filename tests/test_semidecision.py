@@ -1,5 +1,11 @@
-"""Budget-indexed semi-decisions: monotonicity, memoization, combinators."""
+"""Budget-indexed semi-decisions: monotonicity, memoization, combinators.
 
+confirmed() is compared with probe() on settled, derive, and_binary,
+or_countable and member decisions, answer and state, and a settled
+decision answers it without a probe.
+"""
+
+import random
 import time
 
 import pytest
@@ -8,9 +14,15 @@ from sigmaloc import (
     UNKNOWN,
     Confirmed,
     Enumeration,
+    SemiDecidableEquality,
     SemiDecision,
     and_binary,
+    cantor_cover,
+    chain_lattice,
+    derive,
+    envelope_cover,
     from_boolean,
+    member_semidecide,
     never,
     or_countable,
     run,
@@ -141,3 +153,87 @@ def test_and_binary_refutes_with_either_conjunct():
         t0 = time.time()
         assert run(and_binary(p, q), 10 ** 9) is UNKNOWN
         assert time.time() - t0 < 1.0
+
+
+def decisions():
+    """(name, build) for decisions of every kind; build makes a fresh
+    decision that runs as the last one did (a settled one is shared)."""
+    cantor = cantor_cover()
+    chain = chain_lattice(3)
+    envelope, _embedding = envelope_cover(chain)
+    listed = Enumeration.from_iterable(["p", "q", "p", "r"])
+    decided = SemiDecidableEquality.from_decidable()
+    # equality that confirms at step 2, with no known last budget
+    slow = SemiDecidableEquality(
+        lambda x, y: SemiDecision(lambda k: x == y and k >= 2))
+    return [
+        ("true", lambda: from_boolean(True)),
+        ("false", lambda: from_boolean(False)),
+        ("never", never),
+        ("derive slice", lambda: derive(cantor, "", ["00", "01", "10", "11"])),
+        ("derive proper", lambda: derive(cantor, "", ["00", "01", "10"])),
+        ("derive refuted",
+         lambda: derive(envelope, chain.top, (chain.bottom,))),
+        ("and", lambda: and_binary(SemiDecision(lambda k: k >= 3),
+                                   SemiDecision(lambda k: k >= 7))),
+        ("and refuted", lambda: and_binary(
+            SemiDecision(lambda k: k >= 3),
+            SemiDecision(lambda k: None if k >= 5 else False))),
+        ("and settled", lambda: and_binary(from_boolean(True),
+                                           from_boolean(True))),
+        ("or", lambda: or_countable(Enumeration.from_iterable(
+            [never(), SemiDecision(lambda k: k >= 2)]))),
+        ("or refuted", lambda: or_countable(
+            Enumeration.from_iterable([never(), never()]))),
+        ("member", lambda: member_semidecide("r", listed, decided)),
+        ("non-member", lambda: member_semidecide("z", listed, decided)),
+        ("member slow", lambda: member_semidecide("q", listed, slow)),
+    ]
+
+
+def state(sd):
+    return sd._scanned, sd.refuted, sd._first
+
+
+def test_confirmed_answers_and_leaves_state_as_the_probe_does():
+    rng = random.Random(32)
+    for name, build in decisions():
+        for _ in range(8):
+            confirming, probing = build(), build()
+            budgets = [rng.choice([-1, 0, 0, 1, 2, 3, 5, 8, 64, 10 ** 4])
+                       for _ in range(6)]
+            for budget in budgets:
+                if budget < 0:
+                    before = state(confirming), state(probing)
+                    with pytest.raises(ValueError):
+                        confirming.confirmed(budget)
+                    with pytest.raises(ValueError):
+                        probing.probe(budget)
+                    assert (state(confirming), state(probing)) == before
+                else:
+                    assert confirming.confirmed(budget) == \
+                        isinstance(probing.probe(budget), Confirmed), \
+                        (name, budgets)
+                assert state(confirming) == state(probing), (name, budgets)
+
+
+def test_a_settled_decision_confirms_without_a_probe(monkeypatch):
+    calls = []
+    probe = SemiDecision.probe
+
+    def counted(self, budget):
+        calls.append(budget)
+        return probe(self, budget)
+
+    monkeypatch.setattr(SemiDecision, "probe", counted)
+    settled = SemiDecision(lambda k: k >= 3)
+    assert settled.confirmed(5) and calls == [5]
+    refuted = SemiDecision(lambda k: None)
+    assert not refuted.confirmed(0) and calls == [5, 0]
+    for budget in (0, 2, 3, 10 ** 9):
+        assert from_boolean(True).confirmed(budget)
+        assert not from_boolean(False).confirmed(budget)
+        assert not never().confirmed(budget)
+        assert settled.confirmed(budget) == (budget >= 3)
+        assert not refuted.confirmed(budget)
+    assert calls == [5, 0]
