@@ -15,7 +15,7 @@ congruences so the two can be compared on every instance.
 
 from collections import namedtuple
 
-from .formal_cover import CoverError, _needs_finite
+from .formal_cover import _MAX_CLOSED, CoverError, _needs_finite
 from .reports import Record, failed, passed
 from .sigma_frame import SigmaFrameHom, _lattice_of_up_masks
 
@@ -199,8 +199,13 @@ def is_congruence(lattice, c):
     Compatibility is transitive within a class, so a partition is a
     congruence iff each element's meet and join rows agree, class by
     class, with those of the first element of its class: an O(n^2)
-    test.  Only when it fails does the pair loop run, to name the first
-    failing (x, y, z) in element order.
+    test, which keeps each class's first element whose rows differ.
+    The failure named is the first (x, y, z) in element order with x, y
+    in one class and z telling their rows apart, meet before join.  If
+    two members of a class differ, its first element differs from one
+    of them, so the least such x is the first element of a failing
+    class: the one that comes first.  y is then that class's first
+    differing element, and z the first place their rows differ.
     """
     elements = lattice.elements
     if tuple(c.elements) != tuple(elements):
@@ -210,26 +215,24 @@ def is_congruence(lattice, c):
     join = lattice.join_table
     class_at = cls.__getitem__
     first_rows = {}
-    for k, meet_i, join_i in zip(cls, meet, join):
-        rows = (list(map(class_at, meet_i)), list(map(class_at, join_i)))
+    differs = {}
+    for y, k, meet_y, join_y in zip(range(len(cls)), cls, meet, join):
+        rows = (list(map(class_at, meet_y)), list(map(class_at, join_y)))
         if first_rows.setdefault(k, rows) != rows:
-            break
-    else:
+            differs.setdefault(k, y)
+    if not differs:
         return passed("congruence laws hold")
-    n = len(elements)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cls[i] != cls[j]:
-                continue
-            meet_i, meet_j = meet[i], meet[j]
-            join_i, join_j = join[i], join[j]
-            for k in range(n):
-                if cls[meet_i[k]] != cls[meet_j[k]]:
-                    return failed("meet compatibility fails",
-                                  (elements[i], elements[j], elements[k]))
-                if cls[join_i[k]] != cls[join_j[k]]:
-                    return failed("join compatibility fails",
-                                  (elements[i], elements[j], elements[k]))
+    x = min(map(cls.index, differs))
+    y = differs[cls[x]]
+    meet_x, meet_y = meet[x], meet[y]
+    join_x, join_y = join[x], join[y]
+    for z in range(len(elements)):
+        if cls[meet_x[z]] != cls[meet_y[z]]:
+            return failed("meet compatibility fails",
+                          (elements[x], elements[y], elements[z]))
+        if cls[join_x[z]] != cls[join_y[z]]:
+            return failed("join compatibility fails",
+                          (elements[x], elements[y], elements[z]))
 
 
 def congruence_leq(c1, c2):
@@ -428,8 +431,8 @@ def enumerate_congruences(lattice):
     them.  More than 2^15 of them are refused, before any is listed.
     """
     j_mask = lattice.join_irreducibles
-    if j_mask.bit_count() > 15:
-        raise SizeCapExceeded("more than %d congruences" % (1 << 15))
+    if 1 << j_mask.bit_count() > _MAX_CLOSED:
+        raise SizeCapExceeded("more than %d congruences" % _MAX_CLOSED)
     j_below = [d & j_mask for d in lattice.down]
     strings = []
     s = 0

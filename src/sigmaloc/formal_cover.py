@@ -78,7 +78,8 @@ class BaseTooLarge(CoverError):
 
 
 # the largest base frame_of_presentation lists by default, and the most
-# saturated subsets closure_starts walks, as many as that base has subsets
+# saturated subsets closure_starts walks, as many as that base has subsets;
+# also the most congruences enumerate_congruences lists
 _MAX_BASE = 15
 _MAX_CLOSED = 1 << _MAX_BASE
 
@@ -169,11 +170,13 @@ class CoverPresentation:
         read once into the index table meet_table, on which the
         meet-semilattice laws (closure, idempotence, commutativity,
         associativity, top neutral) are checked exhaustively, the last
-        in O(n^2) on the entries' down-sets.  Covers are normalized to
-        deduplicated base-index-sorted tuples.  The checked tables go to
-        _trusted, which envelope_cover also calls, on a validated
-        lattice's own tables, and the raw axioms are compiled to the
-        rule table (_compile).
+        in O(n^2) on the entries' down-sets.  Only when that fails does
+        a triple loop name the witness: the first failing triple cannot
+        be read off the failing down-set pairs without a scan of its
+        own.  Covers are normalized to deduplicated base-index-sorted
+        tuples.  The checked tables go to _trusted, which envelope_cover
+        also calls, on a validated lattice's own tables, and the raw
+        axioms are compiled to the rule table (_compile).
         """
         base = list(base)
         if not base:
@@ -214,7 +217,7 @@ class CoverPresentation:
                                      % (base[x], base[y]))
         # an idempotent, commutative table is associative iff each
         # meet's down-set {z : meet(a, z) = z} is the intersection of
-        # its arguments' down-sets; the triple loop names a witness
+        # its arguments' down-sets
         down = [sum(1 << z for z, v in enumerate(row) if v == z)
                 for row in table]
         if any(down[v] != down[x] & down[y]
@@ -502,10 +505,10 @@ class _Search:
     part cuts it off from the start: its failure is then not definitive.
 
     A node is tried in this order: a proof already found, then the
-    path, then the goal scan, then the node budget.  A node on the path
-    failed its goal scan when it was entered (the goal is fixed and
-    meet is a function), so it is rejected without scanning again; it
-    still costs one node, or sets the cutoff when none are left.
+    goal scan, then the node budget.  A node on the path failed its
+    goal scan when it was entered (the goal is fixed and meet is a
+    function), so it skips the scan; it still pays its node, or sets
+    the cutoff when none are left, and is then rejected.
     """
 
     def __init__(self, p, u, effort):
@@ -524,22 +527,20 @@ class _Search:
     def prove(self, x, depth, path):
         if x in self.proven:
             return self.proven[x]
-        if x in path:
-            if self.nodes <= 0:
-                self.cutoff = True
-            else:
-                self.nodes -= 1
-            return None
-        meet = self.p.meet
-        for m in self.members:
-            if x == m:
-                return self.done(x, ("refl", x))
-            if meet(x, m) == x:
-                return self.done(x, ("below", x, m))
+        on_path = x in path
+        if not on_path:
+            meet = self.p.meet
+            for m in self.members:
+                if x == m:
+                    return self.done(x, ("refl", x))
+                if meet(x, m) == x:
+                    return self.done(x, ("below", x, m))
         if self.nodes <= 0:
             self.cutoff = True
             return None
         self.nodes -= 1
+        if on_path:
+            return None
         path = path | {x}
         for cover, head in self.covers(x):
             # () is one shared object, so only a nonempty cover is
@@ -742,7 +743,9 @@ def check_formal_cover_axioms(p):
     by separate code.  Only when one fails are the axioms (p.axioms,
     listed from that map on an envelope) checked one by one, in order,
     at every b, each distinct cover's localized copies closed once, so
-    the first failing (head, b, cover) is the witness.
+    the first failing (head, b, cover) is the witness.  That scan stays
+    because on a broken presentation closure need not be stable, so a
+    failing (U, y) does not name the first failing (axiom, b).
     """
     _needs_finite(p, "check_formal_cover_axioms")
     report = _walk_starts(p)

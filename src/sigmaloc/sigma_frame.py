@@ -161,22 +161,29 @@ def _lattice_of_up_masks(elements, up):
 
     down is up transposed, by walking the set bits of each up-set.  The
     same walk tests transitivity, each up-set holding the up-sets of
-    its members; only when that fails does the pair loop run, to name
-    the first failing triple.  Once the order laws hold, a comparable
-    pair's meet and join are its ends, and otherwise the meet of i and
-    j exists iff some element's down-set is the intersection of their
-    down-sets, and it is that element; joins likewise with up-sets.  So
-    meets and joins are mask lookups.  j is join-irreducible iff the
-    elements strictly below it have a greatest one, whose down-set is
-    down[j] without j.  The lattice is distributive iff x -> J(x), the
-    join-irreducibles below x, sends binary joins to unions (Birkhoff),
-    an O(n^2) test made as the tables are filled, and trivially true of
-    comparable pairs; only when it fails, and every meet and join
-    exists, does the O(n^3) loop run, to name the first failing triple.
+    its members, and keeps the first i whose up-set fails it; the
+    witness is read off that one row: its first member j whose up-set
+    leaves up[i], and the lowest k there.  Once the order laws hold, a
+    comparable pair's meet and join are its ends, and otherwise the
+    meet of i and j exists iff some element's down-set is the
+    intersection of their down-sets, and it is that element; joins
+    likewise with up-sets.  So meets and joins are mask lookups.  j is
+    join-irreducible iff the elements strictly below it have a greatest
+    one, whose down-set is down[j] without j.  The lattice is
+    distributive iff x -> J(x), the join-irreducibles below x, sends
+    binary joins to unions (Birkhoff), an O(n^2) test made as the
+    tables are filled, and trivially true of comparable pairs; it flags
+    each pair j < k that fails, in (j, k) order.  The witness search
+    tries only the flagged pairs, for each i in order, and still finds
+    the first failing triple.  The law is symmetric in j and k, so a
+    first failing pair has j < k.  And if J(j v k) = J(j) u J(k), each
+    join-irreducible p below i ^ (j v k) lies below i ^ j or i ^ k, and
+    every element is the join of the join-irreducibles below it, so
+    i ^ (j v k) = (i ^ j) v (i ^ k) for every i.
     """
     n = len(elements)
     down = [0] * n
-    transitive = True
+    intransitive = None
     for i, up_i in enumerate(up):
         bit, above, reach = 1 << i, up_i, up_i
         while above:
@@ -185,8 +192,8 @@ def _lattice_of_up_masks(elements, up):
             down[j] |= bit
             reach |= up[j]
             above ^= low
-        if reach != up_i:
-            transitive = False
+        if reach != up_i and intransitive is None:
+            intransitive = i
 
     for i in range(n):
         if not up[i] >> i & 1:
@@ -197,15 +204,13 @@ def _lattice_of_up_masks(elements, up):
             j = (both & -both).bit_length() - 1
             raise NotAPartialOrder(
                 "leq is not antisymmetric", (elements[i], elements[j]))
-    if not transitive:
-        for i in range(n):
-            for j in range(n):
-                missing = up[j] & ~up[i] if up[i] >> j & 1 else 0
-                if missing:
-                    k = (missing & -missing).bit_length() - 1
-                    raise NotAPartialOrder(
-                        "leq is not transitive",
-                        (elements[i], elements[j], elements[k]))
+    if intransitive is not None:
+        i = intransitive
+        j = next(j for j in range(n) if up[i] >> j & 1 and up[j] & ~up[i])
+        missing = up[j] & ~up[i]
+        k = (missing & -missing).bit_length() - 1
+        raise NotAPartialOrder("leq is not transitive",
+                               (elements[i], elements[j], elements[k]))
 
     by_down = {mask: i for i, mask in enumerate(down)}
     by_up = {mask: i for i, mask in enumerate(up)}
@@ -213,7 +218,7 @@ def _lattice_of_up_masks(elements, up):
                       if down[j] ^ 1 << j in by_down)
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
-    distributive = True
+    flagged = []
     for i in range(n):
         down_i, up_i, meet_i, join_i = down[i], up[i], meet[i], join[i]
         for j in range(i, n):
@@ -232,7 +237,7 @@ def _lattice_of_up_masks(elements, up):
                     raise MissingMeetOrJoin(
                         "no join", (elements[i], elements[j]))
                 if (down[lub] ^ (down_i | down_j)) & irreducible:
-                    distributive = False
+                    flagged.append((i, j))
             meet_i[j] = meet[j][i] = glb
             join_i[j] = join[j][i] = lub
 
@@ -242,14 +247,14 @@ def _lattice_of_up_masks(elements, up):
         bottom = meet[bottom][i]
         top = join[top][i]
 
-    if not distributive:
+    if flagged:
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
-                        raise NotDistributive(
-                            "distributivity fails",
-                            (elements[i], elements[j], elements[k]))
+            meet_i = meet[i]
+            for j, k in flagged:
+                if meet_i[join[j][k]] != join[meet_i[j]][meet_i[k]]:
+                    raise NotDistributive(
+                        "distributivity fails",
+                        (elements[i], elements[j], elements[k]))
 
     return FiniteDistributiveLattice(elements, down, up, meet, join,
                                      bottom, top, irreducible)

@@ -70,7 +70,8 @@ def test_locations_do_not_affect_equality():
 
 def test_pretty_print_round_trip_examples():
     for name in ("chain.cov", "diamond.cov", "cantor.cov"):
-        text = open(os.path.join(EXAMPLES, name)).read()
+        with open(os.path.join(EXAMPLES, name), encoding="utf-8") as f:
+            text = f.read()
         doc = parse(text)
         assert parse(pretty_print(doc)) == doc
         assert pretty_print(parse(pretty_print(doc))) == pretty_print(doc)

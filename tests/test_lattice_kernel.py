@@ -11,7 +11,11 @@ bool-matrix build over its representatives), validate_lattice and
 lattice_from_leq_pairs with the bool-matrix validation on the corpus
 and on seeded random relations of 1-8 and of 9-20 elements, and a
 wall-clock guard fails if an exponential sweep returns to a production
-path.
+path.  Families whose first failure comes late in element order (M3
+and N5 glued to chains, chains with late intransitive rows, partitions
+with a large compatible first class) pin the witnesses read off the
+fast passes, and two wall-clock guards fail if a cubic re-scan returns
+to a failure path.
 """
 
 import random
@@ -171,6 +175,70 @@ def test_is_congruence_matches_the_element_keyed_loop_on_larger_lattices():
     assert details.count("congruence laws hold") >= 1000
     assert details.count("meet compatibility fails") >= 100
     assert details.count("join compatibility fails") >= 100
+
+
+def chain(names):
+    """The chain on names, in their order."""
+    return lattice_from_leq_pairs(names, list(zip(names, names[1:])))
+
+
+def late_failing_partitions(rng):
+    """(name, lattice, partition) triples whose failures come late in
+    element order: chains of 20-60 elements and products of two chains
+    of 4-8, each partition a congruence with a large first class (an
+    initial interval, or a box at the bottom of the product) whose last
+    class is merged with another class late in element order."""
+    out = []
+    for k in range(30):
+        n = rng.randint(20, 60)
+        lattice = chain(["e%d" % i for i in range(n)])
+        first = rng.randint(n // 2, n - 4)
+        ids = [0] * first + list(range(1, n - first + 1))
+        p, q = sorted(rng.sample(range(first, n), 2))
+        ids[q] = ids[p]
+        out.append(("chain-%d" % k, lattice, ids))
+    for k in range(30):
+        a, b = rng.randint(4, 8), rng.randint(4, 8)
+        lattice = product_lattice([chain_lattice(a - 1), chain_lattice(b - 1)])
+        p, q = rng.randrange(a // 2, a - 1), rng.randrange(b // 2, b - 1)
+        ids = [(max(i, p), max(j, q))
+               for i in range(a) for j in range(b)]
+        last = ids[-1]
+        other = rng.choice([x for x in ids[-len(ids) // 3:]
+                            if x not in (ids[0], last)])
+        ids = [other if x == last else x for x in ids]
+        out.append(("product-%d" % k, lattice, ids))
+    return [(name, lattice, Congruence.from_class_ids(lattice.elements, ids))
+            for name, lattice, ids in out]
+
+
+def test_is_congruence_matches_the_element_keyed_loop_on_late_failures():
+    rng = random.Random("late")
+    failures = 0
+    for name, lattice, c in late_failing_partitions(rng):
+        report = is_congruence(lattice, c)
+        assert report == is_congruence_by_element(lattice, c), \
+            (name, c.class_of)
+        if not report.ok:
+            failures += 1
+            # the first class is compatible: the witness lies past it
+            assert c.class_id(report.witnesses[0]) != 0, name
+    assert failures >= 40
+
+
+def test_a_late_incompatible_class_is_refused_fast():
+    names = ["e%d" % i for i in range(600)]
+    lattice = chain(names)
+    # a compatible first class of 500, then singletons, but e597 and
+    # e599 share a class without e598
+    ids = [0] * 500 + list(range(1, 98)) + [98, 99, 98]
+    c = Congruence.from_class_ids(names, ids)
+    t0 = time.monotonic()
+    report = is_congruence(lattice, c)
+    elapsed = time.monotonic() - t0
+    assert (report.ok, report.detail, report.witnesses) == \
+        (False, "meet compatibility fails", ("e597", "e599", "e598"))
+    assert elapsed < 2.0
 
 
 def test_quotient_matches_the_matrix_build():
@@ -438,3 +506,68 @@ def test_validation_matches_the_matrix_oracle_on_larger_relations():
         expected = check_against_the_matrix_validation(elements, m, rng)
         seen.add(expected[1] if isinstance(expected[0], type) else "ok")
     assert seen == VERDICTS
+
+
+def glued_block(rng):
+    """M3 or N5 glued above a chain, or between two chains, of 20-60
+    elements in all, as (elements, matrix) on a shuffled element order:
+    not distributive, and the block lands anywhere in that order."""
+    block, block_pairs = rng.choice((M3, N5))
+    total = rng.randint(20, 60)
+    below = rng.randint(1, total)
+    lower = ["l%d" % i for i in range(below)]
+    upper = ["u%d" % i for i in range(total - below)]
+    pairs = list(zip(lower, lower[1:])) + list(zip(upper, upper[1:]))
+    pairs += [("b" + x, "b" + y) for x, y in block_pairs]
+    pairs.append((lower[-1], "b0"))
+    if upper:
+        pairs.append(("b1", upper[0]))
+    elements = lower + ["b" + x for x in block] + upper
+    rng.shuffle(elements)
+    return elements, order_matrix(elements, pairs)
+
+
+def late_intransitive(rng):
+    """A chain of 20-60 elements on a shuffled element order, with one
+    to three entries x <= z dropped where some y lies strictly between,
+    each from a row in the last quarter of the order: reflexive and
+    antisymmetric, not transitive, first failing late."""
+    n = rng.randint(20, 60)
+    rank = list(range(n))
+    rng.shuffle(rank)
+    m = [[rank[i] <= rank[j] for j in range(n)] for i in range(n)]
+    late = range(n - n // 4, n)
+    dropped = 0
+    while dropped == 0:
+        for _ in range(rng.randint(1, 3)):
+            i = rng.choice(late)
+            far = [j for j in range(n) if rank[j] >= rank[i] + 2 and m[i][j]]
+            if far:
+                m[i][rng.choice(far)] = False
+                dropped += 1
+    return ["e%d" % i for i in range(n)], m
+
+
+def test_validation_matches_the_matrix_oracle_on_late_failures():
+    rng = random.Random("late-validation")
+    for _ in range(12):
+        elements, m = glued_block(rng)
+        expected = check_against_the_matrix_validation(elements, m, rng)
+        assert expected[1] == "distributivity fails"
+    for _ in range(30):
+        elements, m = late_intransitive(rng)
+        expected = check_against_the_matrix_validation(elements, m, rng)
+        assert expected[1] == "leq is not transitive"
+        assert elements.index(expected[2][0]) >= len(elements) * 3 // 4
+
+
+def test_a_late_distributivity_failure_is_refused_fast():
+    # a chain of 500 with M3 on top
+    names = ["e%d" % i for i in range(500)]
+    pairs = list(zip(names, names[1:]))
+    pairs += [("e499", x) for x in "xyz"] + [(x, "t") for x in "xyz"]
+    t0 = time.monotonic()
+    result = outcome(lattice_from_leq_pairs, names + list("xyzt"), pairs)
+    elapsed = time.monotonic() - t0
+    assert result[1:] == ("distributivity fails", ("x", "y", "z"))
+    assert elapsed < 2.0
