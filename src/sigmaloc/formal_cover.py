@@ -22,8 +22,9 @@ CoverPresentation.closure_starts walks just those, each once, level
 by level from the highest bit, and is the one lister of the closed
 sets: the frame and the overlap cover check read its closures, and
 the cover laws check tests every subset on its starts, exactly, at
-any base size, without visiting every subset.  It refuses more than
-2^15 saturated subsets, the one guard on all three.
+any base size, without visiting every subset.  It keeps the starts of
+its first whole walk, and a later walk replays them.  It refuses more
+than 2^15 saturated subsets, the one guard on all three.
 
 Countable presentations (Cantor, Baire) are CountablePresentations:
 the base is a membership predicate, with axioms_of / uppers_of
@@ -42,6 +43,7 @@ incomplete there, and budget exhaustion reports Unknown, never false.
 
 from functools import cache, cached_property
 from itertools import combinations
+from math import comb
 
 from .enumeration import Enumeration
 from .reports import failed, passed
@@ -322,7 +324,7 @@ class CoverPresentation:
             covers[y].add(bits)
 
         def order(bits):
-            members = [i for i in range(n) if bits >> i & 1]
+            members = list(_indices(bits))
             return len(members), members
 
         self._rules = [[] for _ in range(n)]
@@ -347,17 +349,24 @@ class CoverPresentation:
     def _localized(self):
         """(y, bits) for each distinct raw axiom cover U and each y
         below one of U's heads and below no member of U: bits is U
-        localized at y, {c∧y : c in U}, as a bitmask."""
+        localized at y, {c∧y : c in U}, as a bitmask.  The y below a
+        member are dropped bit by bit, so a cover whose y are all below
+        its members is never listed."""
         meet, below = self.meet_table, self._below
         for cover, ys in self._raw_covers.items():
-            members = list(_indices(cover))
-            for c in members:
-                ys &= ~below[c]
-            for y in _indices(ys):
-                yield y, sum({1 << meet[c][y] for c in members})
+            rest = cover
+            while ys and rest:
+                low = rest & -rest
+                ys &= ~below[low.bit_length() - 1]
+                rest ^= low
+            if ys:
+                members = list(_indices(cover))
+                for y in _indices(ys):
+                    yield y, sum({1 << meet[c][y] for c in members})
 
     def _group_rules(self):
-        """closure's table, built from _rules, and an empty closure cache.
+        """closure's table, built from _rules, an empty closure cache
+        and no closure starts (closure_starts).
 
         _rules is inverted to {cover: bitmask of the heads whose rules
         list it}, and the covers are grouped by that bitmask, as
@@ -379,6 +388,7 @@ class CoverPresentation:
         self._groups = tuple((heads, tuple(covers))
                              for heads, covers in groups.items())
         self._closed = {}
+        self._starts = None
 
     def mask(self, members):
         """The bitmask of a collection of base elements."""
@@ -447,22 +457,40 @@ class CoverPresentation:
         subsets are refused (BaseTooLarge), so this bounds every walk:
         the frame's, the overlap cover check's and the cover laws
         check's.
+        The starts of the first walk that runs to its end are kept
+        next to the closure cache, until _group_rules empties both, and
+        a later walk replays them in the same order: it still reads each
+        start's closure through self.closure, but builds no F_i.
         """
+        starts = self._starts
+        if starts is not None:
+            closed = set()
+            for start in starts:
+                sat = self.closure(start)
+                new = sat not in closed
+                if new:
+                    closed.add(sat)
+                yield start, sat, new
+            return
         sat = self.closure(0)
         closed = {sat: None}
+        starts = [0]
         yield 0, sat, True
         for i in range(len(self.base) - 1, -1, -1):
             bit = 1 << i
             for s in list(closed):
                 if not s & bit:
-                    sat = self.closure(s | bit)
+                    start = s | bit
+                    sat = self.closure(start)
                     new = sat not in closed
                     if new:
                         closed[sat] = None
                         if len(closed) > _MAX_CLOSED:
                             raise BaseTooLarge("more than %d saturated subsets"
                                                % (_MAX_CLOSED,))
-                    yield s | bit, sat, new
+                    starts.append(start)
+                    yield start, sat, new
+        self._starts = starts
 
     def closed_sets(self):
         """Every closed bitmask, in increasing order: the distinct
@@ -687,8 +715,17 @@ def envelope_cover(lattice):
     base, n = list(lattice.elements), len(lattice)
     join, up, down = lattice.join_table, lattice.up, lattice.down
     raw = {0: down[lattice.bottom_index]}
-    rules = [[1 << a for a in range(n) if up[h] >> a & 1 and a != h]
-             for h in range(n)]
+    # h's singleton rules are the a strictly above h, and h lies in the
+    # down-set of each a above it, itself included: both in one pass
+    rules, below = [], [[] for _ in range(n)]
+    for h, x in enumerate(base):
+        above, singles = up[h], []
+        for a in range(n):
+            if above >> a & 1:
+                below[a].append(x)
+                if a != h:
+                    singles.append(1 << a)
+        rules.append(singles)
     for i in range(n):
         for j in range(i, n):
             h, cover = join[i][j], 1 << i | 1 << j
@@ -701,8 +738,7 @@ def envelope_cover(lattice):
                                    lattice.meet_table)
     p._raw_covers, p._below, p._rules = raw, down, rules
     p._group_rules()
-    return p, {x: frozenset(map(base.__getitem__, _indices(d)))
-               for x, d in zip(base, down)}
+    return p, {x: frozenset(d) for x, d in zip(base, below)}
 
 
 def _walk_starts(p):
@@ -724,23 +760,29 @@ def check_formal_cover_axioms(p):
 
     Reflexivity and transitivity (idempotent saturation) are checked on
     every subset, through the closure starts of closure_starts
-    (_walk_starts), in at most n + 1 closures per saturated subset, all
-    cached once the frame has walked them.  A presentation with more
-    than 2^15 saturated subsets is refused (BaseTooLarge).
+    (_walk_starts), in at most n + 1 closures per saturated subset.
+    Once the frame has walked them, the starts are replayed and their
+    closures found cached.  A presentation with more than 2^15
+    saturated subsets is refused (BaseTooLarge).
 
-    Meet-left is checked exactly, and stability per raw axiom a <| U,
-    which propagates to the whole cover by induction on derivations.
-    For any b put y = a∧b: each c∧y lies below c∧b, so by meet-left
-    and transitivity y in cl(U∧y) gives y in cl(U∧b).  So it is enough
-    to test y in cl(U∧y) once per distinct U and y below one of its
-    heads, and a y below a member c holds by reflexivity, c∧y being y:
-    the y and the localized copies are those _compile adds
-    (CoverPresentation._localized).  They are read from the per-cover
-    map _raw_covers, {U: the union of U's heads' down-sets}, which
-    states the raw axiom a <| U for each head a; on an envelope,
-    a <| {b, c} for each a <= b∨c.  So on an envelope, whose rule table is written in
-    closed form, this still tests that table against the raw axioms,
-    by separate code.  Only when one fails are the axioms (p.axioms,
+    Meet-left is checked exactly, by one mask per element b: the
+    elements below b outside cl({b}).  The witness is the least a in
+    any of them, with the least b whose mask holds it, the first
+    failing pair of an a-major scan.
+
+    Stability is checked per raw axiom a <| U, which propagates to the
+    whole cover by induction on derivations.  For any b put y = a∧b:
+    each c∧y lies below c∧b, so by meet-left and transitivity y in
+    cl(U∧y) gives y in cl(U∧b).  So it is enough to test y in cl(U∧y)
+    once per distinct U and y below one of its heads, and a y below a
+    member c holds by reflexivity, c∧y being y: the y and the localized
+    copies are those _compile adds (CoverPresentation._localized, which
+    drops the y below a member before it lists U).  They are read from
+    the per-cover map _raw_covers, {U: the union of U's heads'
+    down-sets}, which states the raw axiom a <| U for each head a; on
+    an envelope, a <| {b, c} for each a <= b∨c.  So on an envelope,
+    whose rule table is written in closed form, this still tests that
+    table against the raw axioms, by separate code.  Only when one fails are the axioms (p.axioms,
     listed from that map on an envelope) checked one by one, in order,
     at every b, each distinct cover's localized copies closed once, so
     the first failing (head, b, cover) is the witness.  That scan stays
@@ -753,11 +795,14 @@ def check_formal_cover_axioms(p):
         return report
     n = len(p.base)
     meet, idx = p.meet_table, p._base_index
-    ups = [p.closure(1 << b) for b in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if meet[a][b] == a and not ups[b] >> a & 1:
-                return failed("meet-left fails", (p.base[a], p.base[b]))
+    missing = [below & ~p.closure(1 << b) for b, below in enumerate(p._below)]
+    fails = 0
+    for bits in missing:
+        fails |= bits
+    if fails:
+        a = (fails & -fails).bit_length() - 1
+        b = next(b for b, bits in enumerate(missing) if bits >> a & 1)
+        return failed("meet-left fails", (p.base[a], p.base[b]))
     if not all(p.closure(bits) >> y & 1 for y, bits in p._localized()):
         localized = {}
         for head, cover in p.axioms:
@@ -777,7 +822,14 @@ def check_compactness(p, u):
 
     Tries subsets of u by ascending size in deterministic base order;
     None means u does not cover the top at all.  A bounded Enumeration
-    is read by its elements().
+    is read by its elements().  The subsets of one member are tried by
+    their singleton closures.  cl(S) depends on each member x of S only
+    through cl({x}), so the larger subsets are drawn only from the
+    first member of u, in that order, of each singleton closure other
+    than cl(∅), and the first smallest subcover found is the first of
+    all of u.  A size whose subsets would take those tried past 2^15
+    is refused before it tries one (BaseTooLarge), so a smaller
+    subcover is still found.
     """
     _needs_finite(p, "check_compactness")
     if isinstance(u, Enumeration):
@@ -786,8 +838,25 @@ def check_compactness(p, u):
     top = p.mask((p.top,))
     if not p.closure(p.mask(members)) & top:
         return None
-    for size in range(len(members) + 1):
-        for candidate in combinations(members, size):
+    zero = p.closure(0)
+    if zero & top:
+        return ()
+    kept, seen, idx = [], {zero}, p._base_index
+    for x in members:
+        sat = p.closure(1 << idx[x])
+        if sat & top:
+            return (x,)
+        if sat not in seen:
+            seen.add(sat)
+            kept.append(x)
+    m, tried = len(kept), 0
+    for size in range(2, m + 1):
+        tried += comb(m, size)
+        if tried > _MAX_CLOSED:
+            raise BaseTooLarge(
+                "check_compactness: more than %d subsets of %d members "
+                "with distinct closures by size %d" % (_MAX_CLOSED, m, size))
+        for candidate in combinations(kept, size):
             if p.closure(p.mask(candidate)) & top:
                 return candidate
 

@@ -14,6 +14,7 @@ compare against.
 """
 
 from collections import namedtuple
+from itertools import groupby
 
 from .enumeration import (
     BLANK,
@@ -288,7 +289,8 @@ def find_isomorphism(first, second):
     Backtracking over element indices with a (down-set size, up-set
     size) signature filter and the down-set bits of the pairs already
     placed; returns a dict element-of-first -> element-of-second, in
-    placement order.  The images placed are the backtracking stack: a
+    placement order: by signature, the elements that share one by
+    their str(), then by index.  The images placed are the backtracking stack: a
     position with no candidate left pops the last image and resumes
     its position at the next candidate, so no depth limit applies.
     """
@@ -298,7 +300,13 @@ def find_isomorphism(first, second):
     down1, down2 = first.down, second.down
     sig1 = [(d.bit_count(), u.bit_count()) for d, u in zip(down1, first.up)]
     sig2 = [(d.bit_count(), u.bit_count()) for d, u in zip(down2, second.up)]
-    order = sorted(range(n), key=lambda i: (sig1[i], str(first.elements[i])))
+    order = []
+    for _sig, run in groupby(sorted(range(n), key=sig1.__getitem__),
+                             key=sig1.__getitem__):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda i: str(first.elements[i]))
+        order.extend(run)
     image, used, j = [], 0, 0
     while len(image) < n:
         i = order[len(image)]

@@ -6,13 +6,20 @@ random subsets of the cube and of 2x4.  Used by the envelope,
 compactness, and Booleanization tests.
 """
 
+import os
 import random
+import sys
+from types import SimpleNamespace
 
 from sigmaloc import (
     boolean_lattice,
     chain_lattice,
     validate_lattice,
 )
+from sigmaloc import booleanization, formal_cover, generators, sigma_frame
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
 
 
 def product_lattice(lattices):
@@ -109,3 +116,20 @@ def corpus():
             made += 1
             entries.append(("sub_%s_%d" % (host_name, made), sub))
     return entries
+
+
+def bench_cover_queries(seed):
+    """The queries of the bench's cover workload at a seed, built by
+    bench/workloads.py on the sigmaloc modules imported here: an
+    envelope query's input is (source, desc, cases), a discrete one's
+    (base, meet, top, axioms, pos, powerset, cases), and each case
+    starts with a subset u for check_compactness."""
+    sys.path.insert(0, BENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(BENCH)
+    k = SimpleNamespace(booleanization=booleanization,
+                        formal_cover=formal_cover, generators=generators,
+                        sigma_frame=sigma_frame)
+    return workloads.build_cover(k, seed, None)

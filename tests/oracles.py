@@ -11,10 +11,14 @@ lattices they are also the validation on an n x n bool matrix, with
 the Warshall closure of order pairs, distributivity as the O(n^3)
 triple loop and the join-irreducibles as a fold of joins, the quotient
 by a congruence validated on a matrix over its class representatives,
-and the isomorphism search over every bijection.  For covers they are
+and the isomorphism search over every bijection or with every label's
+text in its placement order.  For covers they are
 the name-based forms of saturation, the frame, the cover laws and the
 overt and overlap cover checks, which pass frozensets and tuples of
-base elements where the kernel passes bitmasks, saturation by the rule
+base elements where the kernel passes bitmasks, the cover laws check
+with meet-left tested pair by pair and every raw cover's members
+listed before its localized copies are filtered, the compactness
+sweep over every subset of u with no guard, saturation by the rule
 table read as names, the frame's closed sets validated on their
 inclusion matrix, the meet-table validation on a dict keyed by name
 pairs, the envelope's axioms built through lattice.join and
@@ -35,7 +39,7 @@ direct computations with, on small instances.
 import random
 from collections import namedtuple
 from contextlib import contextmanager
-from itertools import permutations
+from itertools import combinations, permutations
 from unittest.mock import patch
 
 from sigmaloc import formal_cover
@@ -241,6 +245,41 @@ def permutation_isomorphism(first, second):
             return {first.elements[i]: second.elements[image[i]]
                     for i in range(n)}
     return None
+
+
+def text_sorted_isomorphism(first, second):
+    """find_isomorphism with its placement order sorted by (signature,
+    str(label)) in one pass, every label's text made: the dict in
+    placement order, or None."""
+    n = len(first)
+    if n != len(second):
+        return None
+    down1, down2 = first.down, second.down
+    sig1 = [(d.bit_count(), u.bit_count()) for d, u in zip(down1, first.up)]
+    sig2 = [(d.bit_count(), u.bit_count()) for d, u in zip(down2, second.up)]
+    order = sorted(range(n), key=lambda i: (sig1[i], str(first.elements[i])))
+    image, used, j = [], 0, 0
+    while len(image) < n:
+        i = order[len(image)]
+        for j in range(j, n):
+            if used >> j & 1 or sig2[j] != sig1[i]:
+                continue
+            if not any((down1[i] >> a ^ down2[j] >> b) & 1
+                       or (down1[a] >> i ^ down2[b] >> j) & 1
+                       for a, b in zip(order, image)):
+                break
+        else:
+            if not image:
+                return None
+            j = image.pop()
+            used ^= 1 << j
+            j += 1
+            continue
+        image.append(j)
+        used |= 1 << j
+        j = 0
+    return {first.elements[i]: second.elements[j]
+            for i, j in zip(order, image)}
 
 
 def overt_sweep(lattice, pos):
@@ -584,6 +623,64 @@ def cover_laws_sweep(p, saturate=None, every=False):
             if p.meet(head, b) not in saturate(localized):
                 return failed("stability fails", (head, b, cover))
     return passed("cover laws hold (%d subsets checked)" % (len(checked),))
+
+
+def localized_by_members(p):
+    """CoverPresentation._localized with each raw cover's members listed
+    before the y below them are dropped, covers left with no y
+    included."""
+    meet, below = p.meet_table, p._below
+    for cover, ys in p._raw_covers.items():
+        members = [i for i in range(len(p.base)) if cover >> i & 1]
+        for c in members:
+            ys &= ~below[c]
+        for y in range(len(p.base)):
+            if ys >> y & 1:
+                yield y, sum({1 << meet[c][y] for c in members})
+
+
+def cover_laws_by_pairs(p):
+    """check_formal_cover_axioms with meet-left tested pair by pair, a
+    before b, and stability over localized_by_members: the same walk,
+    the same closures, and the first failing (a, b) in that order."""
+    report = formal_cover._walk_starts(p)
+    if report is not None:
+        return report
+    n = len(p.base)
+    meet, idx = p.meet_table, p._base_index
+    ups = [p.closure(1 << b) for b in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if meet[a][b] == a and not ups[b] >> a & 1:
+                return failed("meet-left fails", (p.base[a], p.base[b]))
+    if not all(p.closure(bits) >> y & 1 for y, bits in localized_by_members(p)):
+        localized = {}
+        for head, cover in p.axioms:
+            if cover not in localized:
+                localized[cover] = [
+                    p.closure(sum({1 << meet[idx[x]][b] for x in cover}))
+                    for b in range(n)]
+            for b, sat in enumerate(localized[cover]):
+                if not sat >> meet[idx[head]][b] & 1:
+                    return failed("stability fails",
+                                  (head, p.base[b], cover))
+    return passed("cover laws hold (%d subsets checked)" % (1 << n,))
+
+
+def compactness_sweep(p, u):
+    """check_compactness by every subset of u's members, by ascending
+    size in combinations order, with no member dropped and no guard:
+    the first whose closure holds the top, or None."""
+    if isinstance(u, Enumeration):
+        u = u.elements()
+    members = _normalize_cover_argument(p, u)
+    top = p.mask((p.top,))
+    if not p.closure(p.mask(members)) & top:
+        return None
+    for size in range(len(members) + 1):
+        for candidate in combinations(members, size):
+            if p.closure(p.mask(candidate)) & top:
+                return candidate
 
 
 def overt_cover_sweep(p, pos, saturate=None):

@@ -58,6 +58,7 @@ from sigmaloc import (
     Positivity,
     boolean_lattice,
     chain_lattice,
+    check_compactness,
     check_formal_cover_axioms,
     check_overt_cover,
     derive,
@@ -74,16 +75,19 @@ from sigmaloc import formal_cover
 from sigmaloc.reports import failed
 from sigmaloc.semidecision import Confirmed
 
-from corpus import corpus, downset_lattice
+from corpus import bench_cover_queries, corpus, downset_lattice
 from oracles import (
+    compactness_sweep,
     compile_rules,
     compiled_by_name,
+    cover_laws_by_pairs,
     cover_laws_sweep,
     envelope_axioms_by_name,
     fold_by_cover,
     frame_by_matrix,
     frame_sweep,
     full_list_derive,
+    localized_by_members,
     name_pair_meet,
     name_saturation,
     overlap_cover_sweep,
@@ -423,6 +427,114 @@ def test_stability_witnesses_match_the_sweep():
             reports.append(report.detail)
     assert len(reports) >= 50
     assert reports.count("stability fails") >= 10
+
+
+def test_meet_left_and_stability_match_the_pair_by_pair_check():
+    # meet-left tests one mask per element and stability drops a raw
+    # cover's y by bit operations before it lists a member; the report,
+    # witness included, is the one of the a-major pair loop over every
+    # member-listing localized copy, on whole and on seeded broken
+    # presentations
+    instances = [(name, p) for name, p, _ in CASES]
+    for name, lattice in CORPUS:
+        rng = random.Random("pairs-" + name)
+        for copy in (False, True):
+            instances.append((name, drop_one_rule(
+                envelope_cover(shuffled(lattice, rng))[0], rng, copy)))
+            instances.append((name, drop_one_rule(
+                random_cover(lattice, rng), rng, copy)))
+        instances.append((name, add_unenforced_axioms(
+            envelope_cover(shuffled(lattice, rng))[0], rng, 4)))
+        p = drop_one_rule(envelope_cover(shuffled(lattice, rng))[0], rng,
+                          False)
+        instances.append((name, p and drop_one_rule(p, rng, False)))
+    # 'a' loses both of its singleton rules, so the first failing a has
+    # two failing b, 'b' and '1'; then 'b' loses its own too, and on the
+    # base order 0 b 1 a the first failing a is 'b', with b '1', while
+    # the first failing b is 'b', with a 'a'
+    chain = chain_lattice(3)
+    for order, dropped, witness in ((chain.elements, "a", ("a", "b")),
+                                    (["0", "b", "1", "a"], "ab", ("b", "1"))):
+        p, _ = envelope_cover(validate_lattice(order, chain.leq))
+        for x in dropped:
+            p._rules[p._base_index[x]] = []
+        p._group_rules()
+        assert check_formal_cover_axioms(p) == failed("meet-left fails",
+                                                      witness)
+        assert cover_laws_sweep(p, rule_table_saturation(p)).witnesses == \
+            witness
+        instances.append(("chain4-" + dropped, p))
+    details = Counter()
+    for name, p in instances:
+        if p is None:
+            continue
+        report = check_formal_cover_axioms(p)
+        assert report == cover_laws_by_pairs(p), name
+        details[report.detail] += 1
+    assert details["meet-left fails"] >= 10
+    assert details["stability fails"] >= 10
+    assert sum(details.values()) - details["meet-left fails"] - \
+        details["stability fails"] >= len(CASES)
+
+
+def test_localized_copies_match_the_member_listing():
+    # the same (y, copy) pairs in the same order, on every case and
+    # the refolded raw covers of seeded unenforced axioms
+    for name, p, _ in CASES:
+        assert list(p._localized()) == list(localized_by_members(p)), name
+    for name, lattice in CORPUS:
+        p = add_unenforced_axioms(envelope_cover(lattice)[0],
+                                  random.Random("copies-" + name), 4)
+        assert list(p._localized()) == list(localized_by_members(p)), name
+
+
+def test_closure_starts_are_walked_again_after_the_rules_change():
+    # the frame's walk keeps its starts; a rule dropped and the table
+    # regrouped empties them with the closure cache, so the listing and
+    # the laws check walk the rules as they stand
+    p, _ = envelope_cover(chain_lattice(3))
+    assert len(frame_of_presentation(p)) == 4
+    p._rules[p._base_index["b"]] = []
+    p._group_rules()
+    saturate = rule_table_saturation(p)
+    assert p.closed_sets() == sorted(
+        {p.mask(saturate(s)) for s in subsets(p.base)})
+    assert check_formal_cover_axioms(p) == failed("meet-left fails",
+                                                  ("b", "1"))
+    stale = 0
+    for name, lattice in CORPUS:
+        rng = random.Random("rewalk-" + name)
+        for copy in (False, True):
+            p, _ = envelope_cover(lattice)
+            frame_of_presentation(p)
+            kept = [start for start, _sat, _new in p.closure_starts()]
+            if drop_one_rule(p, rng, copy) is None:
+                continue
+            saturate = rule_table_saturation(p)
+            closed = sorted({p.mask(saturate(s)) for s in subsets(p.base)})
+            stale += closed != sorted({p.closure(t) for t in kept})
+            assert p.closed_sets() == closed, name
+            assert check_formal_cover_axioms(p) == cover_laws_sweep(
+                p, saturate), name
+    assert stale >= 10
+
+
+def test_a_walk_cut_short_keeps_no_starts(monkeypatch):
+    # a walk refused part way, or left by the laws check at its first
+    # failure, keeps nothing, so the next walk lists every closed set
+    p, _ = envelope_cover(chain_lattice(5))
+    with monkeypatch.context() as patched:
+        patched.setattr(formal_cover, "_MAX_CLOSED", 3)
+        with pytest.raises(formal_cover.BaseTooLarge):
+            p.closed_sets()
+    assert len(p.closed_sets()) == 6
+    p, _ = envelope_cover(chain_lattice(5))
+    closure = p.closure
+    p.closure = lambda mask: closure(mask) & ~(1 << p._base_index["0"])
+    assert check_formal_cover_axioms(p).detail == "reflexivity fails"
+    del p.closure
+    assert len(p.closed_sets()) == 6
+    assert check_formal_cover_axioms(p)
 
 
 def test_closure_does_not_depend_on_query_order():
@@ -953,6 +1065,93 @@ def test_envelope_builds_without_compiling(monkeypatch):
             name, size)
         details.add(report.detail)
     assert details == {"meet-left fails", "stability fails"}
+
+
+def flat_top_cover(k, twins=False):
+    """bot below k pairwise disjoint atoms a_i below t, with bot <| {}
+    and t <| the atoms, so the top needs every one of them.  With
+    twins each a_i lies below its own b_i, b_i <| {a_i}, and t is
+    covered by the b_i instead: a_i and b_i share one closure."""
+    atoms = ["a%d" % i for i in range(k)]
+    uppers = ["b%d" % i for i in range(k)] if twins else atoms
+    base = ["bot"] + atoms + (uppers if twins else []) + ["t"]
+
+    def meet(x, y):
+        if x == y or y == "t":
+            return x
+        if x == "t":
+            return y
+        if twins and x[1:] == y[1:]:
+            return min(x, y)
+        return "bot"
+
+    axioms = [("bot", ()), ("t", tuple(uppers))]
+    if twins:
+        axioms += [(b, (a,)) for a, b in zip(atoms, uppers)]
+    return CoverPresentation.finite(base, meet, "t", axioms)
+
+
+def test_compactness_matches_the_full_sweep():
+    # every subset of each corpus envelope, seeded subsets of every
+    # case and the bench cover workload's compactness cases at two
+    # seeds: the same tuple as the sweep over all of u
+    found = Counter()
+    for name, lattice in CORPUS:
+        p, _ = envelope_cover(lattice)
+        for u in subsets(p.base):
+            sub = check_compactness(p, u)
+            assert sub == compactness_sweep(p, u), (name, u)
+            found[None if sub is None else len(sub)] += 1
+    for name, p, _ in CASES:
+        rng = random.Random("compact-" + name)
+        for _ in range(20):
+            u = rng.sample(p.base, rng.randint(0, len(p.base)))
+            assert check_compactness(p, u) == compactness_sweep(p, u), (
+                name, u)
+    cases = 0
+    for seed in (59, 101):
+        for query in bench_cover_queries(seed):
+            if query.label.startswith("envelope"):
+                p = envelope_cover(query.inp[0])[0]
+            else:
+                base, meet, top, axioms = query.inp[:4]
+                p = CoverPresentation.finite(base, meet, top, axioms)
+            for u, _covers, _smallest in query.inp[-1]:
+                assert check_compactness(p, u) == compactness_sweep(p, u), (
+                    seed, query.label, u)
+                cases += 1
+    assert cases == 2 * 34 * 3
+    assert {None, 0, 1, 2, 3} <= set(found)
+
+
+def test_compactness_refuses_a_sweep_past_the_cap():
+    # 16 flat atoms leave sizes 2 to 7 within 2^15 subsets, 26,316 of
+    # them, and size 8 past it; 20 pass it at size 6; 15 fit in all,
+    # 2^15 - 16.  Members in cl(∅) and all but the first of each
+    # closure are not counted, so 10 twins with bot, 21 members, are
+    # answered by 10 of them
+    for k, size in ((16, 8), (20, 6)):
+        p = flat_top_cover(k)
+        t0 = time.monotonic()
+        with pytest.raises(formal_cover.BaseTooLarge, match=(
+                "^check_compactness: more than 32768 subsets of %d members "
+                "with distinct closures by size %d$" % (k, size))):
+            check_compactness(p, p.base[1:-1])
+        assert time.monotonic() - t0 < 0.5
+    p = flat_top_cover(15)
+    assert check_compactness(p, p.base[:-1]) == tuple(p.base[1:-1])
+    p = flat_top_cover(10, twins=True)
+    assert check_compactness(p, p.base[-2::-1]) == tuple(p.base[1:11])
+    p = flat_top_cover(3, twins=True)
+    for u in subsets(p.base[:-1]):
+        assert check_compactness(p, u) == compactness_sweep(p, u), u
+    # 30 proper nonempty subsets of 5 points, each its own closure: a
+    # complementary pair covers at size 2, long before the cap
+    lattice = boolean_lattice(5)
+    p, _ = envelope_cover(lattice)
+    u = lattice.elements[1:-1]
+    assert check_compactness(p, u) == compactness_sweep(p, u) == (
+        "00001", "11110")
 
 
 def overt_in_base_order(p, pos, saturate):

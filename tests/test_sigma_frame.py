@@ -18,6 +18,7 @@ from sigmaloc import (
     boolean_lattice,
     chain_lattice,
     check_sigma_hom,
+    envelope_cover,
     extend_equality_to_free,
     extend_to_free,
     extend_to_free_table,
@@ -31,13 +32,19 @@ from sigmaloc import (
     free_lattice,
     free_meet,
     free_top,
+    frame_of_presentation,
     lattice_from_leq_pairs,
     respects_disjointness,
     validate_lattice,
 )
 
-from corpus import corpus, downset_lattice, product_lattice
-from oracles import permutation_isomorphism
+from corpus import (
+    bench_cover_queries,
+    corpus,
+    downset_lattice,
+    product_lattice,
+)
+from oracles import permutation_isomorphism, text_sorted_isomorphism
 
 EQ = extend_equality_to_free(SemiDecidableEquality.from_decidable())
 
@@ -167,6 +174,35 @@ def test_find_isomorphism_matches_the_permutation_oracle():
                 isomorphic += 1
                 assert_order_isomorphism(first, second, iso)
     assert isomorphic > len(lattices)
+
+
+def test_find_isomorphism_places_as_the_text_sort():
+    # the label text breaks only ties of signature; the dict, in item
+    # order, is the one of the sort that makes every label's text, on
+    # every pair of corpus lattices of one size, each corpus envelope's
+    # frame with its lattice, and the 31 frame/source pairs of the
+    # bench's cover workload
+    lattices = [lattice for _name, lattice in corpus()]
+    pairs = [(first, second) for first in lattices for second in lattices
+             if len(first) == len(second)]
+    for lattice in lattices:
+        pairs.append((frame_of_presentation(envelope_cover(lattice)[0]),
+                      lattice))
+    sources = [query.inp[0] for query in bench_cover_queries(59)
+               if query.label.startswith("envelope")]
+    assert len(sources) == 31
+    for source in sources:
+        pairs.append((frame_of_presentation(envelope_cover(source)[0]),
+                      source))
+    found = 0
+    for first, second in pairs:
+        iso = find_isomorphism(first, second)
+        expected = text_sorted_isomorphism(first, second)
+        assert iso == expected
+        if iso is not None:
+            assert list(iso.items()) == list(expected.items())
+            found += 1
+    assert found > len(lattices) + 31
 
 
 def test_find_isomorphism_backtracks_on_the_grid():
