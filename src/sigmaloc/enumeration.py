@@ -78,9 +78,9 @@ class Enumeration(Record, namedtuple("Enumeration", "alpha bound",
         time linear in the bound and deduplicates by hash and ==: the
         values must be hashable.  Requires a surjectivity bound.  An
         alpha that carries a ``lister`` lists (code, value) pairs
-        instead: lister(bound) names, for each non-blank code up to the
-        bound, a pair at that code or below it with the same object, and
-        the dict reads the pairs' values in code order.  Every
+        instead: lister(bound) returns a new list naming, for each
+        non-blank code up to the bound, a pair at that code or below it
+        with the same object, sorted in place by code for the dict.  Every
         enumeration this module builds carries one: from_iterable lists
         its items, a union lists its members' listings and a dovetail
         one pair per (n, m), so each lists itself in time proportional
@@ -91,8 +91,9 @@ class Enumeration(Record, namedtuple("Enumeration", "alpha bound",
             raise MissingSurjectivityBound("elements() needs a surjectivity bound")
         lister = getattr(self.alpha, "lister", None)
         if lister is not None:
-            pairs = sorted(lister(self.bound), key=itemgetter(0))
-            return list(dict.fromkeys(v for _code, v in pairs))
+            pairs = lister(self.bound)
+            pairs.sort(key=itemgetter(0))
+            return list(dict.fromkeys(map(itemgetter(1), pairs)))
         values = dict.fromkeys(map(self.alpha, range(self.bound + 1)))
         values.pop(BLANK, None)
         return list(values)

@@ -6,7 +6,8 @@ table: meet-below (a∧b <| {a}, the top law among them) and each raw
 axiom localized below its head, reduced per head to the covers that
 contain no other.  CoverPresentation.finite compiles that table from
 the raw axioms; envelope_cover writes it in closed form from its
-lattice's join table.  derive searches it head by head, and
+lattice's join table.  Each hands its tables to the one constructor,
+CoverPresentation(...).  derive searches the table head by head, and
 CoverPresentation.closure chains over its inversion, the covers
 grouped by the heads that list them, to a least fixpoint, in at most
 n + 1 passes.  That fixpoint is the generated cover relation; it
@@ -159,10 +160,23 @@ def _sorted_cover(index, cover):
 
 
 class CoverPresentation:
-    """A finite presentation, built by finite().  countable() builds a
-    CountablePresentation."""
+    """A finite presentation on its tables.  finite() and envelope_cover
+    build one; countable() builds a CountablePresentation."""
 
     countable = CountablePresentation
+
+    def __init__(self, base, index, top, meet_table, below, raw_covers,
+                 rules):
+        """A presentation on tables taken as given: index maps each base
+        element to its position, meet_table is the index table of a
+        meet-semilattice with top, below[a] is a's down-set bitmask,
+        raw_covers the raw axioms per cover (_fold_axioms) and rules the
+        rule table (_compile).  Nothing is checked; the rules are
+        grouped for closure (_group_rules)."""
+        self.base, self._base_index, self.top = base, index, top
+        self.meet_table, self._below = meet_table, below
+        self._raw_covers, self._rules = raw_covers, rules
+        self._group_rules()
 
     @staticmethod
     def finite(base, meet, top, axioms):
@@ -176,9 +190,9 @@ class CoverPresentation:
         a triple loop name the witness: the first failing triple cannot
         be read off the failing down-set pairs without a scan of its
         own.  Covers are normalized to deduplicated base-index-sorted
-        tuples.  The checked tables go to _trusted, which envelope_cover
-        also calls, on a validated lattice's own tables, and the raw
-        axioms are compiled to the rule table (_compile).
+        tuples.  The down-sets of that test are the presentation's below,
+        the raw axioms are folded (_fold_axioms) and compiled (_compile),
+        and the constructor takes every table, as from envelope_cover.
         """
         base = list(base)
         if not base:
@@ -237,22 +251,10 @@ class CoverPresentation:
             if head not in index:
                 raise CoverError("axiom head %r not in base" % (head,))
             normalized.append((head, _sorted_cover(index, cover)))
-        p = CoverPresentation._trusted(base, index, top, table)
+        raw = CoverPresentation._fold_axioms(normalized, index, down)
+        p = CoverPresentation(base, index, top, table, down, raw,
+                              CoverPresentation._compile(table, down, raw))
         p.axioms = tuple(normalized)
-        p._compile()
-        return p
-
-    @staticmethod
-    def _trusted(base, index, top, meet_table):
-        """A presentation on tables taken as given, as finite() leaves
-        them: index maps each base element to its position and
-        meet_table is an index table of a meet-semilattice with top.
-        Nothing is checked, and no rule table is built: the caller sets
-        the raw axioms, _raw_covers, _below and _rules and groups them,
-        by _compile or, for an envelope, from the lattice's tables."""
-        p = CoverPresentation()
-        p.base, p._base_index, p.top = base, index, top
-        p.meet_table = meet_table
         return p
 
     @cached_property
@@ -289,7 +291,8 @@ class CoverPresentation:
         for bits in self._rules[self._base_index[x]]:
             yield self.members(bits), x
 
-    def _compile(self):
+    @staticmethod
+    def _compile(meet, below, raw):
         """The rule table of finite(), built once from the raw axioms:
         per head, cover bitmasks.  envelope_cover writes the same table
         in closed form from its lattice's join table instead.
@@ -310,50 +313,47 @@ class CoverPresentation:
         (_group_rules).
         The copy at y depends on U and y alone, so the y to visit are
         gathered per distinct cover, as the union of its heads'
-        down-sets (_fold_axioms), and each cover is localized once per y
-        (_localized, which the cover laws check reads too).
+        down-sets (raw, by _fold_axioms), and each cover is localized once
+        per y (_localized, which the cover laws check reads too).
         """
-        meet, n = self.meet_table, len(self.base)
-        self._below = below = [
-            sum(1 << y for y in range(n) if meet[a][y] == y)
-            for a in range(n)]
-        self._fold_axioms()
+        n = len(below)
         covers = [{1 << a for a in range(n) if below[a] >> y & 1}
                   for y in range(n)]
-        for y, bits in self._localized():
+        for y, bits in CoverPresentation._localized(meet, below, raw):
             covers[y].add(bits)
 
         def order(bits):
             members = list(_indices(bits))
             return len(members), members
 
-        self._rules = [[] for _ in range(n)]
-        for h, kept in enumerate(self._rules):
+        rules = [[] for _ in range(n)]
+        for h, kept in enumerate(rules):
             for bits in sorted(covers[h], key=order):
                 if not (bits >> h & 1 or any(not k & ~bits for k in kept)):
                     kept.append(bits)
-        self._group_rules()
+        return rules
 
-    def _fold_axioms(self):
-        """_raw_covers, the raw axioms folded per distinct cover:
-        {cover bitmask: the union of its heads' down-sets}, in the order
-        the covers are first listed.  envelope_cover writes the same map
-        from its lattice's tables.  A presentation whose axioms are
-        edited after it is built needs this call again."""
-        idx, below, raw = self._base_index, self._below, {}
-        for head, cover in self.axioms:
-            bits = self.mask(cover)
-            raw[bits] = raw.get(bits, 0) | below[idx[head]]
-        self._raw_covers = raw
+    @staticmethod
+    def _fold_axioms(axioms, index, below):
+        """The raw axioms (head, cover), each cover a deduplicated tuple
+        of base elements, folded per distinct cover: {cover bitmask: the
+        union of its heads' down-sets}, in the order the covers are
+        first listed.  envelope_cover writes the same map from its
+        lattice's tables."""
+        raw = {}
+        for head, cover in axioms:
+            bits = sum(1 << index[x] for x in cover)
+            raw[bits] = raw.get(bits, 0) | below[index[head]]
+        return raw
 
-    def _localized(self):
+    @staticmethod
+    def _localized(meet, below, raw):
         """(y, bits) for each distinct raw axiom cover U and each y
         below one of U's heads and below no member of U: bits is U
         localized at y, {c∧y : c in U}, as a bitmask.  The y below a
         member are dropped bit by bit, so a cover whose y are all below
         its members is never listed."""
-        meet, below = self.meet_table, self._below
-        for cover, ys in self._raw_covers.items():
+        for cover, ys in raw.items():
             rest = cover
             while ys and rest:
                 low = rest & -rest
@@ -605,7 +605,11 @@ class _Search:
 
 
 def _normalize_cover_argument(p, u):
+    """u as a goal cover: a tuple normalized by p, or an Enumeration
+    as given, whose elements() a finite p checks when u is bounded."""
     if isinstance(u, Enumeration):
+        if u.bound is not None and isinstance(p, CoverPresentation):
+            p._norm_cover(u.elements())
         return u
     if isinstance(u, (set, frozenset)):
         u = sorted(u, key=str)
@@ -733,11 +737,8 @@ def envelope_cover(lattice):
             if h != i and h != j:
                 rules[h].append(cover)
     rules[lattice.bottom_index] = [0]
-    index = {x: i for i, x in enumerate(base)}
-    p = CoverPresentation._trusted(base, index, lattice.top,
-                                   lattice.meet_table)
-    p._raw_covers, p._below, p._rules = raw, down, rules
-    p._group_rules()
+    p = CoverPresentation(base, {x: i for i, x in enumerate(base)},
+                          lattice.top, lattice.meet_table, down, raw, rules)
     return p, {x: frozenset(d) for x, d in zip(base, below)}
 
 
@@ -803,7 +804,8 @@ def check_formal_cover_axioms(p):
         a = (fails & -fails).bit_length() - 1
         b = next(b for b, bits in enumerate(missing) if bits >> a & 1)
         return failed("meet-left fails", (p.base[a], p.base[b]))
-    if not all(p.closure(bits) >> y & 1 for y, bits in p._localized()):
+    if not all(p.closure(bits) >> y & 1 for y, bits in
+               CoverPresentation._localized(meet, p._below, p._raw_covers)):
         localized = {}
         for head, cover in p.axioms:
             if cover not in localized:

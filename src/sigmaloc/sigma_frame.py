@@ -242,12 +242,6 @@ def _lattice_of_up_masks(elements, up):
             meet_i[j] = meet[j][i] = glb
             join_i[j] = join[j][i] = lub
 
-    bottom = 0
-    top = 0
-    for i in range(n):
-        bottom = meet[bottom][i]
-        top = join[top][i]
-
     if flagged:
         for i in range(n):
             meet_i = meet[i]
@@ -257,8 +251,10 @@ def _lattice_of_up_masks(elements, up):
                         "distributivity fails",
                         (elements[i], elements[j], elements[k]))
 
+    # the bottom lies below every element and the top above every one
+    full = (1 << n) - 1
     return FiniteDistributiveLattice(elements, down, up, meet, join,
-                                     bottom, top, irreducible)
+                                     by_up[full], by_down[full], irreducible)
 
 
 def lattice_from_leq_pairs(elements, pairs):

@@ -28,7 +28,9 @@ with the compiled one on shuffled corpus, bool6, chain31 and seeded
 down-set lattices, and a rule dropped from it, a pair or a singleton,
 still fails the laws check.  Its raw axioms are kept as one entry per
 cover, its heads' down-sets, compared with a fold of the name-based
-list, and the list itself is made only when p.axioms is read.  The closed-set kernel (frames
+list, and the list itself is made only when p.axioms is read.  A
+presentation rebuilt by the constructor from another's tables lists
+the same closed sets and laws report and derives by the same traces.  The closed-set kernel (frames
 listed by the closure-start walk, the greedy overt check and the
 closed-set overlap test) gets a time bound.  Presentations broken on purpose pin each failing report
 of the cover laws check, and on seeded broken ones (a rule dropped,
@@ -399,7 +401,8 @@ def add_unenforced_axioms(p, rng, count):
         axioms.insert(rng.randrange(len(axioms) + 1),
                       (rng.choice(p.base), cover))
     p.axioms = tuple(axioms)
-    p._fold_axioms()
+    p._raw_covers = CoverPresentation._fold_axioms(p.axioms, p._base_index,
+                                                   p._below)
     return p
 
 
@@ -481,11 +484,13 @@ def test_localized_copies_match_the_member_listing():
     # the same (y, copy) pairs in the same order, on every case and
     # the refolded raw covers of seeded unenforced axioms
     for name, p, _ in CASES:
-        assert list(p._localized()) == list(localized_by_members(p)), name
+        assert list(p._localized(p.meet_table, p._below, p._raw_covers)) == \
+            list(localized_by_members(p)), name
     for name, lattice in CORPUS:
         p = add_unenforced_axioms(envelope_cover(lattice)[0],
                                   random.Random("copies-" + name), 4)
-        assert list(p._localized()) == list(localized_by_members(p)), name
+        assert list(p._localized(p.meet_table, p._below, p._raw_covers)) == \
+            list(localized_by_members(p)), name
 
 
 def test_closure_starts_are_walked_again_after_the_rules_change():
@@ -1065,6 +1070,42 @@ def test_envelope_builds_without_compiling(monkeypatch):
             name, size)
         details.add(report.detail)
     assert details == {"meet-left fails", "stability fails"}
+
+
+def rebuilt(p):
+    """A presentation built by the constructor from p's tables."""
+    return CoverPresentation(p.base, p._base_index, p.top, p.meet_table,
+                             p._below, p._raw_covers, p._rules)
+
+
+def test_the_constructor_rebuilds_a_presentation_from_its_tables():
+    # finite and envelope_cover hand their tables to the one
+    # constructor; a presentation rebuilt from another's tables lists
+    # the same closed sets, passes the laws check with the same report
+    # and derives every (a, U) with |U| <= 2 by the same trace
+    instances = [(name, p) for name, p, _ in CASES]
+    for name, lattice in CORPUS:
+        rng = random.Random("rebuilt-" + name)
+        instances.append(("envelope-%s-shuffled" % name,
+                          envelope_cover(shuffled(lattice, rng))[0]))
+    confirmed = 0
+    for name, p in instances:
+        q = rebuilt(p)
+        assert q.closed_sets() == p.closed_sets(), name
+        report = check_formal_cover_axioms(q)
+        assert report.ok, name
+        assert report == check_formal_cover_axioms(p), name
+        for size in range(3):
+            for u in combinations(p.base, size):
+                for a in p.base:
+                    got = derive(q, a, u).probe(BUDGET)
+                    assert got == derive(p, a, u).probe(BUDGET), (name, a, u)
+                    if isinstance(got, Confirmed):
+                        confirmed += 1
+                        assert derive_with_trace(q, a, u, got.at_step) == \
+                            derive_with_trace(p, a, u, got.at_step), (
+                                name, a, u)
+    assert confirmed > len(instances)
 
 
 def flat_top_cover(k, twins=False):

@@ -346,6 +346,28 @@ def test_set_covers_read_as_sorted_tuples():
         derive_with_trace(p, "top", ("x", "y"), 1)
 
 
+def test_a_bounded_goal_outside_the_base_is_refused_at_the_call():
+    # a finite derive checks a bounded Enumeration goal's elements as
+    # it checks a tuple goal, before any probe; a goal of base elements
+    # still confirms at the step of its tuple, and an unbounded goal is
+    # not listed at the call
+    p, _ = envelope_cover(chain_lattice(2))
+    for goal in (("zz",), Enumeration.from_iterable(["zz"]),
+                 Enumeration.from_iterable(["a", "zz"])):
+        raises_exactly(CoverError, "cover member 'zz' not in base",
+                       derive, p, "1", goal)
+        raises_exactly(CoverError, "cover member 'zz' not in base",
+                       derive_with_trace, p, "1", goal, 3)
+    for a, u, step in (("a", ("1",), 0), ("1", ("a", "1"), 0),
+                       ("0", (), 0), ("1", ("a",), None)):
+        listed = Enumeration.from_iterable(u)
+        got = derive(p, a, listed).probe(100)
+        assert got == derive(p, a, u).probe(100), (a, u)
+        assert (got.at_step if isinstance(got, Confirmed) else None) == \
+            step, (a, u)
+    derive(p, "1", Enumeration(lambda n: "zz"))
+
+
 def raises_exactly(exc, message, fn, *args):
     """fn(*args) raises exc itself, not a subclass, with this message."""
     with pytest.raises(exc) as info:
