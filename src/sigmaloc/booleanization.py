@@ -1,11 +1,11 @@
 """Overtness, positivity, congruences, and the Booleanization quotient.
 
 Everything here runs on validated finite lattices (or finite cover
-bases).  On a lattice the checks work on its index tables and on its
-Birkhoff down-set masks: a finite distributive lattice is the lattice
-of down-sets of its join-irreducibles J(L) (Birkhoff), so the overt
-laws, congruence compatibility and the list of all 2^|J(L)|
-congruences are direct computations, not subset or partition sweeps.
+bases).  On a lattice the checks work on its Birkhoff masks alone: a
+finite distributive lattice is the lattice of down-sets of its
+join-irreducibles J(L) (Birkhoff), so the overt laws, congruence
+compatibility and the list of all 2^|J(L)| congruences are direct
+computations, not subset or partition sweeps.
 The Booleanization congruence relates x and y when they lie above
 the same atoms (no test z tells them apart by positivity of the
 meet); its quotient is the smallest strongly dense quotient, and
@@ -102,12 +102,12 @@ def check_overt(lattice, pos):
         if above:
             j = (above & -above).bit_length() - 1
             return failed("upward closure fails", (elements[i], elements[j]))
-    join = lattice.join_table
+    up, by_up = lattice.up, lattice.by_up
     for i in range(n):
         if positive[i]:
             continue
         for j in range(i + 1, n):
-            if not positive[j] and positive[join[i][j]]:
+            if not positive[j] and positive[by_up[up[i] & up[j]]]:
                 return failed("join-splitting fails",
                               ((elements[i], elements[j]),))
     for i in range(n):
@@ -196,10 +196,13 @@ class Congruence(Record, namedtuple("Congruence", "elements class_of")):
 def is_congruence(lattice, c):
     """Compatibility of a partition with meet and join.
 
-    Compatibility is transitive within a class, so a partition is a
-    congruence iff each element's meet and join rows agree, class by
-    class, with those of the first element of its class: an O(n^2)
-    test, which keeps each class's first element whose rows differ.
+    The congruences are the theta_S (enumerate_congruences), and
+    theta_S separates a join-irreducible j from its lower cover (down-set
+    down[j] without j) iff j is in S.  So a partition is a congruence iff
+    it is theta_S for S the join-irreducibles that it separates from
+    their lower covers: an O(n) test.  Only a failure compares each
+    element's meet and join rows, as class ids, with those of the first
+    element of its class (compatibility is transitive within a class).
     The failure named is the first (x, y, z) in element order with x, y
     in one class and z telling their rows apart, meet before join.  If
     two members of a class differ, its first element differs from one
@@ -211,28 +214,33 @@ def is_congruence(lattice, c):
     if tuple(c.elements) != tuple(elements):
         return failed("partition is over different elements", ())
     cls = c.class_of
-    meet = lattice.meet_table
-    join = lattice.join_table
-    class_at = cls.__getitem__
+    down, by_down = lattice.down, lattice.by_down
+    up, by_up = lattice.up, lattice.by_up
+    s = sum(1 << j for j, down_j in enumerate(down)
+            if lattice.join_irreducibles >> j & 1
+            and cls[j] != cls[by_down[down_j ^ 1 << j]])
+    if _theta(lattice, s) == \
+            Congruence.from_class_ids(elements, cls).class_of:
+        return passed("congruence laws hold")
+
+    def row(y):
+        """(class of y meet z, class of y join z) for each z."""
+        return [(cls[by_down[down[y] & d]], cls[by_up[up[y] & u]])
+                for d, u in zip(down, up)]
+
     first_rows = {}
     differs = {}
-    for y, k, meet_y, join_y in zip(range(len(cls)), cls, meet, join):
-        rows = (list(map(class_at, meet_y)), list(map(class_at, join_y)))
-        if first_rows.setdefault(k, rows) != rows:
+    for y, k in enumerate(cls):
+        row_y = row(y)
+        if first_rows.setdefault(k, row_y) != row_y:
             differs.setdefault(k, y)
-    if not differs:
-        return passed("congruence laws hold")
     x = min(map(cls.index, differs))
     y = differs[cls[x]]
-    meet_x, meet_y = meet[x], meet[y]
-    join_x, join_y = join[x], join[y]
-    for z in range(len(elements)):
-        if cls[meet_x[z]] != cls[meet_y[z]]:
-            return failed("meet compatibility fails",
-                          (elements[x], elements[y], elements[z]))
-        if cls[join_x[z]] != cls[join_y[z]]:
-            return failed("join compatibility fails",
-                          (elements[x], elements[y], elements[z]))
+    row_x, row_y = row(x), row(y)
+    z = next(z for z, pair in enumerate(row_x) if pair != row_y[z])
+    law = "meet" if row_x[z][0] != row_y[z][0] else "join"
+    return failed("%s compatibility fails" % law,
+                  (elements[x], elements[y], elements[z]))
 
 
 def congruence_leq(c1, c2):
@@ -259,12 +267,18 @@ def _signatures(elements, meet_table, pos):
     return out
 
 
-def _atoms_below(lattice):
-    """Per element index, the bitmask of the atoms below it; an atom's
-    down-set is itself and the bottom."""
-    atoms = sum(1 << i for i, down in enumerate(lattice.down)
-                if down.bit_count() == 2)
-    return [down & atoms for down in lattice.down]
+def _atoms(lattice):
+    """The bitmask of the atoms, whose down-sets have two bits."""
+    return sum(1 << i for i, down in enumerate(lattice.down)
+               if down.bit_count() == 2)
+
+
+def _theta(lattice, s):
+    """The congruence theta_S of a set S of join-irreducibles, as its
+    restricted growth string: x and y share a class iff the same
+    members of S lie below them."""
+    ids = {}
+    return tuple([ids.setdefault(d & s, len(ids)) for d in lattice.down])
 
 
 def _require_overt(report, error=ValueError, where=""):
@@ -279,10 +293,12 @@ def bool_congruence(lattice, pos):
     x ~ y iff positivity of x meet z and of y meet z agree for every z.
     Requires the overt laws, so Pos is the nonzero elements; x meet z
     is nonzero iff an atom (down-set: itself and the bottom) lies below
-    both, so x ~ y iff x and y lie above the same atoms.
+    both, so x ~ y iff x and y lie above the same atoms, which is
+    theta_S for S the atoms.
     """
     _require_overt(check_overt(lattice, pos))
-    return Congruence.from_class_ids(lattice.elements, _atoms_below(lattice))
+    return Congruence(tuple(lattice.elements),
+                      _theta(lattice, _atoms(lattice)))
 
 
 def quotient(lattice, c, pos=None):
@@ -341,10 +357,10 @@ def is_sigma_overlap_algebra(lattice, pos):
     """
     _require_overt(check_overt(lattice, pos))
     elements, down = lattice.elements, lattice.down
-    sigs = _atoms_below(lattice)
+    atoms = _atoms(lattice)
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
-            if not sigs[i] & ~sigs[j] and not down[j] >> i & 1:
+            if not down[i] & atoms & ~down[j] and not down[j] >> i & 1:
                 return False, (x, y)
     return True, None
 
@@ -433,13 +449,10 @@ def enumerate_congruences(lattice):
     j_mask = lattice.join_irreducibles
     if 1 << j_mask.bit_count() > _MAX_CLOSED:
         raise SizeCapExceeded("more than %d congruences" % _MAX_CLOSED)
-    j_below = [d & j_mask for d in lattice.down]
     strings = []
     s = 0
     while True:
-        ids = {}
-        strings.append(tuple(
-            [ids.setdefault(b & s, len(ids)) for b in j_below]))
+        strings.append(_theta(lattice, s))
         if s == j_mask:
             break
         s = (s - j_mask) & j_mask

@@ -6,7 +6,7 @@ table: meet-below (a∧b <| {a}, the top law among them) and each raw
 axiom localized below its head, reduced per head to the covers that
 contain no other.  CoverPresentation.finite compiles that table from
 the raw axioms; envelope_cover writes it in closed form from its
-lattice's join table.  Each hands its tables to the one constructor,
+lattice's up-set masks.  Each hands its tables to the one constructor,
 CoverPresentation(...).  derive searches the table head by head, and
 CoverPresentation.closure chains over its inversion, the covers
 grouped by the heads that list them, to a least fixpoint, in at most
@@ -61,7 +61,6 @@ __all__ = [
     "CoverPresentation",
     "check_compactness",
     "check_formal_cover_axioms",
-    "check_sigma_coherent",
     "derive",
     "derive_with_trace",
     "envelope_cover",
@@ -76,13 +75,15 @@ class CoverError(Exception):
 
 
 class BaseTooLarge(CoverError):
-    """More saturated subsets than closure_starts walks, or a base
-    larger than frame_of_presentation's max_base."""
+    """More saturated subsets than closure_starts walks, a base larger
+    than frame_of_presentation's max_base, or more subsets than
+    check_compactness tries."""
 
 
 # the largest base frame_of_presentation lists by default, and the most
 # saturated subsets closure_starts walks, as many as that base has subsets;
-# also the most congruences enumerate_congruences lists
+# also the most subsets check_compactness tries and the most congruences
+# enumerate_congruences lists
 _MAX_BASE = 15
 _MAX_CLOSED = 1 << _MAX_BASE
 
@@ -693,17 +694,17 @@ def envelope_cover(lattice):
 
     Base is the lattice itself; one axiom bottom <| {} plus a <| {b,c}
     for every a below b join c, each unordered pair b, c once, so no
-    axiom repeats.  The lattice's tables are validated already and its
-    covers are one or two base elements in base order, so the
-    presentation is built on the lattice's own meet_table without the
-    checks of CoverPresentation.finite, which keeps them for every
-    other caller.  The n^3/3 raw axioms are not listed: each cover
-    {b, c} is kept once, in _raw_covers, with its heads, the down-set
-    of b∨c, and p.axioms lists them from there only when read.
+    axiom repeats.  The lattice is validated already and its covers are
+    one or two base elements in base order, so the presentation's
+    meet_table is read off the lattice's down-sets without the checks
+    of CoverPresentation.finite, which keeps them for every other
+    caller.  The n^3/3 raw axioms are not listed: each cover {b, c} is
+    kept once, in _raw_covers, with its heads, the down-set of b∨c, and
+    p.axioms lists them from there only when read.
 
-    The rule table is written from the join table, in the pass that
-    writes _raw_covers, and is the one _compile would build from the
-    raw axioms.
+    The rule table is written from the joins b∨c, read off the up-sets,
+    in the pass that writes _raw_covers, and is the one _compile would
+    build from the raw axioms.
     The bottom's empty cover subsumes every other cover of the bottom.
     Any other head h has meet-below's singletons {a}, a strictly above
     h, and the pairs {u, v} with u, v strictly below h and u∨v = h, in
@@ -717,7 +718,8 @@ def envelope_cover(lattice):
     singleton rules put D in cl{a}, and none of these rules leads out of D.
     """
     base, n = list(lattice.elements), len(lattice)
-    join, up, down = lattice.join_table, lattice.up, lattice.down
+    up, by_up, down, by_down = \
+        lattice.up, lattice.by_up, lattice.down, lattice.by_down
     raw = {0: down[lattice.bottom_index]}
     # h's singleton rules are the a strictly above h, and h lies in the
     # down-set of each a above it, itself included: both in one pass
@@ -731,14 +733,16 @@ def envelope_cover(lattice):
                     singles.append(1 << a)
         rules.append(singles)
     for i in range(n):
+        up_i = up[i]
         for j in range(i, n):
-            h, cover = join[i][j], 1 << i | 1 << j
+            h, cover = by_up[up_i & up[j]], 1 << i | 1 << j
             raw[cover] = down[h]
             if h != i and h != j:
                 rules[h].append(cover)
     rules[lattice.bottom_index] = [0]
+    meet = [[by_down[d & e] for e in down] for d in down]
     p = CoverPresentation(base, {x: i for i, x in enumerate(base)},
-                          lattice.top, lattice.meet_table, down, raw, rules)
+                          lattice.top, meet, down, raw, rules)
     return p, {x: frozenset(d) for x, d in zip(base, below)}
 
 
@@ -861,32 +865,6 @@ def check_compactness(p, u):
         for candidate in combinations(kept, size):
             if p.closure(p.mask(candidate)) & top:
                 return candidate
-
-
-def check_sigma_coherent(p, samples, budget=1000):
-    """Search for countable subcovers on the given (a, u, witness) samples.
-
-    Finite bases pass outright (every subset is countable).  Otherwise
-    each sample must admit a confirmed subcover among: finite prefixes
-    of the witness enumeration, the witness itself, and u itself.
-    Property-based evidence, not a proof.
-    """
-    if not isinstance(p, CountablePresentation):
-        return passed("finite base: every subset is countable")
-    for sample in samples:
-        a, u, witness = sample
-        if witness is None and isinstance(u, Enumeration):
-            witness = u
-        scanned = _visible(u if witness is None else witness, 31)[0][:8]
-        candidates = [scanned[:size] for size in (1, 2, 4, 8)
-                      if size <= len(scanned)]
-        if witness is not None:
-            candidates.append(witness)
-        if u is not witness:
-            candidates.append(u)
-        if not any(derive(p, a, w).confirmed(budget) for w in candidates):
-            return failed("no countable subcover confirmed", (a,))
-    return passed("%d samples admitted countable subcovers" % (len(samples),))
 
 
 def relation_as_morphism(R, p1, p2):

@@ -73,26 +73,24 @@ class NotDistributive(LatticeError):
 
 
 class FiniteDistributiveLattice:
-    """Finite distributive lattice, its order kept as Birkhoff masks.
+    """Finite distributive lattice, kept as its Birkhoff masks only.
 
     Build one with validate_lattice or lattice_from_leq_pairs; the raw
-    constructor trusts its tables.  Kernels that work on element
-    indices read them directly: bit k of down[i] is set iff element k
-    is below element i (its down-set), bit k of up[i] iff element k is
-    above it, meet_table[i][j] and join_table[i][j] are indices, and
+    constructor trusts its masks.  Kernels that work on element indices
+    read them directly: bit k of down[i] is set iff element k is below
+    element i (its down-set), bit k of up[i] iff element k is above it,
+    by_down and by_up map those masks back to indices, and
     join_irreducibles is the bitmask of the join-irreducible elements.
     By Birkhoff's theorem i is determined by down[i] & join_irreducibles,
     and that map sends meets to intersections and joins to unions.
     """
 
-    def __init__(self, elements, down, up, meet_table, join_table,
+    def __init__(self, elements, down, up, by_down, by_up,
                  bottom_index, top_index, join_irreducibles):
         self.elements = list(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self.down = down
-        self.up = up
-        self.meet_table = meet_table
-        self.join_table = join_table
+        self.down, self.up = down, up
+        self.by_down, self.by_up = by_down, by_up
         self.join_irreducibles = join_irreducibles
         self.bottom_index = bottom_index
         self.bottom = self.elements[bottom_index]
@@ -111,10 +109,12 @@ class FiniteDistributiveLattice:
         return bool(self.down[self.index(y)] >> self.index(x) & 1)
 
     def meet(self, x, y):
-        return self.elements[self.meet_table[self.index(x)][self.index(y)]]
+        i, j = self.index(x), self.index(y)
+        return self.elements[self.by_down[self.down[i] & self.down[j]]]
 
     def join(self, x, y):
-        return self.elements[self.join_table[self.index(x)][self.index(y)]]
+        i, j = self.index(x), self.index(y)
+        return self.elements[self.by_up[self.up[i] & self.up[j]]]
 
     def meet_all(self, xs):
         acc = self.top
@@ -168,13 +168,14 @@ def _lattice_of_up_masks(elements, up):
     comparable pair's meet and join are its ends, and otherwise the
     meet of i and j exists iff some element's down-set is the
     intersection of their down-sets, and it is that element; joins
-    likewise with up-sets.  So meets and joins are mask lookups.  j is
+    likewise with up-sets.  So meets and joins are mask lookups, and
+    only the incomparable pairs i < j need a test.  j is
     join-irreducible iff the elements strictly below it have a greatest
     one, whose down-set is down[j] without j.  The lattice is
     distributive iff x -> J(x), the join-irreducibles below x, sends
-    binary joins to unions (Birkhoff), an O(n^2) test made as the
-    tables are filled, and trivially true of comparable pairs; it flags
-    each pair j < k that fails, in (j, k) order.  The witness search
+    binary joins to unions (Birkhoff), an O(n^2) test made in the same
+    pass, and trivially true of comparable pairs; it flags each pair
+    j < k that fails, in (j, k) order.  The witness search
     tries only the flagged pairs, for each i in order, and still finds
     the first failing triple.  The law is symmetric in j and k, so a
     first failing pair has j < k.  And if J(j v k) = J(j) u J(k), each
@@ -217,43 +218,37 @@ def _lattice_of_up_masks(elements, up):
     by_up = {mask: i for i, mask in enumerate(up)}
     irreducible = sum(1 << j for j in range(n)
                       if down[j] ^ 1 << j in by_down)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
+    full = (1 << n) - 1
     flagged = []
     for i in range(n):
-        down_i, up_i, meet_i, join_i = down[i], up[i], meet[i], join[i]
-        for j in range(i, n):
-            if up_i >> j & 1:
-                glb, lub = i, j
-            elif down_i >> j & 1:
-                glb, lub = j, i
-            else:
-                down_j = down[j]
-                glb = by_down.get(down_i & down_j)
-                if glb is None:
-                    raise MissingMeetOrJoin(
-                        "no meet", (elements[i], elements[j]))
-                lub = by_up.get(up_i & up[j])
-                if lub is None:
-                    raise MissingMeetOrJoin(
-                        "no join", (elements[i], elements[j]))
-                if (down[lub] ^ (down_i | down_j)) & irreducible:
-                    flagged.append((i, j))
-            meet_i[j] = meet[j][i] = glb
-            join_i[j] = join[j][i] = lub
+        down_i, up_i = down[i], up[i]
+        incomparable = full & ~(down_i | up_i | (2 << i) - 1)
+        while incomparable:
+            low = incomparable & -incomparable
+            j = low.bit_length() - 1
+            incomparable ^= low
+            down_j = down[j]
+            if down_i & down_j not in by_down:
+                raise MissingMeetOrJoin("no meet", (elements[i], elements[j]))
+            lub = by_up.get(up_i & up[j])
+            if lub is None:
+                raise MissingMeetOrJoin("no join", (elements[i], elements[j]))
+            if (down[lub] ^ (down_i | down_j)) & irreducible:
+                flagged.append((i, j, lub))
 
     if flagged:
         for i in range(n):
-            meet_i = meet[i]
-            for j, k in flagged:
-                if meet_i[join[j][k]] != join[meet_i[j]][meet_i[k]]:
+            down_i = down[i]
+            for j, k, lub in flagged:
+                if by_up[up[by_down[down_i & down[j]]]
+                         & up[by_down[down_i & down[k]]]] \
+                        != by_down[down_i & down[lub]]:
                     raise NotDistributive(
                         "distributivity fails",
                         (elements[i], elements[j], elements[k]))
 
     # the bottom lies below every element and the top above every one
-    full = (1 << n) - 1
-    return FiniteDistributiveLattice(elements, down, up, meet, join,
+    return FiniteDistributiveLattice(elements, down, up, by_down, by_up,
                                      by_up[full], by_down[full], irreducible)
 
 
@@ -341,9 +336,14 @@ def check_sigma_hom(hom):
     """Does the mapping preserve top, bottom, meets and joins?
 
     On finite lattices countable joins reduce to binary ones, so this
-    is the whole sigma-frame homomorphism condition, checked on the
-    index tables.  Returns a CheckReport whose witnesses name the first
-    failure in element order.
+    is the whole sigma-frame homomorphism condition.  Once top and
+    bottom are kept, f preserves meets and joins iff for each
+    join-irreducible j of the target {x : j <= f(x)} is the up-set of a
+    join-irreducible g of the source (Birkhoff duality: g and j are
+    join-prime, an element is fixed by the join-irreducibles below it,
+    and the preimage of a prime filter is one).  Only a failure scans
+    the pairs, meets first.  Returns a CheckReport whose witnesses name
+    the first failure in element order.
     """
     src, tgt, f = hom.source, hom.target, hom.mapping
     image = []
@@ -357,14 +357,22 @@ def check_sigma_hom(hom):
         return failed("top not preserved", (src.top, f[src.top]))
     if f[src.bottom] != tgt.bottom:
         return failed("bottom not preserved", (src.bottom, f[src.bottom]))
-    for law, table, target in (("meet", src.meet_table, tgt.meet_table),
-                               ("join", src.join_table, tgt.join_table)):
-        for i, row in enumerate(table):
-            target_row = target[image[i]]
-            for j, k in enumerate(row):
-                if image[k] != target_row[image[j]]:
-                    return failed("%s not preserved" % law,
-                                  (src.elements[i], src.elements[j]))
+    irreducible_ups = {up for g, up in enumerate(src.up)
+                       if src.join_irreducibles >> g & 1}
+    preimages = (sum(1 << x for x, y in enumerate(image) if up_j >> y & 1)
+                 for j, up_j in enumerate(tgt.up)
+                 if tgt.join_irreducibles >> j & 1)
+    if not irreducible_ups.issuperset(preimages):
+        for law, masks, by_mask, target, by_target in (
+                ("meet", src.down, src.by_down, tgt.down, tgt.by_down),
+                ("join", src.up, src.by_up, tgt.up, tgt.by_up)):
+            for i, mask_i in enumerate(masks):
+                target_i = target[image[i]]
+                for j, mask_j in enumerate(masks):
+                    if image[by_mask[mask_i & mask_j]] != \
+                            by_target[target_i & target[image[j]]]:
+                        return failed("%s not preserved" % law,
+                                      (src.elements[i], src.elements[j]))
     return passed("sigma-frame homomorphism")
 
 

@@ -4,7 +4,8 @@ kernels.
 These are the sweeps that booleanization.py no longer runs: join
 splitting over every subset (2^n), every partition of the carrier
 filtered by compatibility (Bell(n)), the compatibility check keyed by
-element rather than by index, and the Booleanization congruence by
+element rather than by index, the homomorphism check as a scan of every
+pair on n x n index tables, and the Booleanization congruence by
 each element's positive meets with every test element rather than by
 the atoms below it, and the overlap algebra test likewise.  For
 lattices they are also the validation on an n x n bool matrix, with
@@ -182,6 +183,40 @@ def join_irreducible_fold(tables):
     return mask
 
 
+def index_tables(lattice):
+    """The n x n meet and join tables of a lattice, as element indices,
+    read entry by entry through lattice.meet and lattice.join."""
+    elements, index = lattice.elements, lattice.index
+    return tuple([[index(op(x, y)) for y in elements] for x in elements]
+                 for op in (lattice.meet, lattice.join))
+
+
+def sigma_hom_by_tables(hom):
+    """check_sigma_hom with the same first four checks, then every pair
+    scanned on the two lattices' index tables, meets first."""
+    src, tgt, f = hom.source, hom.target, hom.mapping
+    image = []
+    for x in src.elements:
+        if x not in f:
+            return failed("unmapped element", (x,))
+        if f[x] not in tgt._index:
+            return failed("image outside target", (x, f[x]))
+        image.append(tgt._index[f[x]])
+    if f[src.top] != tgt.top:
+        return failed("top not preserved", (src.top, f[src.top]))
+    if f[src.bottom] != tgt.bottom:
+        return failed("bottom not preserved", (src.bottom, f[src.bottom]))
+    for law, table, target in zip(("meet", "join"), index_tables(src),
+                                  index_tables(tgt)):
+        for i, row in enumerate(table):
+            target_row = target[image[i]]
+            for j, k in enumerate(row):
+                if image[k] != target_row[image[j]]:
+                    return failed("%s not preserved" % law,
+                                  (src.elements[i], src.elements[j]))
+    return passed("sigma-frame homomorphism")
+
+
 def name_pair_meet(base, meet, top):
     """The meet-table validation of CoverPresentation.finite on a dict
     keyed by name pairs, with the same messages in the same order, and
@@ -354,7 +389,7 @@ def quotient_by_matrix(lattice, c):
     groups = c.classes()
     cls = c.class_of
     reps = [cls.index(i) for i in range(len(groups))]
-    meet = lattice.meet_table
+    meet, _join = index_tables(lattice)
     leq = [[cls[meet[x][y]] == cls[x] for y in reps] for x in reps]
     return matrix_validation([frozenset(g) for g in groups], leq)
 

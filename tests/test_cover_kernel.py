@@ -89,6 +89,7 @@ from oracles import (
     frame_by_matrix,
     frame_sweep,
     full_list_derive,
+    index_tables,
     localized_by_members,
     name_pair_meet,
     name_saturation,
@@ -176,8 +177,8 @@ def frame_outcome(build, p):
         return type(err), err.args[0], err.witnesses
     if isinstance(frame, tuple):
         return frame
-    return (frame.elements, frame.down, frame.meet_table,
-            frame.join_table, frame.bottom, frame.top)
+    return (frame.elements, frame.down, *index_tables(frame),
+            frame.bottom, frame.top)
 
 
 def test_frame_matches_the_matrix_build():

@@ -9,7 +9,6 @@ from sigmaloc import (
     ABSURD,
     UNKNOWN,
     BaseTooLarge,
-    CheckReport,
     Confirmed,
     CoverError,
     CoverPresentation,
@@ -23,7 +22,6 @@ from sigmaloc import (
     check_compactness,
     check_formal_cover_axioms,
     check_overt_cover,
-    check_sigma_coherent,
     derive,
     derive_with_trace,
     discrete_cover,
@@ -297,24 +295,6 @@ def test_check_compactness_on_corpus_cover_of_top():
         assert lat.top in saturate(p, sub)
 
 
-def test_sigma_coherence_finite_is_trivial():
-    p = two_cover()
-    assert check_sigma_coherent(p, [("top", ("x", "y"), None)])
-
-
-def test_sigma_coherence_on_cantor_samples():
-    p = cantor_cover()
-    u = p.axioms_of("")[0]
-    report = check_sigma_coherent(p, [("", u, None)], budget=1000)
-    assert report, report.detail
-    # an enumerated cover without a witness is its own witness
-    listed = Enumeration.from_iterable(["00", "01", "1"])
-    assert check_sigma_coherent(p, [("", listed, None)])
-    short = Enumeration.from_iterable(["00", "01"])
-    assert check_sigma_coherent(p, [("", short, None)]) == CheckReport(
-        False, "no countable subcover confirmed", ("",))
-
-
 def test_relation_as_morphism_reports():
     chain2, _ = envelope_cover(chain_lattice(1))
     chain3, _ = envelope_cover(chain_lattice(2))
@@ -464,16 +444,3 @@ def test_derive_with_trace_refuses_what_derive_refuses(p, a, u, at_step):
 def test_derive_with_trace_refuses_a_negative_step():
     raises_exactly(ValueError, "at_step must be a natural number",
                    derive_with_trace, cantor_cover(), "0", ("0",), -5)
-
-
-def test_sigma_coherence_tries_the_witness_enumeration():
-    p = cantor_cover()
-    words = ["00", "01", "10", "11"]
-    sample = ("", words, Enumeration.from_iterable(words))
-    assert check_sigma_coherent(p, [sample])
-    short = words[:3]
-    report = check_sigma_coherent(
-        p, [("", short, Enumeration.from_iterable(short))])
-    assert not report
-    assert report.detail == "no countable subcover confirmed"
-    assert report.witnesses == ("",)

@@ -9,27 +9,35 @@ also on lattices of 7-17 elements, on congruences and on partitions
 one element away from one, and the quotient also against the
 bool-matrix build over its representatives), validate_lattice and
 lattice_from_leq_pairs with the bool-matrix validation on the corpus
-and on seeded random relations of 1-8 and of 9-20 elements, and a
+and on seeded random relations of 1-8 and of 9-20 elements, the
+homomorphism check with the index-table scan on every map between
+seven small lattices and on seeded maps between corpus lattices, and
+on the homomorphisms among the former without its pair scan.  A
 wall-clock guard fails if an exponential sweep returns to a production
-path.  Families whose first failure comes late in element order (M3
-and N5 glued to chains, chains with late intransitive rows, partitions
-with a large compatible first class) pin the witnesses read off the
-fast passes, and two wall-clock guards fail if a cubic re-scan returns
-to a failure path.
+path, and a memory guard if n x n tables return to the lattice.
+Families whose first failure comes late in element order (M3 and N5
+glued to chains, chains with late intransitive rows, partitions with a
+large compatible first class) pin the witnesses read off the fast
+passes, and two wall-clock guards fail if a cubic re-scan returns to a
+failure path.
 """
 
+import copy
 import random
 import time
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 from sigmaloc import (
     Congruence,
     LatticeError,
     Positivity,
+    SigmaFrameHom,
     bool_congruence,
     boolean_lattice,
     chain_lattice,
     check_overt,
+    check_sigma_hom,
     enumerate_congruences,
     is_congruence,
     is_dense,
@@ -40,10 +48,12 @@ from sigmaloc import (
     validate_lattice,
     with_nonzero_pos,
 )
+from sigmaloc.sigma_frame import _lattice_of_up_masks
 
 from corpus import corpus, downset_lattice, product_lattice
 from oracles import (
     density_by_pairs,
+    index_tables,
     is_congruence_by_element,
     join_irreducible_fold,
     matrix_validation,
@@ -52,6 +62,7 @@ from oracles import (
     partition_sweep,
     partitions,
     quotient_by_matrix,
+    sigma_hom_by_tables,
     signature_congruence,
     subsets,
     upward_closed_sets,
@@ -99,7 +110,7 @@ def test_overt_laws_force_nonzero_positivity():
 
 def test_is_congruence_matches_the_element_keyed_loop():
     for name, lattice in CORPUS:
-        if len(lattice) > 6:
+        if len(lattice) > 7:
             continue
         for c in partitions(lattice.elements):
             assert is_congruence(lattice, c) == \
@@ -256,6 +267,25 @@ def test_quotient_matches_the_matrix_build():
                        for x in lattice.elements), (name, c.class_of)
 
 
+def test_booleanization_allocates_no_square_tables():
+    # the 256-element Boolean lattice, built from its up-set masks, and
+    # its Booleanization: n x n tables alone would take over 1 MB
+    n = 256
+    up = [sum(1 << j for j in range(n) if not i & ~j) for i in range(n)]
+    labels = ["e%d" % i for i in range(n)]
+    tracemalloc.start()
+    try:
+        lattice = _lattice_of_up_masks(labels, up)
+        pos = Positivity.nonzero(lattice)
+        q, _projection, _inherited = quotient(
+            lattice, bool_congruence(lattice, pos), pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q) == 256
+    assert peak < 1 << 20, peak
+
+
 def test_density_matches_the_pairwise_definitions():
     rng = random.Random(3)
     for name, lattice in CORPUS:
@@ -322,6 +352,93 @@ def test_lattice_pipeline_stays_polynomial():
     assert len(enumerate_congruences(chain_lattice(9))) == 2 ** 9
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
+
+
+def small_maps():
+    """Every map between seven small lattices, of 1 to 5 elements."""
+    lattices = [boolean_lattice(0), chain_lattice(1), boolean_lattice(1),
+                chain_lattice(2), chain_lattice(3), boolean_lattice(2),
+                downset_lattice(list("abc"), [("a", "b"), ("a", "c")])]
+    for source in lattices:
+        for target in lattices:
+            for images in product(target.elements, repeat=len(source)):
+                yield SigmaFrameHom(source, target,
+                                    dict(zip(source.elements, images)))
+
+
+def seeded_maps(rng, count):
+    """Seeded maps between corpus lattices.  A third send each element
+    anywhere; the rest are read off a seeded map g from the target's
+    join-irreducibles to the source's, x going to the join of the j with
+    g(j) below x, a homomorphism when g is monotone, and half of those
+    then move one image.  One in fifty drops an element or maps it out
+    of the target."""
+    lattices = [lattice for _name, lattice in CORPUS]
+    for _ in range(count):
+        source, target = rng.choice(lattices), rng.choice(lattices)
+        js = [x for i, x in enumerate(target.elements)
+              if target.join_irreducibles >> i & 1]
+        gs = [x for i, x in enumerate(source.elements)
+              if source.join_irreducibles >> i & 1]
+        if rng.random() < 1 / 3 or not gs:
+            mapping = {x: rng.choice(target.elements)
+                       for x in source.elements}
+        else:
+            g = {j: rng.choice(gs) for j in js}
+            mapping = {x: target.join_all(j for j in js if source.leq(g[j], x))
+                       for x in source.elements}
+            if rng.random() < 0.5:
+                mapping[rng.choice(source.elements)] = \
+                    rng.choice(target.elements)
+        if rng.random() < 0.02:
+            x = rng.choice(source.elements)
+            if rng.random() < 0.5:
+                del mapping[x]
+            else:
+                mapping[x] = "outside"
+        yield SigmaFrameHom(source, target, mapping)
+
+
+def test_check_sigma_hom_matches_the_table_scan():
+    details = []
+    homs = [*small_maps(), *seeded_maps(random.Random("homs"), 20000)]
+    for hom in homs:
+        report = check_sigma_hom(hom)
+        assert report == sigma_hom_by_tables(hom), hom
+        details.append(report.detail)
+    # homomorphisms, and failures of each kind
+    assert details.count("sigma-frame homomorphism") >= 2000
+    for detail in ("meet not preserved", "join not preserved",
+                   "top not preserved", "bottom not preserved",
+                   "unmapped element", "image outside target"):
+        assert details.count(detail) >= 50, detail
+
+
+class Unread(dict):
+    """A mask map that fails the test when it is read."""
+
+    def __getitem__(self, mask):
+        raise AssertionError("mask map read")
+
+
+def without_mask_maps(lattice):
+    """A copy of the lattice whose by_down and by_up cannot be read."""
+    out = copy.copy(lattice)
+    out.by_down = out.by_up = Unread()
+    return out
+
+
+def test_check_sigma_hom_passes_a_homomorphism_by_the_dual_test_alone():
+    # the pair scan is the only reader of by_down and by_up, and a
+    # homomorphism never reaches it
+    homs = 0
+    for hom in small_maps():
+        if sigma_hom_by_tables(hom):
+            blind = SigmaFrameHom(without_mask_maps(hom.source),
+                                  without_mask_maps(hom.target), hom.mapping)
+            assert check_sigma_hom(blind), hom
+            homs += 1
+    assert homs >= 100
 
 
 M3 = (["0", "a", "b", "c", "1"],
@@ -447,8 +564,8 @@ def outcome(build, *args):
         return type(err), err.args[0], err.witnesses
     if isinstance(lattice, tuple):
         return lattice
-    return (lattice.elements, lattice.down, lattice.meet_table,
-            lattice.join_table, lattice.bottom, lattice.top)
+    return (lattice.elements, lattice.down, *index_tables(lattice),
+            lattice.bottom, lattice.top)
 
 
 def check_against_the_matrix_validation(elements, m, rng):
